@@ -10,7 +10,16 @@
             frozen global model; the server maintains learnable per-class
             feature prototypes whose induced head gradients are optimized to
             match the averaged real ones, then re-trains the head on the
-            balanced union of prototypes.
+            balanced union of prototypes. All reported classes are matched
+            together as one (C, P, F) batch, bit-identical to matching them
+            one class at a time.
+
+Unverified deviations of creff from the CReFF paper (Shang et al., IJCAI
+2022, arXiv:2204.13399), kept until they are checked against its text:
+per-class real gradients are averaged over clients unweighted (the paper may
+weight them by client class counts); matching uses squared L2 distance (the
+paper may use a cosine-style layerwise distance); the re-trained head
+replaces the broadcast global head (the paper may use it for inference only).
 """
 from __future__ import annotations
 
@@ -21,14 +30,17 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .nn import (
-    ARCH_LINEAR,
     ModelConfig,
     ModelParams,
     TrainConfig,
-    loss_and_grad,
+    forward,
     sgd_epochs,
     softmax,
 )
+
+# Not called here. Kept because bench/tracer.py wraps this binding by name
+# (fltbench.algorithms.loss_and_grad) and cannot install without it.
+from .nn import loss_and_grad  # noqa: F401
 from .seeding import rng_from
 
 logger = logging.getLogger(__name__)
@@ -175,23 +187,23 @@ def creff_client_head_grads(
 
     For every class present in the shard, the mean cross-entropy gradient of
     the head block over that class's samples (no weight decay). Absent
-    classes are simply missing from the dict, never reported as zero.
+    classes are simply missing from the dict, never reported as zero. Only
+    the head gradient is formed; the representation block is not backpropagated.
     """
     grads: dict[int, np.ndarray] = {}
     for cls in np.unique(shard_y):
-        sel = shard_y == cls
-        _, grad = loss_and_grad(global_params, model_config, shard_x[sel], shard_y[sel])
-        grads[int(cls)] = grad.head_block
+        feats, logits = forward(global_params, model_config, shard_x[shard_y == cls])
+        g_w, g_b = head_gradient_from_logits(feats, logits, int(cls))
+        grads[int(cls)] = np.concatenate([g_w.ravel(), g_b])
     return grads
 
 
-def head_gradient_on_features(
-    features: np.ndarray, label: int, w: np.ndarray, b: np.ndarray
+def head_gradient_from_logits(
+    features: np.ndarray, logits: np.ndarray, label: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean head gradient induced by a batch of same-label feature vectors."""
-    logits = features @ w.T + b
-    probs = softmax(logits)
-    delta = probs
+    """Mean head gradient (dW, db) of a batch of same-label samples, given
+    their penultimate features and the logits the head maps them to."""
+    delta = softmax(logits)
     delta[:, label] -= 1.0
     delta /= features.shape[0]
     return delta.T @ features, delta.sum(axis=0)
@@ -199,34 +211,42 @@ def head_gradient_on_features(
 
 def matching_loss_and_grad(
     features: np.ndarray,
-    label: int,
+    labels: np.ndarray,
     w: np.ndarray,
     b: np.ndarray,
     target_w: np.ndarray,
     target_b: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Squared distance between induced and target head gradients, with dF.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-class squared distance of induced from target head gradients, with dF.
+
+    features is a (C, P, F) stack of prototypes, one (P, F) slice per class
+    in labels (C,); target_w is (C, M, F) and target_b is (C, M). Each class
+    slice goes through the same float operations as a lone (P, F) call would,
+    so batching does not change a bit. Returns the (C,) losses and the
+    (C, P, F) feature gradients.
 
     The induced gradient depends on the features both directly (outer
     product with the softmax error) and through the logits, so the feature
     gradient has two terms: U R / B plus the softmax backward of
     (F R^T + 1 r^T) / B mapped through W.
     """
-    n = features.shape[0]
+    n = features.shape[1]
     logits = features @ w.T + b
     probs = softmax(logits)
     u = probs.copy()
-    u[:, label] -= 1.0
-    g_w = u.T @ features / n
-    g_b = u.sum(axis=0) / n
-    r_w = 2.0 * (g_w - target_w)
-    r_b = 2.0 * (g_b - target_b)
-    loss = float(((g_w - target_w) ** 2).sum() + ((g_b - target_b) ** 2).sum())
+    u[np.arange(labels.shape[0]), :, labels] -= 1.0
+    g_w = u.transpose(0, 2, 1) @ features / n
+    g_b = u.sum(axis=1) / n
+    diff_w = g_w - target_w
+    diff_b = g_b - target_b
+    r_w = 2.0 * diff_w
+    r_b = 2.0 * diff_b
+    losses = (diff_w ** 2).sum(axis=(1, 2)) + (diff_b ** 2).sum(axis=1)
 
     direct = u @ r_w / n
-    d_probs = (features @ r_w.T + r_b[None, :]) / n
-    d_logits = probs * (d_probs - (d_probs * probs).sum(axis=1, keepdims=True))
-    return loss, direct + d_logits @ w
+    d_probs = (features @ r_w.transpose(0, 2, 1) + r_b[:, None, :]) / n
+    d_logits = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
+    return losses, direct + d_logits @ w
 
 
 def retrain_head(
@@ -239,19 +259,33 @@ def retrain_head(
     """Full-batch gradient descent of the head on labeled feature prototypes.
 
     features is (M, per_class, feature_dim); every prototype carries its
-    class label, so the training set is balanced by construction.
+    class label, so the training set is balanced by construction. Each step
+    is the linear-softmax cross-entropy gradient step, computed in place on
+    views of one head copy.
     """
     m, per_class, feat_dim = features.shape
     if m != num_classes:
         raise ValueError("feature prototypes must cover every class")
-    flat_x = features.reshape(m * per_class, feat_dim)
-    flat_y = np.repeat(np.arange(m, dtype=np.int64), per_class)
-    head_cfg = ModelConfig(arch=ARCH_LINEAR, input_dim=feat_dim, num_classes=m)
-    head = ModelParams(np.empty(0, dtype=np.float64), head_block.copy())
+    if not np.isfinite(features).all():
+        raise NonFiniteError("feature prototypes contain non-finite values")
+    n = m * per_class
+    x = features.reshape(n, feat_dim)
+    y = np.repeat(np.arange(m, dtype=np.int64), per_class)
+    rows = np.arange(n)
+    head = head_block.copy()
+    w = head[: m * feat_dim].reshape(m, feat_dim)
+    b = head[m * feat_dim :]
     for _ in range(steps):
-        _, grad = loss_and_grad(head, head_cfg, flat_x, flat_y)
-        head.head_block -= learning_rate * grad.head_block
-    return head.head_block
+        z = x @ w.T
+        z += b
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=1, keepdims=True)
+        z[rows, y] -= 1.0
+        z /= n
+        w -= learning_rate * (z.T @ x)
+        b -= learning_rate * z.sum(axis=0)
+    return head
 
 
 class CreffServer:
@@ -272,28 +306,39 @@ class CreffServer:
     def server_round(
         self, global_params: ModelParams, client_grads: list[dict[int, np.ndarray]]
     ) -> np.ndarray:
-        """One aggregation step: match prototypes, then return a re-trained head."""
+        """One aggregation step: match prototypes, then return a re-trained head.
+
+        All reported classes are matched together as one (C, P, F) batch;
+        prototypes of classes no client reported are kept as they are.
+        """
         cfg = self.model_config
         m, f = cfg.num_classes, cfg.feature_dim
         w = global_params.head_block[: m * f].reshape(m, f)
         b = global_params.head_block[m * f :]
+        classes, targets = [], []
         for cls in range(m):
             reported = [g[cls] for g in client_grads if cls in g]
             if not reported:
                 logger.debug("no client reported class %d this round; prototypes kept", cls)
                 continue
-            mean_grad = np.mean(reported, axis=0)
-            target_w = mean_grad[: m * f].reshape(m, f)
-            target_b = mean_grad[m * f :]
-            feats = self.features[cls]
+            classes.append(cls)
+            targets.append(np.mean(reported, axis=0))
+        if classes:
+            labels = np.array(classes, dtype=np.int64)
+            target = np.stack(targets)
+            target_w = target[:, : m * f].reshape(len(classes), m, f)
+            target_b = target[:, m * f :]
+            feats = self.features[labels]
             for step in range(self.algo_config.ff_steps):
-                _, d_feats = matching_loss_and_grad(feats, cls, w, b, target_w, target_b)
+                _, d_feats = matching_loss_and_grad(feats, labels, w, b, target_w, target_b)
                 feats = feats - self.algo_config.ff_lr * d_feats
-                if not np.isfinite(feats).all():
+                finite = np.isfinite(feats).all(axis=(1, 2))
+                if not finite.all():
                     raise NonFiniteError(
-                        f"feature optimization diverged for class {cls} at step {step}"
+                        f"feature optimization diverged for class "
+                        f"{classes[int(np.argmin(finite))]} at step {step}"
                     )
-            self.features[cls] = feats
+            self.features[labels] = feats
         return retrain_head(
             global_params.head_block,
             self.features,

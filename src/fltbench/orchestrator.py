@@ -39,7 +39,7 @@ from .datasets import (
     load_cifar10,
     stratified_split_indices,
 )
-from .errors import ConfigError, ExperimentError, FltbenchError
+from .errors import ConfigError, ExperimentError, FltbenchError, NonFiniteError
 from .lt_shaping import exponential_profile, shape_long_tailed
 from .nn import Metrics, ModelConfig, ModelParams, TrainConfig, evaluate, init_model
 from .partition import (
@@ -194,6 +194,10 @@ def _split_client_shards(
         )
         train_shards.append(ClientShard(shard.client_id, shard.indices[tr_pos]))
         test_shards.append(ClientShard(shard.client_id, shard.indices[te_pos]))
+        if np.intersect1d(train_shards[-1].indices, test_shards[-1].indices).size:
+            raise AssertionError(
+                f"client {shard.client_id} evaluation indices leaked into training"
+            )
     return train_shards, test_shards
 
 
@@ -363,6 +367,16 @@ def _evaluate_point(
     )
 
 
+def _divergence_message(updates: list[ClientUpdate]) -> str:
+    """Names the first client, by id, whose update is already non-finite."""
+    first = min((u.client_id for u in updates if not u.params.is_finite()), default=None)
+    if first is None:
+        source = "every client update is finite"
+    else:
+        source = f"first non-finite client update: client {first}"
+    return f"global model parameters are non-finite after aggregation ({source})"
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Run one federated experiment end to end.
 
@@ -370,6 +384,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     algorithm's local update (optionally on a thread pool; results do not
     depend on worker count), aggregates in client-id order, and evaluates the
     global model every eval_every rounds plus at round 0 and the final round.
+    A round whose aggregated model holds NaN or infinity ends the run with an
+    ExperimentError naming the round.
     """
     start = time.perf_counter()
     train, test, data_info = build_data(config)
@@ -411,15 +427,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
                 algo.participation_fraction,
                 derive_seed(config.master_seed, "client-sampling", round_idx),
             )
-            if client_test_shards is not None:
-                for k in sampled:
-                    overlap = np.intersect1d(
-                        train_shards[k].indices, client_test_shards[k].indices
-                    )
-                    if overlap.size:
-                        raise AssertionError(
-                            f"client {k} evaluation indices leaked into training"
-                        )
             round_params = params
             if workers > 1 and len(sampled) > 1:
                 with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -449,6 +456,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
                 params = ModelParams(aggregated.rep_block, new_head)
             else:
                 params = aggregate_weighted(updates)
+            if not params.is_finite():
+                raise NonFiniteError(_divergence_message(updates))
         except FltbenchError as exc:
             raise ExperimentError(f"round {round_idx}: {exc}") from exc
 

@@ -10,7 +10,7 @@ from fltbench.algorithms import (
     aggregate_rep_only,
     aggregate_weighted,
     creff_client_head_grads,
-    head_gradient_on_features,
+    head_gradient_from_logits,
     local_update_fedavg,
     local_update_fedper,
     local_update_fedprox,
@@ -27,6 +27,7 @@ from fltbench.nn import (
     init_model,
     loss_and_grad,
     sgd_epochs,
+    softmax,
     split_vector,
 )
 
@@ -248,40 +249,103 @@ class TestCreffClientGrads:
         _, full = loss_and_grad(params, cfg, x, y)
         np.testing.assert_allclose(total, 30 * full.head_block, atol=1e-12)
 
+    @pytest.mark.parametrize("arch,hidden", [("linear_softmax", None), ("mlp1h", 12)])
+    def test_equals_full_backprop_head_block(self, rng, arch, hidden):
+        cfg = ModelConfig(arch=arch, input_dim=5, num_classes=4, init_seed=3,
+                          hidden_units=hidden)
+        params = init_model(cfg)
+        x = rng.standard_normal((50, 5))
+        y = rng.integers(0, 4, 50)
+        grads = creff_client_head_grads(params, cfg, x, y)
+        for cls in np.unique(y):
+            _, full = loss_and_grad(params, cfg, x[y == cls], y[y == cls])
+            np.testing.assert_array_equal(grads[int(cls)], full.head_block)
+
+
+def _matching_reference(features, label, w, b, target_w, target_b):
+    """The per-class matching kernel that the batched one replaced; each class
+    slice of the batched call must reproduce it bit for bit."""
+    n = features.shape[0]
+    logits = features @ w.T + b
+    probs = softmax(logits)
+    u = probs.copy()
+    u[:, label] -= 1.0
+    g_w = u.T @ features / n
+    g_b = u.sum(axis=0) / n
+    r_w = 2.0 * (g_w - target_w)
+    r_b = 2.0 * (g_b - target_b)
+    loss = float(((g_w - target_w) ** 2).sum() + ((g_b - target_b) ** 2).sum())
+    direct = u @ r_w / n
+    d_probs = (features @ r_w.T + r_b[None, :]) / n
+    d_logits = probs * (d_probs - (d_probs * probs).sum(axis=1, keepdims=True))
+    return loss, direct + d_logits @ w
+
+
+def _retrain_reference(head_block, features, learning_rate, steps):
+    """Head re-training through the generic loss_and_grad kernel, step by step."""
+    m, per_class, feat_dim = features.shape
+    flat_x = features.reshape(m * per_class, feat_dim)
+    flat_y = np.repeat(np.arange(m, dtype=np.int64), per_class)
+    head_cfg = ModelConfig(arch="linear_softmax", input_dim=feat_dim, num_classes=m)
+    head = ModelParams(np.empty(0, dtype=np.float64), head_block.copy())
+    for _ in range(steps):
+        _, grad = loss_and_grad(head, head_cfg, flat_x, flat_y)
+        head.head_block -= learning_rate * grad.head_block
+    return head.head_block
+
 
 class TestMatching:
     def test_gradient_matches_finite_differences(self, rng):
         m, f, b = 4, 6, 5
         w = rng.standard_normal((m, f)) * 0.3
         bias = rng.standard_normal(m) * 0.1
-        feats = rng.standard_normal((b, f))
-        tw = rng.standard_normal((m, f)) * 0.05
-        tb = rng.standard_normal(m) * 0.05
-        _, grad = matching_loss_and_grad(feats, 2, w, bias, tw, tb)
+        feats = rng.standard_normal((1, b, f))
+        tw = rng.standard_normal((1, m, f)) * 0.05
+        tb = rng.standard_normal((1, m)) * 0.05
+        labels = np.array([2])
+        _, grad = matching_loss_and_grad(feats, labels, w, bias, tw, tb)
         eps = 1e-6
         for i, j in [(0, 0), (2, 3), (4, 5)]:
             plus, minus = feats.copy(), feats.copy()
-            plus[i, j] += eps
-            minus[i, j] -= eps
-            lp, _ = matching_loss_and_grad(plus, 2, w, bias, tw, tb)
-            lm, _ = matching_loss_and_grad(minus, 2, w, bias, tw, tb)
-            assert grad[i, j] == pytest.approx((lp - lm) / (2 * eps), abs=1e-7)
+            plus[0, i, j] += eps
+            minus[0, i, j] -= eps
+            lp, _ = matching_loss_and_grad(plus, labels, w, bias, tw, tb)
+            lm, _ = matching_loss_and_grad(minus, labels, w, bias, tw, tb)
+            assert grad[0, i, j] == pytest.approx((lp[0] - lm[0]) / (2 * eps), abs=1e-7)
 
     def test_loss_non_increasing_under_descent(self, rng):
         m, f, b = 3, 5, 8
         w = rng.standard_normal((m, f)) * 0.3
         bias = np.zeros(m)
-        feats = rng.standard_normal((b, f))
-        target_w, target_b = head_gradient_on_features(
-            rng.standard_normal((b, f)) + 2.0, 1, w, bias
-        )
+        feats = rng.standard_normal((1, b, f))
+        real = rng.standard_normal((b, f)) + 2.0
+        target_w, target_b = head_gradient_from_logits(real, real @ w.T + bias, 1)
+        labels = np.array([1])
         losses = []
         for _ in range(100):
-            loss, grad = matching_loss_and_grad(feats, 1, w, bias, target_w, target_b)
-            losses.append(loss)
+            loss, grad = matching_loss_and_grad(
+                feats, labels, w, bias, target_w[None], target_b[None]
+            )
+            losses.append(loss[0])
             feats = feats - 1e-2 * grad
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
+
+    def test_batched_call_equals_per_class_calls(self, rng):
+        m, f, p = 10, 200, 20
+        w = rng.standard_normal((m, f)) * 0.1
+        bias = rng.standard_normal(m) * 0.1
+        labels = np.array([0, 3, 4, 9])
+        feats = rng.standard_normal((labels.size, p, f))
+        tw = rng.standard_normal((labels.size, m, f)) * 0.01
+        tb = rng.standard_normal((labels.size, m)) * 0.01
+        for _ in range(3):  # a few descent steps, as the server runs them
+            losses, grads = matching_loss_and_grad(feats, labels, w, bias, tw, tb)
+            for i, cls in enumerate(labels):
+                loss, grad = _matching_reference(feats[i], cls, w, bias, tw[i], tb[i])
+                np.testing.assert_array_equal(grads[i], grad)
+                np.testing.assert_array_equal(losses[i], loss)
+            feats = feats - 5.0 * grads
 
 
 def _separable_toy(rng, m=4, dim=6, per_class=25, noise=0.02):
@@ -303,6 +367,19 @@ class TestCreffServer:
         new_head = retrain_head(params.head_block, prototypes, 4, 0.5, 400)
         tuned = ModelParams(params.rep_block, new_head)
         assert evaluate(tuned, cfg, toy).accuracy == 1.0
+
+    def test_retrain_equals_generic_kernel_loop(self, rng):
+        m, per_class, f = 10, 20, 30
+        head = rng.standard_normal(m * f + m) * 0.1
+        prototypes = rng.standard_normal((m, per_class, f))
+        new_head = retrain_head(head, prototypes, m, 0.1, 25)
+        np.testing.assert_array_equal(new_head, _retrain_reference(head, prototypes, 0.1, 25))
+
+    def test_retrain_rejects_non_finite_prototypes(self, rng):
+        prototypes = rng.standard_normal((3, 2, 4))
+        prototypes[1, 0, 2] = np.nan
+        with pytest.raises(NonFiniteError):
+            retrain_head(np.zeros(3 * 4 + 3), prototypes, 3, 0.1, 1)
 
     def test_server_round_changes_only_the_head(self, rng):
         cfg = ModelConfig(arch="mlp1h", input_dim=5, num_classes=3, init_seed=1, hidden_units=6)
@@ -346,6 +423,23 @@ class TestCreffServer:
         y = rng.integers(0, 3, 12)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
             server.server_round(params, [creff_client_head_grads(params, cfg, x, y)])
+
+    def test_diverging_class_is_named(self, rng):
+        cfg = ModelConfig(arch="linear_softmax", input_dim=4, num_classes=3, init_seed=5)
+        algo = AlgoConfig(
+            algorithm="creff", rounds=1, ff_per_class=3, ff_steps=5,
+            retrain_steps=5, ff_lr=0.5, retrain_lr=0.1,
+        )
+        params = init_model(cfg)
+        server = CreffServer(cfg, algo, seed=7)
+        x = rng.standard_normal((12, 4))
+        y = np.repeat(np.arange(3), 4)
+        grads = creff_client_head_grads(params, cfg, x, y)
+        grads[2] = np.full_like(grads[2], 1e300)  # only class 2 can blow up
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteError, match="for class 2 at step"
+        ):
+            server.server_round(params, [grads])
 
 
 class TestAlgoConfig:

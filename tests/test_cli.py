@@ -1,6 +1,7 @@
 """CLI contract: exit codes, emitted files, determinism, config round-trip."""
 import json
 
+import numpy as np
 import pytest
 
 from fltbench.cli import main
@@ -147,6 +148,18 @@ class TestExitCodes:
         code = main(["train", "--config", _write_config(tmp_path, QUICK_CONFIG),
                      "--out", str(blocker)])
         assert code == 2
+
+    def test_diverging_run_exits_1_naming_the_round(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(QUICK_CONFIG))
+        doc["model"] = {"arch": "mlp1h", "hidden_units": 16}
+        doc["train"]["learning_rate"] = 1e12
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--config", _write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "round " in err and "non-finite" in err and "client " in err
+        assert not (out / "report.json").exists()
 
     def test_dry_run_validates_and_exits_0(self, tmp_path, capsys):
         code = main(["train", "--config", _write_config(tmp_path, QUICK_CONFIG),
