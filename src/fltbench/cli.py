@@ -44,7 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=text)
         cmd.add_argument("--config", required=True, help="path to the JSON config file")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--workers", type=int, default=1, help="worker pool size")
+        if name == "sweep":
+            cmd.add_argument(
+                "--workers", type=int, default=1, help="processes that run sweep cells"
+            )
         cmd.add_argument(
             "--dry-run",
             action="store_true",
@@ -97,7 +100,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         print(json.dumps(experiment_config_to_dict(config), indent=2))
         return EXIT_OK
     out = _prepare_out_dir(args.out)
-    report = run_experiment(config, workers=args.workers)
+    report = run_experiment(config)
     _write(out / "report.json", json.dumps(report.to_json_dict(), indent=2) + "\n")
     _write(out / "metrics.csv", report.metrics_csv())
     save_checkpoint(

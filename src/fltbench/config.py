@@ -81,19 +81,19 @@ def parse_experiment_config(raw: dict, env_data_dir: str | None = None) -> Exper
     data_dir = _get(data_raw, "data_dir", str, "data", default=None)
     if source == SOURCE_CIFAR10 and data_dir is None:
         data_dir = env_data_dir
-    lt_target_if = _get(data_raw, "lt_target_if", float, "data", default=None)
-    if lt_target_if is not None and lt_target_if < 1.0:
-        raise ConfigError("data.lt_target_if must be >= 1")
-    data = DataConfig(
-        source=source,
-        num_classes=_get(data_raw, "num_classes", int, "data", default=10),
-        per_class=_get(data_raw, "per_class", int, "data", default=500),
-        test_per_class=_get(data_raw, "test_per_class", int, "data", default=100),
-        dim=_get(data_raw, "dim", int, "data", default=32),
-        cluster_spread=_get(data_raw, "cluster_spread", float, "data", default=1.0),
-        data_dir=data_dir,
-        lt_target_if=lt_target_if,
-    )
+    try:
+        data = DataConfig(
+            source=source,
+            num_classes=_get(data_raw, "num_classes", int, "data", default=10),
+            per_class=_get(data_raw, "per_class", int, "data", default=500),
+            test_per_class=_get(data_raw, "test_per_class", int, "data", default=100),
+            dim=_get(data_raw, "dim", int, "data", default=32),
+            cluster_spread=_get(data_raw, "cluster_spread", float, "data", default=1.0),
+            data_dir=data_dir,
+            lt_target_if=_get(data_raw, "lt_target_if", float, "data", default=None),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"data: {exc}") from exc
 
     part_raw = _require_mapping(raw["partition"], "partition")
     _check_keys(

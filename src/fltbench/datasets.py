@@ -39,7 +39,7 @@ class Sample(NamedTuple):
 class Dataset:
     """An immutable labeled dataset.
 
-    features is (n, dim) float64, labels is (n,) int64 with values in
+    features is (n, dim) finite float64, labels is (n,) int64 with values in
     [0, num_classes). raw_pixels keeps the original uint8 bytes for datasets
     loaded from CIFAR files so they can be written back verbatim.
     """
@@ -55,6 +55,8 @@ class Dataset:
         labels = np.ascontiguousarray(self.labels, dtype=np.int64)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-D array")
+        if not np.isfinite(feats).all():
+            raise ValueError("features contain NaN or infinity")
         if labels.shape != (feats.shape[0],):
             raise ValueError("labels must have one entry per feature row")
         if self.num_classes < 2:

@@ -30,6 +30,17 @@ _CKPT_HEADER = struct.Struct("<IIIIqQQ")
 _FF_MAGIC = b"FF"
 _FF_HEADER = struct.Struct("<III")
 
+# Most rows per forward pass in evaluate. On a 2-vCPU VM (numpy 2.4.6,
+# OpenBLAS 0.3.31) one 2000-row pass of the (2000x5)@(5x200) product is split
+# across threads and took 15.6 ms, against 1.9 ms in 256-row blocks; two sweep
+# processes doing so at once oversubscribe the cores. At this model size
+# products of more than ~262 rows are threaded. Equal blocks keep each block
+# of a longer dataset above 128 rows: with 10 classes, blocks of 121 rows or
+# more gave logits bit-equal to the single pass, while shorter ones (such as
+# the tail of fixed 256-row blocks) take OpenBLAS's small-matrix kernel and
+# differ in the last bits.
+EVAL_BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -130,31 +141,22 @@ def _rep_views(params: ModelParams, config: ModelConfig) -> tuple[np.ndarray, np
     return w, b
 
 
-def _forward_full(
+def forward(
     params: ModelParams, config: ModelConfig, batch: np.ndarray
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Returns (hidden pre-activation or None, features, logits)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Penultimate activations and logits for a batch."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.input_dim:
         raise ValueError(f"batch must be (B, {config.input_dim})")
     if not np.isfinite(x).all():
         raise ValueError("batch contains non-finite values")
     if config.arch == ARCH_LINEAR:
-        pre, feats = None, x
+        feats = x
     else:
         w1, b1 = _rep_views(params, config)
-        pre = x @ w1.T + b1
-        feats = np.maximum(pre, 0.0)
+        feats = np.maximum(x @ w1.T + b1, 0.0)
     w2, b2 = _head_views(params, config)
-    return pre, feats, feats @ w2.T + b2
-
-
-def forward(
-    params: ModelParams, config: ModelConfig, batch: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Penultimate activations and logits for a batch."""
-    _, feats, logits = _forward_full(params, config, batch)
-    return feats, logits
+    return feats, feats @ w2.T + b2
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -174,41 +176,54 @@ def loss_and_grad(
     """Mean cross-entropy plus (weight_decay/2)*||params||^2, with gradients.
 
     Gradients come from explicit backprop through the affine/ReLU stack and
-    are deterministic for fixed inputs.
+    are deterministic for fixed inputs. batch_x must be a finite
+    (B, input_dim) array: callers validate it once per dataset or shard, not
+    once per batch. Every intermediate is computed in place in the buffer of
+    the product that produced it, with the same float operations as
+    ``forward`` followed by ``softmax``.
     """
+    x = np.asarray(batch_x, dtype=np.float64)
     y = np.asarray(batch_y, dtype=np.int64)
-    pre, feats, logits = _forward_full(params, config, batch_x)
     n = y.shape[0]
-    probs = softmax(logits)
-    eps_rows = probs[np.arange(n), y]
-    loss = float(-np.mean(np.log(np.maximum(eps_rows, 1e-300))))
+    rows = np.arange(n)
+    w2, b2 = _head_views(params, config)
+    if config.arch == ARCH_LINEAR:
+        feats = x
+    else:
+        w1, b1 = _rep_views(params, config)
+        feats = x @ w1.T
+        feats += b1
+        np.maximum(feats, 0.0, out=feats)
+    probs = feats @ w2.T
+    probs += b2
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    loss = float(-np.mean(np.log(np.maximum(probs[rows, y], 1e-300))))
 
     delta = probs
-    delta[np.arange(n), y] -= 1.0
+    delta[rows, y] -= 1.0
     delta /= n
 
-    w2, _ = _head_views(params, config)
-    grad_w2 = delta.T @ feats
-    grad_b2 = delta.sum(axis=0)
-    grad_head = np.concatenate([grad_w2.ravel(), grad_b2])
-
-    if config.arch == ARCH_LINEAR:
-        grad_rep = np.empty(0, dtype=np.float64)
-    else:
-        dfeats = delta @ w2
-        dpre = dfeats * (pre > 0.0)
-        x = np.asarray(batch_x, dtype=np.float64)
-        grad_w1 = dpre.T @ x
-        grad_b1 = dpre.sum(axis=0)
-        grad_rep = np.concatenate([grad_w1.ravel(), grad_b1])
+    m, f = w2.shape
+    grad_head = np.empty(config.head_size, dtype=np.float64)
+    np.matmul(delta.T, feats, out=grad_head[: m * f].reshape(m, f))
+    delta.sum(axis=0, out=grad_head[m * f :])
+    grad_rep = np.empty(config.rep_size, dtype=np.float64)
+    if config.arch == ARCH_MLP1H:
+        h, d = w1.shape
+        dpre = delta @ w2
+        dpre *= feats > 0.0
+        np.matmul(dpre.T, x, out=grad_rep[: h * d].reshape(h, d))
+        dpre.sum(axis=0, out=grad_rep[h * d :])
 
     if weight_decay != 0.0:
         loss += 0.5 * weight_decay * (
             float(params.rep_block @ params.rep_block)
             + float(params.head_block @ params.head_block)
         )
-        grad_rep = grad_rep + weight_decay * params.rep_block
-        grad_head = grad_head + weight_decay * params.head_block
+        grad_rep += weight_decay * params.rep_block
+        grad_head += weight_decay * params.head_block
     return loss, GradVector(grad_rep, grad_head, batch_size=n)
 
 
@@ -250,22 +265,28 @@ def sgd_epochs(
     n = shard_y.shape[0]
     if n == 0:
         raise EmptyShardError("cannot train on an empty shard")
+    if not np.isfinite(shard_x).all():
+        raise ValueError("shard contains non-finite features")
     w = params.copy()
     rng = rng_from(train_config.shuffle_seed)
     lr = train_config.learning_rate
+    bs = train_config.batch_size
     for _ in range(train_config.local_epochs):
         order = rng.permutation(n)
-        for start in range(0, n, train_config.batch_size):
-            sel = order[start : start + train_config.batch_size]
+        xs, ys = shard_x[order], shard_y[order]
+        for start in range(0, n, bs):
             _, grad = loss_and_grad(
-                w, config, shard_x[sel], shard_y[sel], train_config.weight_decay
+                w, config, xs[start : start + bs], ys[start : start + bs],
+                train_config.weight_decay,
             )
             if extra_grad_hook is not None:
                 extra = extra_grad_hook(w)
-                grad.rep_block = grad.rep_block + extra.rep_block
-                grad.head_block = grad.head_block + extra.head_block
-            w.rep_block -= lr * grad.rep_block
-            w.head_block -= lr * grad.head_block
+                grad.rep_block += extra.rep_block
+                grad.head_block += extra.head_block
+            grad.rep_block *= lr
+            grad.head_block *= lr
+            w.rep_block -= grad.rep_block
+            w.head_block -= grad.head_block
     return w
 
 
@@ -295,11 +316,20 @@ def evaluate(
     dataset: Dataset,
     class_groups: Mapping[int, str] | None = None,
 ) -> Metrics:
-    """Argmax accuracy on a dataset; ties break toward the lower class index."""
+    """Argmax accuracy on a dataset; ties break toward the lower class index.
+
+    The forward pass runs in ceil(n / EVAL_BLOCK_ROWS) equal blocks of at
+    most 256 rows, because one long product is split across BLAS threads and
+    runs several times slower. On the OpenBLAS build measured, with 10 or more
+    classes, the logits are bit-equal to one pass over the whole dataset; with
+    fewer they can differ in the last bits. Either way they are deterministic.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    _, logits = forward(params, config, dataset.features)
-    preds = np.argmax(logits, axis=1)
+    blocks = np.array_split(dataset.features, -(-len(dataset) // EVAL_BLOCK_ROWS))
+    preds = np.concatenate(
+        [np.argmax(forward(params, config, block)[1], axis=1) for block in blocks]
+    )
     hits = preds == dataset.labels
     m = config.num_classes
     counts = np.bincount(dataset.labels, minlength=m).astype(np.int64)

@@ -3,7 +3,7 @@
 A single master seed drives everything. Sub-streams (data generation,
 partitioning, model init, per-round client sampling, per-client shuffling)
 are derived by purpose tag so results are bit-identical regardless of how
-many workers execute the client updates or sweep cells.
+many workers execute the sweep cells.
 """
 from __future__ import annotations
 
@@ -80,6 +80,14 @@ class DataConfig:
             raise ValueError(f"unknown data source {self.source!r}")
         if self.lt_target_if is not None and self.lt_target_if < 1.0:
             raise ValueError("lt_target_if must be >= 1")
+        # Synthetic classes all hold per_class samples; CIFAR-10 counts are
+        # known only once the files are read (see build_data).
+        infeasible = self.lt_target_if is not None and self.per_class < self.lt_target_if
+        if self.source == SOURCE_SYNTHETIC and infeasible:
+            raise ValueError(
+                f"per_class {self.per_class} is below lt_target_if {self.lt_target_if:g}: "
+                "the tail class would get less than one sample"
+            )
 
 
 @dataclass(frozen=True)
@@ -132,6 +140,11 @@ def build_data(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict]:
     info = {"train_size_before_shaping": len(train), "train_size": len(train)}
     if data.lt_target_if is not None:
         n_max = int(class_counts(train).min())
+        if n_max < data.lt_target_if:
+            raise ConfigError(
+                f"the smallest class has {n_max} samples, below lt_target_if "
+                f"{data.lt_target_if:g}: the tail class would get less than one sample"
+            )
         profile = exponential_profile(n_max, train.num_classes, data.lt_target_if)
         train = shape_long_tailed(
             train, profile, seed=derive_seed(config.master_seed, "lt-shaping")
@@ -327,29 +340,22 @@ def _evaluate_point(
     params: ModelParams,
     test: Dataset,
     groups: dict[int, str],
-    client_test_shards: list[ClientShard] | None,
+    client_tests: list[tuple[int, Dataset]] | None,
 ) -> EvalPoint:
     global_metrics = evaluate(params, ctx.model_config, test, groups)
     personalized = None
     personalized_per = None
     global_on_clients = None
     global_per = None
-    if client_test_shards is not None:
-        from .datasets import subset
-
+    if client_tests is not None:
         global_per = []
         personalized_per = [] if ctx.config.algo.algorithm == ALGO_FEDPER else None
-        for shard in client_test_shards:
-            if len(shard) == 0:
-                continue
-            local_ds = subset(ctx.train, shard.indices)
+        for client_id, local_ds in client_tests:
             global_per.append(
                 evaluate(params, ctx.model_config, local_ds).accuracy
             )
             if personalized_per is not None:
-                personal = ModelParams(
-                    params.rep_block, ctx.client_heads[shard.client_id]
-                )
+                personal = ModelParams(params.rep_block, ctx.client_heads[client_id])
                 personalized_per.append(
                     evaluate(personal, ctx.model_config, local_ds).accuracy
                 )
@@ -377,15 +383,15 @@ def _divergence_message(updates: list[ClientUpdate]) -> str:
     return f"global model parameters are non-finite after aggregation ({source})"
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run one federated experiment end to end.
 
-    The round loop samples ceil(C*N) clients per round, dispatches the
-    algorithm's local update (optionally on a thread pool; results do not
-    depend on worker count), aggregates in client-id order, and evaluates the
+    The round loop samples ceil(C*N) clients per round, runs the algorithm's
+    local update for each in client-id order, aggregates, and evaluates the
     global model every eval_every rounds plus at round 0 and the final round.
     A round whose aggregated model holds NaN or infinity ends the run with an
-    ExperimentError naming the round.
+    ExperimentError naming the round; numpy's overflow and invalid-value
+    warnings on the way there are silenced, since that error reports them.
     """
     start = time.perf_counter()
     train, test, data_info = build_data(config)
@@ -394,6 +400,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     train_shards, client_test_shards = _split_client_shards(
         train, partition, config.client_holdout_fraction, config.master_seed
     )
+    client_tests = None  # (client id, holdout dataset) per non-empty holdout
+    if client_test_shards is not None:
+        # Looked up at call time, so bench/tracer.py can wrap datasets.subset.
+        from .datasets import subset
+
+        client_tests = [
+            (s.client_id, subset(train, s.indices)) for s in client_test_shards if len(s)
+        ]
 
     model_config = ModelConfig(
         arch=config.model.arch,
@@ -416,55 +430,41 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         )
 
     groups = head_tail_groups(partition.global_stats.counts)
-    eval_points = [
-        _evaluate_point(ctx, 0, params, test, groups, client_test_shards)
-    ]
-
-    for round_idx in range(1, algo.rounds + 1):
-        try:
-            sampled = sample_clients(
-                spec.num_clients,
-                algo.participation_fraction,
-                derive_seed(config.master_seed, "client-sampling", round_idx),
-            )
-            round_params = params
-            if workers > 1 and len(sampled) > 1:
-                with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                    updates = list(
-                        pool.map(
-                            lambda k: _run_client(
-                                ctx, round_idx, k, train_shards[k], round_params
-                            ),
-                            sampled,
-                        )
-                    )
-            else:
+    with np.errstate(over="ignore", invalid="ignore"):
+        eval_points = [_evaluate_point(ctx, 0, params, test, groups, client_tests)]
+        for round_idx in range(1, algo.rounds + 1):
+            try:
+                sampled = sample_clients(
+                    spec.num_clients,
+                    algo.participation_fraction,
+                    derive_seed(config.master_seed, "client-sampling", round_idx),
+                )
                 updates = [
-                    _run_client(ctx, round_idx, k, train_shards[k], round_params)
+                    _run_client(ctx, round_idx, k, train_shards[k], params)
                     for k in sampled
                 ]
 
-            if algo.algorithm == ALGO_FEDPER:
-                for u in updates:
-                    ctx.client_heads[u.client_id] = u.params.head_block.copy()
-                params = aggregate_rep_only(updates, params)
-            elif algo.algorithm == ALGO_CREFF:
-                aggregated = aggregate_weighted(updates)
-                new_head = ctx.creff.server_round(
-                    params, [u.head_class_grads for u in updates]
-                )
-                params = ModelParams(aggregated.rep_block, new_head)
-            else:
-                params = aggregate_weighted(updates)
-            if not params.is_finite():
-                raise NonFiniteError(_divergence_message(updates))
-        except FltbenchError as exc:
-            raise ExperimentError(f"round {round_idx}: {exc}") from exc
+                if algo.algorithm == ALGO_FEDPER:
+                    for u in updates:
+                        ctx.client_heads[u.client_id] = u.params.head_block.copy()
+                    params = aggregate_rep_only(updates, params)
+                elif algo.algorithm == ALGO_CREFF:
+                    aggregated = aggregate_weighted(updates)
+                    new_head = ctx.creff.server_round(
+                        params, [u.head_class_grads for u in updates]
+                    )
+                    params = ModelParams(aggregated.rep_block, new_head)
+                else:
+                    params = aggregate_weighted(updates)
+                if not params.is_finite():
+                    raise NonFiniteError(_divergence_message(updates))
+            except FltbenchError as exc:
+                raise ExperimentError(f"round {round_idx}: {exc}") from exc
 
-        if round_idx % config.eval_every == 0 or round_idx == algo.rounds:
-            eval_points.append(
-                _evaluate_point(ctx, round_idx, params, test, groups, client_test_shards)
-            )
+            if round_idx % config.eval_every == 0 or round_idx == algo.rounds:
+                eval_points.append(
+                    _evaluate_point(ctx, round_idx, params, test, groups, client_tests)
+                )
 
     best = max(p.global_metrics.accuracy for p in eval_points)
     best_personalized = None

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, emitted files, determinism, config round-trip."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,20 @@ def _write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def _tiny_cifar_dir(tmp_path):
+    """CIFAR-10 binary batches with 10 train samples per class."""
+    root = tmp_path / "cifar"
+    root.mkdir()
+    rng = np.random.default_rng(0)
+    for name, per_class in [(f"data_batch_{i}.bin", 2) for i in range(1, 6)] + [
+        ("test_batch.bin", 1)
+    ]:
+        records = rng.integers(0, 256, size=(10 * per_class, 3073), dtype=np.uint8)
+        records[:, 0] = np.repeat(np.arange(10), per_class)
+        (root / name).write_bytes(records.tobytes())
+    return str(root)
 
 
 def _grid_doc(rounds=2, seeds=None):
@@ -154,12 +169,32 @@ class TestExitCodes:
         doc["model"] = {"arch": "mlp1h", "hidden_units": 16}
         doc["train"]["learning_rate"] = 1e12
         out = tmp_path / "out"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(["train", "--config", _write_config(tmp_path, doc), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert "round " in err and "non-finite" in err and "client " in err
         assert not (out / "report.json").exists()
+
+    def test_infeasible_synthetic_long_tail_exits_2(self, tmp_path, capsys):
+        # 50 samples per class cannot be shaped to a head/tail ratio of 100.
+        doc = json.loads(json.dumps(QUICK_CONFIG))
+        doc["data"].update(per_class=50, lt_target_if=100.0)
+        code = main(["train", "--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out"), "--dry-run"])
+        assert code == 2
+        assert "lt_target_if" in capsys.readouterr().err
+
+    def test_infeasible_cifar_long_tail_exits_2(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(QUICK_CONFIG))
+        doc["data"] = {"source": "cifar10", "data_dir": _tiny_cifar_dir(tmp_path),
+                       "lt_target_if": 50.0}
+        code = main(["train", "--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "smallest class has 10 samples" in err and "Traceback" not in err
 
     def test_dry_run_validates_and_exits_0(self, tmp_path, capsys):
         code = main(["train", "--config", _write_config(tmp_path, QUICK_CONFIG),
@@ -254,3 +289,18 @@ class TestSweepCommand:
         table = (out / "smoke_table.csv").read_text()
         assert "ERROR" in table
         assert "warning" in capsys.readouterr().err
+
+    def test_infeasible_long_tail_cell_is_error(self, tmp_path, capsys):
+        doc = _grid_doc()
+        doc["settings"] = [
+            {"label": "iid", "overrides": {}},
+            {"label": "cifar_if50", "overrides": {"data": {
+                "source": "cifar10", "data_dir": _tiny_cifar_dir(tmp_path), "lt_target_if": 50.0,
+            }}},
+        ]
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", _write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 0
+        lines = (out / "smoke_table.csv").read_text().strip().split("\n")
+        assert [line.split(",")[2] for line in lines[1:]] == ["ERROR", "ERROR"]
+        assert "lt_target_if" in capsys.readouterr().err

@@ -184,6 +184,13 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 1)), np.array([0, 5]), num_classes=3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        feats = np.zeros((3, 2))
+        feats[1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            Dataset(feats, np.array([0, 1, 0]), num_classes=2)
+
     def test_duplicate_shard_indices(self):
         with pytest.raises(ValueError):
             ClientShard(0, np.array([1, 1, 2]))

@@ -1,7 +1,10 @@
 """Engine tests: shapes, forward math, gradient oracle, SGD, evaluation."""
+import math
+
 import numpy as np
 import pytest
 
+import fltbench.nn
 from fltbench.datasets import Dataset, generate_synthetic
 from fltbench.errors import EmptyShardError, MalformedFileError
 from fltbench.nn import (
@@ -17,8 +20,10 @@ from fltbench.nn import (
     loss_and_grad,
     save_checkpoint,
     sgd_epochs,
+    softmax,
     split_vector,
 )
+from fltbench.seeding import rng_from
 
 
 def finite_difference_grad(params, cfg, x, y, weight_decay=0.0, eps=1e-5):
@@ -41,15 +46,80 @@ def fd_safe_batch(params, cfg, rng, n, margin=1e-3):
     Central differences are only valid where the loss is locally smooth, so
     probe points within the finite-difference step of a kink are rejected.
     """
-    from fltbench.nn import _forward_full
-
     for _ in range(100):
         x = rng.standard_normal((n, cfg.input_dim))
         y = rng.integers(0, cfg.num_classes, n)
-        pre, _, _ = _forward_full(params, cfg, x)
-        if pre is None or np.min(np.abs(pre)) > margin:
+        if cfg.hidden_units is None:
+            return x, y
+        h, d = cfg.hidden_units, cfg.input_dim
+        pre = x @ params.rep_block[: h * d].reshape(h, d).T + params.rep_block[h * d :]
+        if np.min(np.abs(pre)) > margin:
             return x, y
     raise AssertionError("could not find a kink-free batch")
+
+
+def _loss_and_grad_reference(params, cfg, batch_x, batch_y, weight_decay=0.0):
+    """loss_and_grad as written before it worked in place: fresh arrays for
+    every intermediate and np.concatenate for the gradient blocks. The
+    exactness reference."""
+    x = np.asarray(batch_x, dtype=np.float64)
+    y = np.asarray(batch_y, dtype=np.int64)
+    f, m = cfg.feature_dim, cfg.num_classes
+    w2 = params.head_block[: m * f].reshape(m, f)
+    b2 = params.head_block[m * f :]
+    if cfg.hidden_units is None:
+        pre, feats = None, x
+    else:
+        h, d = cfg.hidden_units, cfg.input_dim
+        w1 = params.rep_block[: h * d].reshape(h, d)
+        b1 = params.rep_block[h * d :]
+        pre = x @ w1.T + b1
+        feats = np.maximum(pre, 0.0)
+    logits = feats @ w2.T + b2
+    n = y.shape[0]
+    probs = softmax(logits)
+    loss = float(-np.mean(np.log(np.maximum(probs[np.arange(n), y], 1e-300))))
+    delta = probs
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    grad_head = np.concatenate([(delta.T @ feats).ravel(), delta.sum(axis=0)])
+    if pre is None:
+        grad_rep = np.empty(0, dtype=np.float64)
+    else:
+        dpre = (delta @ w2) * (pre > 0.0)
+        grad_rep = np.concatenate([(dpre.T @ x).ravel(), dpre.sum(axis=0)])
+    if weight_decay != 0.0:
+        loss += 0.5 * weight_decay * (
+            float(params.rep_block @ params.rep_block)
+            + float(params.head_block @ params.head_block)
+        )
+        grad_rep = grad_rep + weight_decay * params.rep_block
+        grad_head = grad_head + weight_decay * params.head_block
+    return loss, GradVector(grad_rep, grad_head, batch_size=n)
+
+
+def _sgd_reference(params, cfg, tc, shard_x, shard_y, extra_grad_hook=None):
+    """The sgd_epochs loop as written before it gathered each epoch once."""
+    w = params.copy()
+    rng = rng_from(tc.shuffle_seed)
+    for _ in range(tc.local_epochs):
+        order = rng.permutation(shard_y.shape[0])
+        for start in range(0, shard_y.shape[0], tc.batch_size):
+            sel = order[start : start + tc.batch_size]
+            _, grad = _loss_and_grad_reference(
+                w, cfg, shard_x[sel], shard_y[sel], tc.weight_decay
+            )
+            if extra_grad_hook is not None:
+                extra = extra_grad_hook(w)
+                grad.rep_block = grad.rep_block + extra.rep_block
+                grad.head_block = grad.head_block + extra.head_block
+            w.rep_block -= tc.learning_rate * grad.rep_block
+            w.head_block -= tc.learning_rate * grad.head_block
+    return w
+
+
+# The benchmark's model shape: 5 inputs, 200 hidden units, 10 classes.
+BENCH_ARCHS = [("linear_softmax", None), ("mlp1h", 200)]
 
 
 class TestInit:
@@ -171,6 +241,23 @@ class TestLossAndGrad:
         rel = np.abs(analytic - oracle) / np.maximum(np.abs(oracle), 1e-3)
         assert rel.max() <= 1e-4
 
+    @pytest.mark.parametrize("arch,hidden", BENCH_ARCHS)
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    @pytest.mark.parametrize("n", [64, 23])
+    def test_bitwise_equal_to_reference(self, rng, arch, hidden, weight_decay, n):
+        cfg = ModelConfig(arch=arch, input_dim=5, num_classes=10, init_seed=3,
+                          hidden_units=hidden)
+        params = init_model(cfg)
+        params.rep_block += 0.01 * rng.standard_normal(params.rep_block.shape)
+        params.head_block += 0.01 * rng.standard_normal(params.head_block.shape)
+        x = 3.0 * rng.standard_normal((n, 5))
+        y = rng.integers(0, 10, n)
+        loss, grad = loss_and_grad(params, cfg, x, y, weight_decay)
+        ref_loss, ref = _loss_and_grad_reference(params, cfg, x, y, weight_decay)
+        assert loss == ref_loss
+        np.testing.assert_array_equal(grad.head_block, ref.head_block)
+        np.testing.assert_array_equal(grad.rep_block, ref.rep_block)
+
     def test_grad_vector_records_batch_size(self, rng):
         cfg = ModelConfig(arch="linear_softmax", input_dim=2, num_classes=2)
         _, grad = loss_and_grad(
@@ -257,6 +344,53 @@ class TestSgd:
         with pytest.raises(EmptyShardError):
             sgd_epochs(init_model(cfg), cfg, tc, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
 
+    @pytest.mark.parametrize("arch,hidden", BENCH_ARCHS)
+    @pytest.mark.parametrize("proximal", [False, True])
+    def test_bitwise_equal_to_reference_loop(self, rng, arch, hidden, proximal):
+        cfg = ModelConfig(arch=arch, input_dim=5, num_classes=10, init_seed=4,
+                          hidden_units=hidden)
+        params = init_model(cfg)
+        x = 3.0 * rng.standard_normal((150, 5))
+        y = rng.integers(0, 10, 150)
+        tc = TrainConfig(learning_rate=0.1, batch_size=64, local_epochs=2,
+                         weight_decay=1e-4, shuffle_seed=12)
+        hook = None
+        if proximal:
+            def hook(w):
+                return ModelParams(0.01 * (w.rep_block - params.rep_block),
+                                   0.01 * (w.head_block - params.head_block))
+        out = sgd_epochs(params, cfg, tc, x, y, extra_grad_hook=hook)
+        ref = _sgd_reference(params, cfg, tc, x, y, extra_grad_hook=hook)
+        np.testing.assert_array_equal(out.rep_block, ref.rep_block)
+        np.testing.assert_array_equal(out.head_block, ref.head_block)
+
+    def test_one_loss_and_grad_call_per_batch(self, rng, monkeypatch):
+        # bench/tracer.py counts SGD rows from args[3] of calls that go
+        # through the fltbench.nn.loss_and_grad binding.
+        rows = []
+        real = fltbench.nn.loss_and_grad
+
+        def counting(*args, **kwargs):
+            rows.append(len(args[3]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fltbench.nn, "loss_and_grad", counting)
+        cfg = ModelConfig(arch="mlp1h", input_dim=3, num_classes=4, hidden_units=6)
+        n, epochs = 150, 3
+        tc = TrainConfig(learning_rate=0.1, batch_size=64, local_epochs=epochs)
+        sgd_epochs(init_model(cfg), cfg, tc, rng.standard_normal((n, 3)),
+                   rng.integers(0, 4, n))
+        assert len(rows) == epochs * math.ceil(n / 64)
+        assert sum(rows) == epochs * n
+
+    def test_non_finite_shard_rejected(self, rng):
+        cfg = ModelConfig(arch="linear_softmax", input_dim=2, num_classes=2)
+        tc = TrainConfig(learning_rate=0.1, batch_size=4)
+        x = rng.standard_normal((6, 2))
+        x[4, 1] = np.inf
+        with pytest.raises(ValueError):
+            sgd_epochs(init_model(cfg), cfg, tc, x, np.zeros(6, dtype=np.int64))
+
     def test_hook_contributes_to_every_batch(self, rng):
         cfg = ModelConfig(arch="linear_softmax", input_dim=2, num_classes=2, init_seed=0)
         params = init_model(cfg)
@@ -307,6 +441,27 @@ class TestEvaluate:
         tc = TrainConfig(learning_rate=0.5, batch_size=64, local_epochs=20, shuffle_seed=4)
         trained = sgd_epochs(init_model(cfg), cfg, tc, train.features, train.labels)
         assert evaluate(trained, cfg, test).accuracy >= 0.95
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600, 2000])
+    def test_blocked_evaluate_equals_one_forward(self, rng, monkeypatch, n):
+        cfg = ModelConfig(arch="mlp1h", input_dim=5, num_classes=10, init_seed=5,
+                          hidden_units=200)
+        params = init_model(cfg)
+        x = 3.0 * rng.standard_normal((n, 5))
+        _, logits = forward(params, cfg, x)
+        blocks = []
+
+        def recording(*args):
+            out = forward(*args)
+            blocks.append(out[1])
+            return out
+
+        monkeypatch.setattr(fltbench.nn, "forward", recording)
+        # Labelled with the unblocked argmax, every blocked prediction is a hit.
+        metrics = evaluate(params, cfg, Dataset(x, np.argmax(logits, axis=1), num_classes=10))
+        assert metrics.accuracy == 1.0
+        np.testing.assert_array_equal(np.concatenate(blocks), logits)
+        assert max(len(b) for b in blocks) <= fltbench.nn.EVAL_BLOCK_ROWS
 
     def test_empty_dataset_rejected(self):
         cfg = ModelConfig(arch="linear_softmax", input_dim=2, num_classes=2)

@@ -98,15 +98,6 @@ class TestRunExperiment:
                 pa.global_metrics.per_class_accuracy, pb.global_metrics.per_class_accuracy
             )
 
-    def test_worker_count_does_not_change_results(self):
-        serial = run_experiment(_quick_config(rounds=4), workers=1)
-        threaded = run_experiment(_quick_config(rounds=4), workers=4)
-        assert (
-            serial.final_params.head_block.tobytes()
-            == threaded.final_params.head_block.tobytes()
-        )
-        assert serial.best_accuracy == threaded.best_accuracy
-
     def test_fedper_tracks_personalized_metrics(self):
         config = _quick_config(algorithm="fedper", rounds=4, client_holdout_fraction=0.25)
         report = run_experiment(config)
