@@ -30,15 +30,16 @@ _CKPT_HEADER = struct.Struct("<IIIIqQQ")
 _FF_MAGIC = b"FF"
 _FF_HEADER = struct.Struct("<III")
 
-# Most rows per forward pass in evaluate. On a 2-vCPU VM (numpy 2.4.6,
-# OpenBLAS 0.3.31) one 2000-row pass of the (2000x5)@(5x200) product is split
-# across threads and took 15.6 ms, against 1.9 ms in 256-row blocks; two sweep
-# processes doing so at once oversubscribe the cores. At this model size
-# products of more than ~262 rows are threaded. Equal blocks keep each block
-# of a longer dataset above 128 rows: with 10 classes, blocks of 121 rows or
-# more gave logits bit-equal to the single pass, while shorter ones (such as
-# the tail of fixed 256-row blocks) take OpenBLAS's small-matrix kernel and
-# differ in the last bits.
+# Most rows per forward pass in predict, and per stack of client holdouts
+# classified together. On a 2-vCPU VM (numpy 2.4.6, OpenBLAS 0.3.31) one
+# 2000-row pass of the (2000x5)@(5x200) product is split across threads and
+# took 15.6 ms, against 1.9 ms in 256-row blocks; two sweep processes doing
+# so at once oversubscribe the cores. At this model size products of more
+# than ~262 rows are threaded. Equal blocks keep each block of a longer
+# dataset above 128 rows: with 10 classes, blocks of 121 rows or more gave
+# logits bit-equal to the single pass, while shorter ones (such as the tail
+# of fixed 256-row blocks) take OpenBLAS's small-matrix kernel and differ in
+# the last bits.
 EVAL_BLOCK_ROWS = 256
 
 
@@ -128,9 +129,12 @@ def init_model(config: ModelConfig) -> ModelParams:
 
 
 def _head_views(params: ModelParams, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Head weights (..., M, F) and biases (..., M); a (G, head_size) head
+    block holds G heads, one per leading index."""
     f, m = config.feature_dim, config.num_classes
-    w = params.head_block[: m * f].reshape(m, f)
-    b = params.head_block[m * f :]
+    head = params.head_block
+    w = head[..., : m * f].reshape(*head.shape[:-1], m, f)
+    b = head[..., m * f :]
     return w, b
 
 
@@ -144,19 +148,33 @@ def _rep_views(params: ModelParams, config: ModelConfig) -> tuple[np.ndarray, np
 def forward(
     params: ModelParams, config: ModelConfig, batch: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Penultimate activations and logits for a batch."""
+    """Penultimate activations and logits for a (..., B, input_dim) batch.
+
+    Leading axes stack independent batches. With a stacked (G, head_size)
+    head block, batch g of a (G, B, input_dim) stack is classified by head g
+    on top of the shared representation. numpy multiplies a stack one slice
+    at a time, so each slice gets the same BLAS call, and the same bits, as
+    a lone (B, input_dim) batch. Bias and ReLU work in place in the product
+    buffers: a fresh (256, 200) temporary is 400 KB, and with three of them
+    per pass a 100-client FedPer run spent about 2.5x as long evaluating on
+    a 2-vCPU VM.
+    """
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != config.input_dim:
-        raise ValueError(f"batch must be (B, {config.input_dim})")
+    if x.ndim < 2 or x.shape[-1] != config.input_dim:
+        raise ValueError(f"batch must be (..., B, {config.input_dim})")
     if not np.isfinite(x).all():
         raise ValueError("batch contains non-finite values")
     if config.arch == ARCH_LINEAR:
         feats = x
     else:
         w1, b1 = _rep_views(params, config)
-        feats = np.maximum(x @ w1.T + b1, 0.0)
+        feats = x @ w1.T
+        feats += b1
+        np.maximum(feats, 0.0, out=feats)
     w2, b2 = _head_views(params, config)
-    return feats, feats @ w2.T + b2
+    logits = feats @ np.swapaxes(w2, -1, -2)
+    logits += b2[..., None, :]
+    return feats, logits
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -310,26 +328,31 @@ class Metrics:
         }
 
 
+def predict(params: ModelParams, config: ModelConfig, features: np.ndarray) -> np.ndarray:
+    """Argmax class of every row of (..., n, input_dim) features.
+
+    Ties break toward the lower class index. The rows run through forward in
+    ceil(n / EVAL_BLOCK_ROWS) equal blocks of at most 256 rows, because one
+    long product is split across BLAS threads and runs several times slower.
+    On the OpenBLAS build measured, with 10 or more classes, the logits are
+    bit-equal to one pass over all n rows; with fewer they can differ in the
+    last bits. Either way they are deterministic.
+    """
+    blocks = np.array_split(features, -(-features.shape[-2] // EVAL_BLOCK_ROWS), axis=-2)
+    preds = [np.argmax(forward(params, config, block)[1], axis=-1) for block in blocks]
+    return np.concatenate(preds, axis=-1)
+
+
 def evaluate(
     params: ModelParams,
     config: ModelConfig,
     dataset: Dataset,
     class_groups: Mapping[int, str] | None = None,
 ) -> Metrics:
-    """Argmax accuracy on a dataset; ties break toward the lower class index.
-
-    The forward pass runs in ceil(n / EVAL_BLOCK_ROWS) equal blocks of at
-    most 256 rows, because one long product is split across BLAS threads and
-    runs several times slower. On the OpenBLAS build measured, with 10 or more
-    classes, the logits are bit-equal to one pass over the whole dataset; with
-    fewer they can differ in the last bits. Either way they are deterministic.
-    """
+    """Top-1 accuracy of predict on a dataset, overall, per class and per group."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    blocks = np.array_split(dataset.features, -(-len(dataset) // EVAL_BLOCK_ROWS))
-    preds = np.concatenate(
-        [np.argmax(forward(params, config, block)[1], axis=1) for block in blocks]
-    )
+    preds = predict(params, config, dataset.features)
     hits = preds == dataset.labels
     m = config.num_classes
     counts = np.bincount(dataset.labels, minlength=m).astype(np.int64)

@@ -39,9 +39,24 @@ from .datasets import (
     load_cifar10,
     stratified_split_indices,
 )
-from .errors import ConfigError, ExperimentError, FltbenchError, NonFiniteError
-from .lt_shaping import exponential_profile, shape_long_tailed
-from .nn import Metrics, ModelConfig, ModelParams, TrainConfig, evaluate, init_model
+from .errors import (
+    ConfigError,
+    ExperimentError,
+    FltbenchError,
+    NonFiniteError,
+    ProfileTooSteepError,
+)
+from .lt_shaping import LtProfile, exponential_profile, shape_long_tailed
+from .nn import (
+    EVAL_BLOCK_ROWS,
+    Metrics,
+    ModelConfig,
+    ModelParams,
+    TrainConfig,
+    evaluate,
+    init_model,
+    predict,
+)
 from .partition import (
     Partition,
     PartitionReport,
@@ -78,16 +93,38 @@ class DataConfig:
     def __post_init__(self) -> None:
         if self.source not in (SOURCE_SYNTHETIC, SOURCE_CIFAR10):
             raise ValueError(f"unknown data source {self.source!r}")
-        if self.lt_target_if is not None and self.lt_target_if < 1.0:
+        if self.num_classes < 2:
+            raise ValueError("num_classes must be >= 2")
+        if min(self.per_class, self.test_per_class, self.dim) < 1:
+            raise ValueError("per_class, test_per_class and dim must be >= 1")
+        if not 0.0 < self.cluster_spread < math.inf:
+            raise ValueError("cluster_spread must be positive and finite")
+        if self.lt_target_if is not None and not self.lt_target_if >= 1.0:
             raise ValueError("lt_target_if must be >= 1")
         # Synthetic classes all hold per_class samples; CIFAR-10 counts are
         # known only once the files are read (see build_data).
-        infeasible = self.lt_target_if is not None and self.per_class < self.lt_target_if
-        if self.source == SOURCE_SYNTHETIC and infeasible:
-            raise ValueError(
-                f"per_class {self.per_class} is below lt_target_if {self.lt_target_if:g}: "
-                "the tail class would get less than one sample"
-            )
+        if self.source == SOURCE_SYNTHETIC and self.lt_target_if is not None:
+            _long_tail_profile(self.per_class, self.num_classes, self.lt_target_if)
+
+
+def _long_tail_profile(n_max: int, num_classes: int, target_if: float) -> LtProfile:
+    """The lt_target_if profile over classes of at least n_max samples.
+
+    Raises ValueError when no profile exists: the tail class would get less
+    than one sample, or integer rounding cannot realize the ratio.
+    """
+    if n_max < target_if:
+        raise ValueError(
+            f"the smallest class has {n_max} samples, below lt_target_if {target_if:g}: "
+            "the tail class would get less than one sample"
+        )
+    try:
+        return exponential_profile(n_max, num_classes, target_if)
+    except ProfileTooSteepError as exc:
+        raise ValueError(
+            f"lt_target_if {target_if:g} cannot be realized from {n_max} samples "
+            f"per class: {exc}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -118,14 +155,22 @@ def build_data(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict]:
     """Materialize train/test datasets, applying long-tail shaping to train."""
     data = config.data
     if data.source == SOURCE_SYNTHETIC:
-        train = generate_synthetic(
-            data.num_classes, data.per_class, data.dim, data.cluster_spread,
-            seed=derive_seed(config.master_seed, "train-data"),
-        )
-        test = generate_synthetic(
-            data.num_classes, data.test_per_class, data.dim, data.cluster_spread,
-            seed=derive_seed(config.master_seed, "test-data"),
-        )
+        # DataConfig has checked every argument, so a ValueError here means
+        # the features overflowed: cluster_spread is too large.
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                train = generate_synthetic(
+                    data.num_classes, data.per_class, data.dim, data.cluster_spread,
+                    seed=derive_seed(config.master_seed, "train-data"),
+                )
+                test = generate_synthetic(
+                    data.num_classes, data.test_per_class, data.dim, data.cluster_spread,
+                    seed=derive_seed(config.master_seed, "test-data"),
+                )
+        except ValueError as exc:
+            raise ConfigError(
+                f"data: synthetic data with cluster_spread {data.cluster_spread:g}: {exc}"
+            ) from exc
     else:
         if data.data_dir is None:
             raise ConfigError("cifar10 runs need data_dir (or FLTB_DATA_DIR)")
@@ -140,12 +185,10 @@ def build_data(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict]:
     info = {"train_size_before_shaping": len(train), "train_size": len(train)}
     if data.lt_target_if is not None:
         n_max = int(class_counts(train).min())
-        if n_max < data.lt_target_if:
-            raise ConfigError(
-                f"the smallest class has {n_max} samples, below lt_target_if "
-                f"{data.lt_target_if:g}: the tail class would get less than one sample"
-            )
-        profile = exponential_profile(n_max, train.num_classes, data.lt_target_if)
+        try:
+            profile = _long_tail_profile(n_max, train.num_classes, data.lt_target_if)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         train = shape_long_tailed(
             train, profile, seed=derive_seed(config.master_seed, "lt-shaping")
         )
@@ -212,6 +255,41 @@ def _split_client_shards(
                 f"client {shard.client_id} evaluation indices leaked into training"
             )
     return train_shards, test_shards
+
+
+@dataclass(frozen=True)
+class _HoldoutStack:
+    """Client holdouts of equal row count, classified in one stacked pass.
+
+    positions index the per-client accuracy lists, which follow client id.
+    """
+
+    positions: np.ndarray  # (G,)
+    client_ids: tuple[int, ...]
+    features: np.ndarray  # (G, n, input_dim)
+    labels: np.ndarray  # (G, n)
+
+
+def _holdout_stacks(train: Dataset, shards: list[ClientShard]) -> list[_HoldoutStack]:
+    """Stack the non-empty holdouts by row count, at most EVAL_BLOCK_ROWS rows
+    a stack (a holdout longer than that forms a stack of its own)."""
+    held = [s for s in shards if len(s)]
+    by_rows: dict[int, list[int]] = {}
+    for pos, shard in enumerate(held):
+        by_rows.setdefault(len(shard), []).append(pos)
+    stacks = []
+    for n, positions in sorted(by_rows.items()):
+        per_stack = max(1, EVAL_BLOCK_ROWS // n)
+        for lo in range(0, len(positions), per_stack):
+            chunk = positions[lo : lo + per_stack]
+            idx = np.stack([held[p].indices for p in chunk])
+            stacks.append(_HoldoutStack(
+                positions=np.array(chunk),
+                client_ids=tuple(held[p].client_id for p in chunk),
+                features=train.features[idx],
+                labels=train.labels[idx],
+            ))
+    return stacks
 
 
 @dataclass(frozen=True)
@@ -340,29 +418,32 @@ def _evaluate_point(
     params: ModelParams,
     test: Dataset,
     groups: dict[int, str],
-    client_tests: list[tuple[int, Dataset]] | None,
+    holdouts: list[_HoldoutStack] | None,
 ) -> EvalPoint:
     global_metrics = evaluate(params, ctx.model_config, test, groups)
     personalized = None
     personalized_per = None
     global_on_clients = None
     global_per = None
-    if client_tests is not None:
-        global_per = []
-        personalized_per = [] if ctx.config.algo.algorithm == ALGO_FEDPER else None
-        for client_id, local_ds in client_tests:
-            global_per.append(
-                evaluate(params, ctx.model_config, local_ds).accuracy
-            )
-            if personalized_per is not None:
-                personal = ModelParams(params.rep_block, ctx.client_heads[client_id])
-                personalized_per.append(
-                    evaluate(personal, ctx.model_config, local_ds).accuracy
-                )
+    if holdouts is not None:
+        count = sum(len(stack.client_ids) for stack in holdouts)
+        global_acc = np.empty(count)
+        personal_acc = np.empty(count) if ctx.config.algo.algorithm == ALGO_FEDPER else None
+        for stack in holdouts:
+            preds = predict(params, ctx.model_config, stack.features)
+            global_acc[stack.positions] = (preds == stack.labels).mean(axis=1)
+            if personal_acc is not None:
+                heads = np.stack([ctx.client_heads[c] for c in stack.client_ids])
+                personal = ModelParams(params.rep_block, heads)
+                preds = predict(personal, ctx.model_config, stack.features)
+                personal_acc[stack.positions] = (preds == stack.labels).mean(axis=1)
+        global_per = global_acc.tolist()
         if global_per:
             global_on_clients = float(np.mean(global_per))
-        if personalized_per:
-            personalized = float(np.mean(personalized_per))
+        if personal_acc is not None:
+            personalized_per = personal_acc.tolist()
+            if personalized_per:
+                personalized = float(np.mean(personalized_per))
     return EvalPoint(
         round=round_idx,
         global_metrics=global_metrics,
@@ -400,14 +481,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     train_shards, client_test_shards = _split_client_shards(
         train, partition, config.client_holdout_fraction, config.master_seed
     )
-    client_tests = None  # (client id, holdout dataset) per non-empty holdout
+    holdouts = None
     if client_test_shards is not None:
-        # Looked up at call time, so bench/tracer.py can wrap datasets.subset.
-        from .datasets import subset
-
-        client_tests = [
-            (s.client_id, subset(train, s.indices)) for s in client_test_shards if len(s)
-        ]
+        holdouts = _holdout_stacks(train, client_test_shards)  # built once per run
 
     model_config = ModelConfig(
         arch=config.model.arch,
@@ -431,7 +507,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     groups = head_tail_groups(partition.global_stats.counts)
     with np.errstate(over="ignore", invalid="ignore"):
-        eval_points = [_evaluate_point(ctx, 0, params, test, groups, client_tests)]
+        eval_points = [_evaluate_point(ctx, 0, params, test, groups, holdouts)]
         for round_idx in range(1, algo.rounds + 1):
             try:
                 sampled = sample_clients(
@@ -463,7 +539,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
             if round_idx % config.eval_every == 0 or round_idx == algo.rounds:
                 eval_points.append(
-                    _evaluate_point(ctx, round_idx, params, test, groups, client_tests)
+                    _evaluate_point(ctx, round_idx, params, test, groups, holdouts)
                 )
 
     best = max(p.global_metrics.accuracy for p in eval_points)
@@ -528,10 +604,12 @@ class SweepResult:
 
 
 def _run_cell(cell: SweepCell) -> tuple[SweepCell, ExperimentReport | None, str | None]:
+    """Run one cell; any exception becomes the cell's error, so one crashing
+    cell never takes down the sweep."""
     try:
         return cell, run_experiment(cell.config), None
-    except FltbenchError as exc:
-        return cell, None, str(exc)
+    except Exception as exc:
+        return cell, None, f"{type(exc).__name__}: {exc}"
 
 
 def run_sweep(

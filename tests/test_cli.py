@@ -196,6 +196,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "smallest class has 10 samples" in err and "Traceback" not in err
 
+    def test_unrealizable_synthetic_long_tail_exits_2(self, tmp_path, capsys):
+        # 150 per class: integer rounding realizes a head/tail ratio of 75.
+        doc = json.loads(json.dumps(QUICK_CONFIG))
+        doc["data"].update(per_class=150, lt_target_if=100.0)
+        code = main(["train", "--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: data: lt_target_if 100 cannot be realized" in err
+        assert "IF 75.000" in err
+
+    def test_unrealizable_cifar_long_tail_exits_2(self, tmp_path, capsys):
+        # 10 samples per class: integer rounding realizes a ratio of 10/3.
+        doc = json.loads(json.dumps(QUICK_CONFIG))
+        doc["data"] = {"source": "cifar10", "data_dir": _tiny_cifar_dir(tmp_path),
+                       "lt_target_if": 3.0}
+        code = main(["train", "--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "lt_target_if 3 cannot be realized from 10 samples" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("test_per_class", 0), ("dim", 0), ("num_classes", 1), ("cluster_spread", -1.0),
+        ("cluster_spread", 0.0), ("per_class", 0),
+    ])
+    def test_bad_data_value_exits_2_when_parsed(self, tmp_path, capsys, key, value):
+        doc = json.loads(json.dumps(QUICK_CONFIG))
+        doc["data"][key] = value
+        code = main(["train", "--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out"), "--dry-run"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: data: ")
+
+    def test_overflowing_cluster_spread_exits_2(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(QUICK_CONFIG))
+        doc["data"]["cluster_spread"] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["train", "--config", _write_config(tmp_path, doc),
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "cluster_spread 1e+308" in capsys.readouterr().err
+
     def test_dry_run_validates_and_exits_0(self, tmp_path, capsys):
         code = main(["train", "--config", _write_config(tmp_path, QUICK_CONFIG),
                      "--out", str(tmp_path / "out"), "--dry-run"])
@@ -304,3 +349,16 @@ class TestSweepCommand:
         lines = (out / "smoke_table.csv").read_text().strip().split("\n")
         assert [line.split(",")[2] for line in lines[1:]] == ["ERROR", "ERROR"]
         assert "lt_target_if" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_overflowing_cell_is_the_only_error(self, tmp_path, capsys, workers):
+        doc = _grid_doc(rounds=1)
+        doc["settings"][1] = {"label": "huge", "overrides": {"data": {"cluster_spread": 1e308}}}
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", _write_config(tmp_path, doc), "--out", str(out),
+                     "--workers", workers])
+        assert code == 0
+        rows = [line.split(",") for line in (out / "smoke_table.csv").read_text().split()]
+        assert [row[2] for row in rows[1:]] == ["ERROR", "ERROR"]
+        assert "ERROR" not in [row[1] for row in rows[1:]]
+        assert "cluster_spread" in capsys.readouterr().err

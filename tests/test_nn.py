@@ -18,6 +18,7 @@ from fltbench.nn import (
     init_model,
     load_checkpoint,
     loss_and_grad,
+    predict,
     save_checkpoint,
     sgd_epochs,
     softmax,
@@ -189,6 +190,90 @@ class TestForward:
         params = init_model(cfg)
         with pytest.raises(ValueError):
             forward(params, cfg, np.array([[1.0, np.nan]]))
+
+
+def _stack_case(arch, g, n, heads, num_classes=10, seed=0):
+    """Model, (G, n, 5) features and the per-slice params for a stacked forward."""
+    hidden = 200 if arch == "mlp1h" else None
+    cfg = ModelConfig(arch=arch, input_dim=5, num_classes=num_classes, init_seed=seed,
+                      hidden_units=hidden)
+    params = init_model(cfg)
+    x = 3.0 * rng_from(seed + 1).standard_normal((g, n, 5))
+    if heads == "shared":
+        return cfg, params, x, params, [params] * g
+    stacked = np.stack([init_model(ModelConfig(arch=arch, input_dim=5, num_classes=num_classes,
+                                               init_seed=seed + 10 + i, hidden_units=hidden)
+                                   ).head_block for i in range(g)])
+    per_slice = [ModelParams(params.rep_block, stacked[i]) for i in range(g)]
+    return cfg, params, x, ModelParams(params.rep_block, stacked), per_slice
+
+
+def _predict_reference(params, cfg, x):
+    """The per-dataset blocked argmax that evaluate ran before predict existed."""
+    blocks = np.array_split(x, -(-len(x) // fltbench.nn.EVAL_BLOCK_ROWS))
+    return np.concatenate([np.argmax(forward(params, cfg, b)[1], axis=1) for b in blocks])
+
+
+class TestStackedForward:
+    @pytest.mark.parametrize("arch", ["linear_softmax", "mlp1h"])
+    @pytest.mark.parametrize("heads", ["shared", "stacked"])
+    @pytest.mark.parametrize("g", [1, 3, 20])
+    @pytest.mark.parametrize("n", [1, 16, 255, 256])
+    def test_each_slice_equals_a_lone_forward(self, arch, heads, g, n):
+        cfg, _, x, stacked_params, per_slice = _stack_case(arch, g, n, heads)
+        feats, logits = forward(stacked_params, cfg, x)
+        assert logits.shape == (g, n, 10)
+        for i in range(g):
+            lone_feats, lone_logits = forward(per_slice[i], cfg, x[i])
+            np.testing.assert_array_equal(feats[i], lone_feats)
+            np.testing.assert_array_equal(logits[i], lone_logits)
+
+    @pytest.mark.parametrize("heads", ["shared", "stacked"])
+    @pytest.mark.parametrize("num_classes", [2, 100])
+    def test_class_count_extremes(self, heads, num_classes):
+        cfg, _, x, stacked_params, per_slice = _stack_case("mlp1h", 3, 16, heads, num_classes)
+        _, logits = forward(stacked_params, cfg, x)
+        for i in range(3):
+            np.testing.assert_array_equal(logits[i], forward(per_slice[i], cfg, x[i])[1])
+
+    def test_one_dimensional_batch_rejected(self):
+        cfg = ModelConfig(arch="linear_softmax", input_dim=2, num_classes=2)
+        with pytest.raises(ValueError):
+            forward(init_model(cfg), cfg, np.zeros(2))
+
+
+class TestPredict:
+    @pytest.mark.parametrize("arch", ["linear_softmax", "mlp1h"])
+    @pytest.mark.parametrize("heads", ["shared", "stacked"])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_equals_per_client_blocked_argmax(self, arch, heads, n):
+        cfg, _, x, stacked_params, per_slice = _stack_case(arch, 3, n, heads)
+        preds = predict(stacked_params, cfg, x)
+        assert preds.shape == (3, n)
+        for i in range(3):
+            expected = _predict_reference(per_slice[i], cfg, x[i])
+            np.testing.assert_array_equal(preds[i], expected)
+            np.testing.assert_array_equal(predict(per_slice[i], cfg, x[i]), expected)
+
+    @pytest.mark.parametrize("heads", ["shared", "stacked"])
+    @pytest.mark.parametrize("n", [1, 257, 600])
+    def test_blocks_go_through_forward(self, monkeypatch, heads, n):
+        cfg, _, x, stacked_params, per_slice = _stack_case("mlp1h", 2, n, heads)
+        blocks = []
+
+        def recording(*args):
+            out = forward(*args)
+            blocks.append(out[1])
+            return out
+
+        monkeypatch.setattr(fltbench.nn, "forward", recording)
+        predict(stacked_params, cfg, x)
+        assert max(b.shape[-2] for b in blocks) <= fltbench.nn.EVAL_BLOCK_ROWS
+        assert len(blocks) == -(-n // fltbench.nn.EVAL_BLOCK_ROWS)
+        # With 10 classes, equal blocks give the bits of one pass per slice.
+        logits = np.concatenate(blocks, axis=-2)
+        for i in range(2):
+            np.testing.assert_array_equal(logits[i], forward(per_slice[i], cfg, x[i])[1])
 
 
 class TestLossAndGrad:

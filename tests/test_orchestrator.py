@@ -2,15 +2,18 @@
 import numpy as np
 import pytest
 
+import fltbench.orchestrator
 from fltbench.algorithms import AlgoConfig
-from fltbench.datasets import gather
+from fltbench.datasets import ClientShard, gather, generate_synthetic, subset
 from fltbench.errors import ConfigError
-from fltbench.nn import TrainConfig, sgd_epochs
+from fltbench.nn import EVAL_BLOCK_ROWS, ModelParams, TrainConfig, evaluate, sgd_epochs
 from fltbench.orchestrator import (
     DataConfig,
     ExperimentConfig,
     ModelSpec,
     SweepCell,
+    _holdout_stacks,
+    _split_client_shards,
     build_data,
     head_tail_groups,
     prepare_partition,
@@ -192,8 +195,6 @@ class TestClientSampling:
     def test_holdout_shards_are_disjoint_from_training(self):
         config = _quick_config(rounds=1, client_holdout_fraction=0.25)
         train, partition = prepare_partition(config)
-        from fltbench.orchestrator import _split_client_shards
-
         train_shards, test_shards = _split_client_shards(
             train, partition, 0.25, config.master_seed
         )
@@ -203,6 +204,84 @@ class TestClientSampling:
             np.testing.assert_array_equal(
                 combined, np.sort(partition.shards[tr.client_id].indices)
             )
+
+
+def _per_client_reference(model_config, params, client_heads, client_tests, fedper):
+    """The per-client evaluate loop that the stacked holdout passes replaced."""
+    global_per = [evaluate(params, model_config, ds).accuracy for _, ds in client_tests]
+    if not fedper:
+        return global_per, None
+    personal = [
+        evaluate(ModelParams(params.rep_block, client_heads[c]), model_config, ds).accuracy
+        for c, ds in client_tests
+    ]
+    return global_per, personal
+
+
+class TestClientHoldoutEvaluation:
+    @pytest.mark.parametrize("algorithm", ["fedper", "fedavg"])
+    def test_stacked_accuracies_equal_the_per_client_loop(self, monkeypatch, algorithm):
+        # Dirichlet shards give holdouts of many sizes, so stacks of one
+        # client and stacks of several both occur.
+        config = _quick_config(
+            algorithm=algorithm, rounds=3, eval_every=1, client_holdout_fraction=0.2,
+            partition=PartitionSpec(kind="dirichlet", num_clients=24, alpha=0.5,
+                                    min_shard_size=5),
+            model=ModelSpec(arch="mlp1h", hidden_units=16),
+        )
+        train, partition = prepare_partition(config)
+        _, holdouts = _split_client_shards(train, partition, 0.2, config.master_seed)
+        client_tests = [(s.client_id, subset(train, s.indices)) for s in holdouts if len(s)]
+        stacks = _holdout_stacks(train, holdouts)
+        assert any(len(st.client_ids) == 1 for st in stacks)
+        assert any(len(st.client_ids) > 1 for st in stacks)
+        assert len({st.features.shape[1] for st in stacks}) > 2
+
+        seen = []
+        original = fltbench.orchestrator._evaluate_point
+
+        def recording(ctx, round_idx, params, *args):
+            point = original(ctx, round_idx, params, *args)
+            heads = {c: h.copy() for c, h in ctx.client_heads.items()}
+            seen.append((point, ctx.model_config, params.copy(), heads))
+            return point
+
+        monkeypatch.setattr(fltbench.orchestrator, "_evaluate_point", recording)
+        run_experiment(config)
+        assert [point.round for point, *_ in seen] == [0, 1, 2, 3]
+        for point, model_config, params, heads in seen:
+            global_per, personal = _per_client_reference(
+                model_config, params, heads, client_tests, algorithm == "fedper"
+            )
+            assert point.global_on_clients_per_client == global_per
+            assert point.global_on_clients_mean == float(np.mean(global_per))
+            assert point.personalized_per_client == personal
+            if personal is not None:
+                assert point.personalized_mean == float(np.mean(personal))
+        # Accuracies that all agree would not show a client-order mix-up.
+        assert len(set(seen[-1][0].global_on_clients_per_client)) > 1
+
+    def test_stacks_are_bounded_and_cover_every_holdout_once(self):
+        train = generate_synthetic(3, 800, 2, 1.0, seed=0)
+        sizes = [16] * 40 + [300, 0, 1, 300, 100, 1, 100, 100, 255, 257, 16]
+        offsets = np.cumsum([0] + sizes)
+        shards = [ClientShard(k, np.arange(offsets[k], offsets[k + 1]))
+                  for k in range(len(sizes))]
+        stacks = _holdout_stacks(train, shards)
+        held = [s for s in shards if len(s)]
+        positions = np.concatenate([st.positions for st in stacks])
+        assert sorted(positions.tolist()) == list(range(len(held)))
+        for st in stacks:
+            g, n, _ = st.features.shape
+            assert g == 1 or g * n <= EVAL_BLOCK_ROWS
+            for pos, client_id, x, y in zip(st.positions, st.client_ids, st.features, st.labels):
+                assert held[pos].client_id == client_id
+                np.testing.assert_array_equal(x, train.features[held[pos].indices])
+                np.testing.assert_array_equal(y, train.labels[held[pos].indices])
+        # 41 holdouts of 16 rows fill stacks of 16 clients: 16 + 16 + 9.
+        assert sorted(len(st.client_ids) for st in stacks if st.features.shape[1] == 16) == [
+            9, 16, 16,
+        ]
 
 
 class TestHeadTailGroups:
@@ -255,6 +334,28 @@ class TestSweep:
         assert len(result.errors) == 1
         csv = result.table_csv()
         assert "ERROR" in csv
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_crashing_cell_is_error_and_sweep_continues(self, monkeypatch, workers):
+        original = fltbench.orchestrator.run_experiment
+
+        def crashing(config):
+            if config.algo.algorithm == "fedprox":
+                raise ValueError("injected crash")
+            return original(config)
+
+        # Pool workers are forked, so they inherit the patched binding.
+        monkeypatch.setattr(fltbench.orchestrator, "run_experiment", crashing)
+        cells = [
+            SweepCell(row=a, col="s", seed_index=0, config=_quick_config(algorithm=a, rounds=1))
+            for a in ("fedavg", "fedprox")
+        ]
+        result = run_sweep(cells, rows=["fedavg", "fedprox"], cols=["s"], workers=workers)
+        assert [(c.row, msg) for c, msg in result.errors] == [
+            ("fedprox", "ValueError: injected crash")
+        ]
+        lines = result.table_csv().strip().split("\n")
+        assert lines[1] != "fedavg,ERROR" and lines[2] == "fedprox,ERROR"
 
     def test_table_csv_layout(self):
         config = _quick_config(rounds=1)
