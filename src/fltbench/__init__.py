@@ -21,7 +21,6 @@ from .algorithms import (
 from .datasets import (
     ClientShard,
     Dataset,
-    Sample,
     class_counts,
     gather,
     generate_synthetic,

@@ -188,7 +188,7 @@ def parse_experiment_config(raw: dict, env_data_dir: str | None = None) -> Exper
             master_seed=_get(run_raw, "master_seed", int, "run", default=0),
         )
     except ValueError as exc:
-        raise ConfigError(f"run: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
 
 
 def experiment_config_to_dict(config: ExperimentConfig) -> dict:

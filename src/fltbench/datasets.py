@@ -11,7 +11,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,11 +28,6 @@ CIFAR_CLASSES = 10
 
 RECORD_MAGIC = b"FLTDS1"
 _RECORD_HEADER = struct.Struct("<III")
-
-
-class Sample(NamedTuple):
-    features: np.ndarray
-    label: int
 
 
 @dataclass(frozen=True)
@@ -80,9 +75,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.features[i], int(self.labels[i]))
 
 
 @dataclass(frozen=True)

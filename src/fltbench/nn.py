@@ -10,10 +10,13 @@ Two architectures are enough for the benchmark: a plain softmax classifier
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -31,16 +34,69 @@ _FF_MAGIC = b"FF"
 _FF_HEADER = struct.Struct("<III")
 
 # Most rows per forward pass in predict, and per stack of client holdouts
-# classified together. On a 2-vCPU VM (numpy 2.4.6, OpenBLAS 0.3.31) one
-# 2000-row pass of the (2000x5)@(5x200) product is split across threads and
-# took 15.6 ms, against 1.9 ms in 256-row blocks; two sweep processes doing
-# so at once oversubscribe the cores. At this model size products of more
-# than ~262 rows are threaded. Equal blocks keep each block of a longer
-# dataset above 128 rows: with 10 classes, blocks of 121 rows or more gave
-# logits bit-equal to the single pass, while shorter ones (such as the tail
-# of fixed 256-row blocks) take OpenBLAS's small-matrix kernel and differ in
-# the last bits.
+# classified together. Runs use one BLAS thread (see one_blas_thread), and
+# blocks are still faster than one long pass: on a 2-vCPU VM (numpy 2.4.6,
+# OpenBLAS 0.3.31, one thread) 2,000 rows of the (2000x5)@(5x200) model took
+# 1.45 ms in 256-row blocks against 1.77 ms in one pass, with bit-equal
+# logits. Equal blocks keep each block of a longer dataset above 128 rows:
+# with 10 classes, blocks of 121 rows or more gave logits bit-equal to the
+# single pass, while shorter ones (such as the tail of fixed 256-row blocks)
+# take OpenBLAS's small-matrix kernel and differ in the last bits.
 EVAL_BLOCK_ROWS = 256
+
+# Thread-count entry points of numpy's bundled OpenBLAS, by build: the
+# scipy-openblas wheels of numpy 2, the 64-bit-integer wheels of numpy 1, and
+# a plain build.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The (get, set) thread-count functions of the OpenBLAS that numpy has
+    loaded from its wheel's numpy.libs directory, or None for any other BLAS.
+
+    Loading the library by its path returns the copy numpy already uses.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            try:
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the block with numpy's OpenBLAS on one thread, then restore the
+    previous count, also when the block raises.
+
+    Threaded products can differ from one-thread products in the last bits,
+    so output bytes would depend on the thread count, and sweep workers that
+    each thread their products oversubscribe the cores. OPENBLAS_NUM_THREADS
+    cannot do this: OpenBLAS reads it once, when numpy loads. The setter is
+    called only when the count is not 1 already, so forked pool workers,
+    which inherit one thread, never call it. On any other BLAS this does
+    nothing.
+    """
+    get, set_ = _openblas_threads() or (lambda: 1, None)
+    previous = get()
+    if previous != 1:
+        set_(1)
+    try:
+        yield
+    finally:
+        if previous != 1:
+            set_(previous)
 
 
 @dataclass(frozen=True)
@@ -332,11 +388,11 @@ def predict(params: ModelParams, config: ModelConfig, features: np.ndarray) -> n
     """Argmax class of every row of (..., n, input_dim) features.
 
     Ties break toward the lower class index. The rows run through forward in
-    ceil(n / EVAL_BLOCK_ROWS) equal blocks of at most 256 rows, because one
-    long product is split across BLAS threads and runs several times slower.
-    On the OpenBLAS build measured, with 10 or more classes, the logits are
-    bit-equal to one pass over all n rows; with fewer they can differ in the
-    last bits. Either way they are deterministic.
+    ceil(n / EVAL_BLOCK_ROWS) equal blocks of at most 256 rows, which is
+    faster than one long pass. On the OpenBLAS build measured, with 10 or
+    more classes, the logits are bit-equal to one pass over all n rows; with
+    fewer they can differ in the last bits. Either way they are
+    deterministic.
     """
     blocks = np.array_split(features, -(-features.shape[-2] // EVAL_BLOCK_ROWS), axis=-2)
     preds = [np.argmax(forward(params, config, block)[1], axis=-1) for block in blocks]

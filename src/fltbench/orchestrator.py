@@ -40,9 +40,11 @@ from .datasets import (
     stratified_split_indices,
 )
 from .errors import (
+    CapacityError,
     ConfigError,
     ExperimentError,
     FltbenchError,
+    InfeasibleSpecError,
     NonFiniteError,
     ProfileTooSteepError,
 )
@@ -55,6 +57,7 @@ from .nn import (
     TrainConfig,
     evaluate,
     init_model,
+    one_blas_thread,
     predict,
 )
 from .partition import (
@@ -62,6 +65,7 @@ from .partition import (
     PartitionReport,
     PartitionSpec,
     build_partition,
+    check_supply,
     partition_report,
 )
 from .seeding import derive_rng, derive_seed, rng_from
@@ -101,10 +105,20 @@ class DataConfig:
             raise ValueError("cluster_spread must be positive and finite")
         if self.lt_target_if is not None and not self.lt_target_if >= 1.0:
             raise ValueError("lt_target_if must be >= 1")
-        # Synthetic classes all hold per_class samples; CIFAR-10 counts are
-        # known only once the files are read (see build_data).
-        if self.source == SOURCE_SYNTHETIC and self.lt_target_if is not None:
-            _long_tail_profile(self.per_class, self.num_classes, self.lt_target_if)
+        self.synthetic_train_counts()  # rejects an unrealizable long-tail profile
+
+    def synthetic_train_counts(self) -> np.ndarray | None:
+        """Per-class train counts after long-tail shaping, for synthetic data.
+
+        Synthetic classes all hold per_class samples before shaping. None for
+        CIFAR-10, whose counts are known only once the files are read (see
+        build_data).
+        """
+        if self.source != SOURCE_SYNTHETIC:
+            return None
+        if self.lt_target_if is None:
+            return np.full(self.num_classes, self.per_class, dtype=np.int64)
+        return _long_tail_profile(self.per_class, self.num_classes, self.lt_target_if).counts
 
 
 def _long_tail_profile(n_max: int, num_classes: int, target_if: float) -> LtProfile:
@@ -149,6 +163,12 @@ class ExperimentConfig:
             raise ValueError("eval_every must be >= 1")
         if not 0.0 <= self.client_holdout_fraction < 1.0:
             raise ValueError("client_holdout_fraction must lie in [0, 1)")
+        counts = self.data.synthetic_train_counts()
+        if counts is not None:
+            try:
+                check_supply(self.partition, counts)
+            except (CapacityError, InfeasibleSpecError) as exc:
+                raise ValueError(f"partition: {exc}") from exc
 
 
 def build_data(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict]:
@@ -261,7 +281,8 @@ def _split_client_shards(
 class _HoldoutStack:
     """Client holdouts of equal row count, classified in one stacked pass.
 
-    positions index the per-client accuracy lists, which follow client id.
+    positions index the client shards, so also the per-client accuracy
+    lists, which follow client id.
     """
 
     positions: np.ndarray  # (G,)
@@ -273,19 +294,19 @@ class _HoldoutStack:
 def _holdout_stacks(train: Dataset, shards: list[ClientShard]) -> list[_HoldoutStack]:
     """Stack the non-empty holdouts by row count, at most EVAL_BLOCK_ROWS rows
     a stack (a holdout longer than that forms a stack of its own)."""
-    held = [s for s in shards if len(s)]
     by_rows: dict[int, list[int]] = {}
-    for pos, shard in enumerate(held):
-        by_rows.setdefault(len(shard), []).append(pos)
+    for pos, shard in enumerate(shards):
+        if len(shard):
+            by_rows.setdefault(len(shard), []).append(pos)
     stacks = []
     for n, positions in sorted(by_rows.items()):
         per_stack = max(1, EVAL_BLOCK_ROWS // n)
         for lo in range(0, len(positions), per_stack):
             chunk = positions[lo : lo + per_stack]
-            idx = np.stack([held[p].indices for p in chunk])
+            idx = np.stack([shards[p].indices for p in chunk])
             stacks.append(_HoldoutStack(
                 positions=np.array(chunk),
-                client_ids=tuple(held[p].client_id for p in chunk),
+                client_ids=tuple(shards[p].client_id for p in chunk),
                 features=train.features[idx],
                 labels=train.labels[idx],
             ))
@@ -297,9 +318,11 @@ class EvalPoint:
     round: int
     global_metrics: Metrics
     personalized_mean: float | None = None
-    personalized_per_client: list[float] | None = None
+    # One entry per client, in client-id order, None where the holdout is
+    # empty; the means are over the clients with a holdout.
+    personalized_per_client: list[float | None] | None = None
     global_on_clients_mean: float | None = None
-    global_on_clients_per_client: list[float] | None = None
+    global_on_clients_per_client: list[float | None] | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -412,6 +435,14 @@ def _run_client(
     return update
 
 
+def _client_accuracies(acc: np.ndarray) -> tuple[float | None, list[float | None]]:
+    """The mean over the clients with a holdout, and the per-client list with
+    None for an empty holdout (NaN in acc)."""
+    held = acc[~np.isnan(acc)]
+    mean = float(np.mean(held)) if held.size else None
+    return mean, [None if math.isnan(a) else a for a in acc.tolist()]
+
+
 def _evaluate_point(
     ctx: _RoundContext,
     round_idx: int,
@@ -426,9 +457,9 @@ def _evaluate_point(
     global_on_clients = None
     global_per = None
     if holdouts is not None:
-        count = sum(len(stack.client_ids) for stack in holdouts)
-        global_acc = np.empty(count)
-        personal_acc = np.empty(count) if ctx.config.algo.algorithm == ALGO_FEDPER else None
+        count = ctx.config.partition.num_clients
+        global_acc = np.full(count, np.nan)  # NaN marks an empty holdout
+        personal_acc = global_acc.copy() if ctx.config.algo.algorithm == ALGO_FEDPER else None
         for stack in holdouts:
             preds = predict(params, ctx.model_config, stack.features)
             global_acc[stack.positions] = (preds == stack.labels).mean(axis=1)
@@ -437,13 +468,9 @@ def _evaluate_point(
                 personal = ModelParams(params.rep_block, heads)
                 preds = predict(personal, ctx.model_config, stack.features)
                 personal_acc[stack.positions] = (preds == stack.labels).mean(axis=1)
-        global_per = global_acc.tolist()
-        if global_per:
-            global_on_clients = float(np.mean(global_per))
+        global_on_clients, global_per = _client_accuracies(global_acc)
         if personal_acc is not None:
-            personalized_per = personal_acc.tolist()
-            if personalized_per:
-                personalized = float(np.mean(personalized_per))
+            personalized, personalized_per = _client_accuracies(personal_acc)
     return EvalPoint(
         round=round_idx,
         global_metrics=global_metrics,
@@ -464,8 +491,9 @@ def _divergence_message(updates: list[ClientUpdate]) -> str:
     return f"global model parameters are non-finite after aggregation ({source})"
 
 
+@one_blas_thread()
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run one federated experiment end to end.
+    """Run one federated experiment end to end, on one BLAS thread.
 
     The round loop samples ceil(C*N) clients per round, runs the algorithm's
     local update for each in client-id order, aggregates, and evaluates the
@@ -625,7 +653,10 @@ def run_sweep(
     """
     result = SweepResult(rows=rows, cols=cols)
     if workers > 1 and len(cells) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # Forked workers inherit the one BLAS thread, so run_experiment never
+        # has to set it there.
+        with one_blas_thread(), \
+                concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, cells))
     else:
         outcomes = [_run_cell(c) for c in cells]

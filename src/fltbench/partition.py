@@ -106,16 +106,35 @@ def _finish(dataset: Dataset, spec: PartitionSpec, index_lists: list[np.ndarray]
     )
 
 
+def check_supply(spec: PartitionSpec, counts: np.ndarray) -> None:
+    """Reject a dataset with these class counts before anything is drawn.
+
+    Every client needs max(min_shard_size, 1) samples, and rotated_lt needs
+    a balanced source. Raises CapacityError or InfeasibleSpecError; the
+    config checks call this too, when the counts are known from the config.
+    """
+    n, need = int(counts.sum()), max(spec.min_shard_size, 1)
+    if spec.kind != KIND_ROTATED_LT:
+        if n < spec.num_clients * need:
+            raise CapacityError(
+                f"{n} samples cannot give {spec.num_clients} clients at least {need} each"
+            )
+        return
+    if imbalance_factor_from_counts(counts) > 1.05:
+        raise InfeasibleSpecError("rotated_lt needs a balanced source dataset (IF <= 1.05)")
+    if n // spec.num_clients < need:
+        raise CapacityError(
+            f"per-client budget {n // spec.num_clients} is below "
+            f"min_shard_size {spec.min_shard_size}"
+        )
+
+
 def partition_iid(dataset: Dataset, spec: PartitionSpec) -> Partition:
     """Shuffle all indices under the seed and deal them round-robin."""
     if spec.kind != KIND_IID:
         raise ValueError("spec.kind must be 'iid'")
+    check_supply(spec, class_counts(dataset))
     n = len(dataset)
-    if n < spec.num_clients * max(spec.min_shard_size, 1):
-        raise CapacityError(
-            f"{n} samples cannot give {spec.num_clients} clients "
-            f"at least {max(spec.min_shard_size, 1)} each"
-        )
     perm = rng_from(spec.seed).permutation(n)
     lists = [perm[k :: spec.num_clients] for k in range(spec.num_clients)]
     return _finish(dataset, spec, lists)
@@ -146,13 +165,9 @@ def partition_dirichlet(dataset: Dataset, spec: PartitionSpec) -> Partition:
     """
     if spec.kind != KIND_DIRICHLET:
         raise ValueError("spec.kind must be 'dirichlet'")
-    n, num_clients = len(dataset), spec.num_clients
-    if n < num_clients * max(spec.min_shard_size, 1):
-        raise CapacityError(
-            f"{n} samples cannot give {num_clients} clients "
-            f"at least {max(spec.min_shard_size, 1)} each"
-        )
+    num_clients = spec.num_clients
     counts = class_counts(dataset)
+    check_supply(spec, counts)
     for attempt in range(DIRICHLET_RETRY_BUDGET):
         rng = derive_rng(spec.seed, "dirichlet-attempt", attempt)
         lists: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
@@ -227,14 +242,9 @@ def partition_rotated_longtail(dataset: Dataset, spec: PartitionSpec) -> Partiti
     if spec.kind != KIND_ROTATED_LT:
         raise ValueError("spec.kind must be 'rotated_lt'")
     supply = class_counts(dataset)
-    if imbalance_factor_from_counts(supply) > 1.05:
-        raise InfeasibleSpecError("rotated_lt needs a balanced source dataset (IF <= 1.05)")
+    check_supply(spec, supply)
     n, num_clients, m = len(dataset), spec.num_clients, dataset.num_classes
     budget = n // num_clients
-    if budget < max(spec.min_shard_size, 1):
-        raise CapacityError(
-            f"per-client budget {budget} is below min_shard_size {spec.min_shard_size}"
-        )
     local_if = float(spec.local_if)
     n_max = _solve_profile_budget(m, local_if, budget)
     base = exponential_profile(n_max, m, local_if)

@@ -11,6 +11,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +20,8 @@ from fltbench.cli import main
 from fltbench.partition import PARTITION_KINDS
 
 
-def _doc(**data):
-    """A valid one-round document with the given data values."""
+def _doc(partition=None, **data):
+    """A valid one-round document with the given partition and data values."""
     doc = {
         "data": {"source": "synthetic", "num_classes": 3, "per_class": 20,
                  "test_per_class": 2, "dim": 2, "cluster_spread": 1.0},
@@ -31,7 +32,26 @@ def _doc(**data):
         "run": {"eval_every": 1},
     }
     doc["data"].update(data)
+    doc["partition"].update(partition or {})
     return doc
+
+
+ROTATED = {"kind": "rotated_lt", "local_if": 1.0}
+# Partition conflicts that a synthetic config shows before any data is built.
+UNBALANCED_ROTATED = _doc(ROTATED, lt_target_if=2.0)
+BUDGET_BELOW_MIN_SHARD = _doc({**ROTATED, "num_clients": 4, "min_shard_size": 16})
+
+
+def _train(doc, *flags):
+    """Exit code and stderr of `fltbench train` on the document."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["train", "--config", str(config), "--out", str(Path(tmp) / "out"),
+                         *flags])
+    return code, err.getvalue()
 
 
 # Values past or on a bound. A drawn document sets at most one of them, so
@@ -111,11 +131,19 @@ def documents(draw):
 @example(_doc(cluster_spread=1e308))  # features overflow to infinity
 # Exited 1, as a runtime failure: integer rounding realizes IF 75, not 100.
 @example(_doc(per_class=150, lt_target_if=100.0))
+# Exited 1, as runtime failures of the partition step.
+@example(UNBALANCED_ROTATED)
+@example(BUDGET_BELOW_MIN_SHARD)
 def test_train_always_exits_with_a_code(doc):
-    with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "config.json"
-        config.write_text(json.dumps(doc), encoding="utf-8")
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main(["train", "--config", str(config), "--out", str(Path(tmp) / "out")])
+    code, _ = _train(doc)
     assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("doc,message", [
+    (UNBALANCED_ROTATED, "partition: rotated_lt needs a balanced source dataset (IF <= 1.05)"),
+    (BUDGET_BELOW_MIN_SHARD, "partition: per-client budget 15 is below min_shard_size 16"),
+])
+def test_partition_conflicts_exit_2_at_parse_time(doc, message):
+    code, err = _train(doc, "--dry-run")
+    assert code == 2
+    assert message in err

@@ -555,6 +555,43 @@ class TestEvaluate:
             evaluate(init_model(cfg), cfg, empty)
 
 
+class TestOneBlasThread:
+    def test_lookup_finds_numpys_openblas(self):
+        # Without this, every other test here could pass on a silent no-op.
+        assert fltbench.nn._openblas_threads() is not None
+
+    def test_one_thread_inside_and_previous_count_after(self):
+        get, set_threads = fltbench.nn._openblas_threads()
+        previous = get()
+        try:
+            set_threads(2)
+            with fltbench.nn.one_blas_thread():
+                assert get() == 1
+            assert get() == 2
+        finally:
+            set_threads(previous)
+
+    def test_previous_count_restored_when_the_block_raises(self):
+        get, set_threads = fltbench.nn._openblas_threads()
+        previous = get()
+        try:
+            set_threads(2)
+            with pytest.raises(KeyError):
+                with fltbench.nn.one_blas_thread():
+                    raise KeyError("boom")
+            assert get() == 2
+        finally:
+            set_threads(previous)
+
+    @pytest.mark.parametrize("count,calls", [(1, []), (3, [1, 3])])
+    def test_setter_called_only_when_the_count_is_not_one(self, monkeypatch, count, calls):
+        seen = []
+        monkeypatch.setattr(fltbench.nn, "_openblas_threads", lambda: (lambda: count, seen.append))
+        with fltbench.nn.one_blas_thread():
+            pass
+        assert seen == calls
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         cfg = ModelConfig(arch="mlp1h", input_dim=6, num_classes=4, init_seed=11, hidden_units=9)

@@ -2,11 +2,19 @@
 import numpy as np
 import pytest
 
+import fltbench.nn
 import fltbench.orchestrator
 from fltbench.algorithms import AlgoConfig
 from fltbench.datasets import ClientShard, gather, generate_synthetic, subset
 from fltbench.errors import ConfigError
-from fltbench.nn import EVAL_BLOCK_ROWS, ModelParams, TrainConfig, evaluate, sgd_epochs
+from fltbench.nn import (
+    EVAL_BLOCK_ROWS,
+    ModelParams,
+    TrainConfig,
+    evaluate,
+    save_checkpoint,
+    sgd_epochs,
+)
 from fltbench.orchestrator import (
     DataConfig,
     ExperimentConfig,
@@ -207,31 +215,47 @@ class TestClientSampling:
 
 
 def _per_client_reference(model_config, params, client_heads, client_tests, fedper):
-    """The per-client evaluate loop that the stacked holdout passes replaced."""
-    global_per = [evaluate(params, model_config, ds).accuracy for _, ds in client_tests]
+    """The per-client evaluate loop that the stacked holdout passes replaced,
+    with None for a client whose holdout is empty (ds None)."""
+    global_per = [
+        None if ds is None else evaluate(params, model_config, ds).accuracy
+        for _, ds in client_tests
+    ]
     if not fedper:
         return global_per, None
     personal = [
+        None if ds is None else
         evaluate(ModelParams(params.rep_block, client_heads[c]), model_config, ds).accuracy
         for c, ds in client_tests
     ]
     return global_per, personal
 
 
+def _mean_of_held(per_client):
+    return float(np.mean([a for a in per_client if a is not None]))
+
+
 class TestClientHoldoutEvaluation:
     @pytest.mark.parametrize("algorithm", ["fedper", "fedavg"])
-    def test_stacked_accuracies_equal_the_per_client_loop(self, monkeypatch, algorithm):
+    @pytest.mark.parametrize("alpha,min_shard_size,empty", [(0.5, 5, []), (0.1, 1, [16, 23])])
+    def test_stacked_accuracies_equal_the_per_client_loop(
+        self, monkeypatch, algorithm, alpha, min_shard_size, empty
+    ):
         # Dirichlet shards give holdouts of many sizes, so stacks of one
-        # client and stacks of several both occur.
+        # client and stacks of several both occur. At alpha 0.1 two clients
+        # hold at most one sample of each class, so their holdouts are empty.
         config = _quick_config(
             algorithm=algorithm, rounds=3, eval_every=1, client_holdout_fraction=0.2,
-            partition=PartitionSpec(kind="dirichlet", num_clients=24, alpha=0.5,
-                                    min_shard_size=5),
+            partition=PartitionSpec(kind="dirichlet", num_clients=24, alpha=alpha,
+                                    min_shard_size=min_shard_size),
             model=ModelSpec(arch="mlp1h", hidden_units=16),
         )
         train, partition = prepare_partition(config)
         _, holdouts = _split_client_shards(train, partition, 0.2, config.master_seed)
-        client_tests = [(s.client_id, subset(train, s.indices)) for s in holdouts if len(s)]
+        client_tests = [
+            (s.client_id, subset(train, s.indices) if len(s) else None) for s in holdouts
+        ]
+        assert [c for c, ds in client_tests if ds is None] == empty
         stacks = _holdout_stacks(train, holdouts)
         assert any(len(st.client_ids) == 1 for st in stacks)
         assert any(len(st.client_ids) > 1 for st in stacks)
@@ -254,10 +278,10 @@ class TestClientHoldoutEvaluation:
                 model_config, params, heads, client_tests, algorithm == "fedper"
             )
             assert point.global_on_clients_per_client == global_per
-            assert point.global_on_clients_mean == float(np.mean(global_per))
+            assert point.global_on_clients_mean == _mean_of_held(global_per)
             assert point.personalized_per_client == personal
             if personal is not None:
-                assert point.personalized_mean == float(np.mean(personal))
+                assert point.personalized_mean == _mean_of_held(personal)
         # Accuracies that all agree would not show a client-order mix-up.
         assert len(set(seen[-1][0].global_on_clients_per_client)) > 1
 
@@ -268,20 +292,49 @@ class TestClientHoldoutEvaluation:
         shards = [ClientShard(k, np.arange(offsets[k], offsets[k + 1]))
                   for k in range(len(sizes))]
         stacks = _holdout_stacks(train, shards)
-        held = [s for s in shards if len(s)]
         positions = np.concatenate([st.positions for st in stacks])
-        assert sorted(positions.tolist()) == list(range(len(held)))
+        assert sorted(positions.tolist()) == [k for k, s in enumerate(shards) if len(s)]
         for st in stacks:
             g, n, _ = st.features.shape
             assert g == 1 or g * n <= EVAL_BLOCK_ROWS
             for pos, client_id, x, y in zip(st.positions, st.client_ids, st.features, st.labels):
-                assert held[pos].client_id == client_id
-                np.testing.assert_array_equal(x, train.features[held[pos].indices])
-                np.testing.assert_array_equal(y, train.labels[held[pos].indices])
+                assert shards[pos].client_id == client_id
+                np.testing.assert_array_equal(x, train.features[shards[pos].indices])
+                np.testing.assert_array_equal(y, train.labels[shards[pos].indices])
         # 41 holdouts of 16 rows fill stacks of 16 clients: 16 + 16 + 9.
         assert sorted(len(st.client_ids) for st in stacks if st.features.shape[1] == 16) == [
             9, 16, 16,
         ]
+
+
+class TestBlasThreads:
+    def test_checkpoint_bytes_do_not_depend_on_the_callers_thread_count(self, tmp_path):
+        # retrain_head's gradient over 10 classes x 100 prototypes x 200
+        # features is threaded by OpenBLAS, and at this shape threaded and
+        # one-thread products differ in the last bits.
+        config = _quick_config(
+            algorithm="creff", rounds=1,
+            data=DataConfig(source="synthetic", num_classes=10, per_class=20,
+                            test_per_class=5, dim=5),
+            partition=PartitionSpec(kind="iid", num_clients=2, min_shard_size=1),
+            model=ModelSpec(arch="mlp1h", hidden_units=200),
+            algo=AlgoConfig(algorithm="creff", rounds=1, ff_per_class=100, ff_steps=2,
+                            retrain_steps=3, ff_lr=1.0),
+        )
+        get, set_threads = fltbench.nn._openblas_threads()
+        previous = get()
+        checkpoints = []
+        try:
+            for threads in (1, 2):
+                set_threads(threads)
+                report = run_experiment(config)
+                path = tmp_path / f"{threads}.ckpt"
+                save_checkpoint(path, report.model_config, report.final_params,
+                                federated_features=report.federated_features)
+                checkpoints.append(path.read_bytes())
+        finally:
+            set_threads(previous)
+        assert checkpoints[0] == checkpoints[1]
 
 
 class TestHeadTailGroups:
