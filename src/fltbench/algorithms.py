@@ -66,7 +66,9 @@ class AlgoConfig:
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+            raise ValueError(
+                f"algorithm must be one of {', '.join(ALGORITHMS)}, not {self.algorithm!r}"
+            )
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
         if not 0.0 < self.participation_fraction <= 1.0:
@@ -142,8 +144,11 @@ def local_update_fedper(
     return ClientUpdate(client_id=client_id, params=trained, n_k=shard_y.shape[0])
 
 
-def aggregate_weighted(updates: list[ClientUpdate]) -> ModelParams:
-    """Sample-count-weighted mean of client parameters, in client-id order."""
+def _weighted_mean(
+    updates: list[ClientUpdate], with_head: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Sample-count-weighted mean of the rep blocks and, with_head set, of the
+    head blocks, accumulated in client-id order."""
     if not updates:
         raise ValueError("cannot aggregate an empty update list")
     ordered = sorted(updates, key=lambda u: u.client_id)
@@ -151,25 +156,23 @@ def aggregate_weighted(updates: list[ClientUpdate]) -> ModelParams:
     if total <= 0:
         raise ValueError("total sample count is zero")
     rep = np.zeros_like(ordered[0].params.rep_block)
-    head = np.zeros_like(ordered[0].params.head_block)
+    head = np.zeros_like(ordered[0].params.head_block) if with_head else None
     for u in ordered:
         weight = u.n_k / total
         rep += weight * u.params.rep_block
-        head += weight * u.params.head_block
-    return ModelParams(rep, head)
+        if with_head:
+            head += weight * u.params.head_block
+    return rep, head
+
+
+def aggregate_weighted(updates: list[ClientUpdate]) -> ModelParams:
+    """Sample-count-weighted mean of client parameters, in client-id order."""
+    return ModelParams(*_weighted_mean(updates, with_head=True))
 
 
 def aggregate_rep_only(updates: list[ClientUpdate], server_params: ModelParams) -> ModelParams:
     """Weighted mean of representation blocks; the server head is untouched."""
-    if not updates:
-        raise ValueError("cannot aggregate an empty update list")
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    total = sum(u.n_k for u in ordered)
-    if total <= 0:
-        raise ValueError("total sample count is zero")
-    rep = np.zeros_like(server_params.rep_block)
-    for u in ordered:
-        rep += (u.n_k / total) * u.params.rep_block
+    rep, _ = _weighted_mean(updates, with_head=False)
     return ModelParams(rep, server_params.head_block.copy())
 
 

@@ -99,6 +99,17 @@ def one_blas_thread() -> Iterator[None]:
             set_(previous)
 
 
+def check_architecture(arch: str, hidden_units: int | None) -> None:
+    """Raise ValueError unless arch is known and hidden_units suits it."""
+    if arch not in ARCHITECTURES:
+        raise ValueError(f"arch must be one of {', '.join(ARCHITECTURES)}, not {arch!r}")
+    if arch == ARCH_MLP1H:
+        if hidden_units is None or hidden_units < 1:
+            raise ValueError("hidden_units must be >= 1 for mlp1h")
+    elif hidden_units is not None:
+        raise ValueError("hidden_units is only valid for mlp1h")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     arch: str
@@ -108,15 +119,9 @@ class ModelConfig:
     hidden_units: int | None = None
 
     def __post_init__(self) -> None:
-        if self.arch not in ARCHITECTURES:
-            raise ValueError(f"unknown arch {self.arch!r}")
+        check_architecture(self.arch, self.hidden_units)
         if self.input_dim < 1 or self.num_classes < 2:
             raise ValueError("input_dim must be >= 1 and num_classes >= 2")
-        if self.arch == ARCH_MLP1H:
-            if self.hidden_units is None or self.hidden_units < 1:
-                raise ValueError("mlp1h needs hidden_units >= 1")
-        elif self.hidden_units is not None:
-            raise ValueError("hidden_units is only valid for mlp1h")
 
     @property
     def feature_dim(self) -> int:
@@ -144,9 +149,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.rep_block.copy(), self.head_block.copy())
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.rep_block, self.head_block])
-
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.rep_block).all() and np.isfinite(self.head_block).all())
 
@@ -158,14 +160,6 @@ class GradVector:
     rep_block: np.ndarray
     head_block: np.ndarray
     batch_size: int
-
-
-def split_vector(config: ModelConfig, vec: np.ndarray) -> ModelParams:
-    """Inverse of as_vector for the given architecture."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (config.rep_size + config.head_size,):
-        raise ValueError("vector length does not match the architecture")
-    return ModelParams(vec[: config.rep_size].copy(), vec[config.rep_size :].copy())
 
 
 def init_model(config: ModelConfig) -> ModelParams:

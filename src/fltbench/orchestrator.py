@@ -55,6 +55,7 @@ from .nn import (
     ModelConfig,
     ModelParams,
     TrainConfig,
+    check_architecture,
     evaluate,
     init_model,
     one_blas_thread,
@@ -96,7 +97,9 @@ class DataConfig:
 
     def __post_init__(self) -> None:
         if self.source not in (SOURCE_SYNTHETIC, SOURCE_CIFAR10):
-            raise ValueError(f"unknown data source {self.source!r}")
+            raise ValueError(
+                f"source must be one of {SOURCE_SYNTHETIC}, {SOURCE_CIFAR10}, not {self.source!r}"
+            )
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
         if min(self.per_class, self.test_per_class, self.dim) < 1:
@@ -143,8 +146,13 @@ def _long_tail_profile(n_max: int, num_classes: int, target_if: float) -> LtProf
 
 @dataclass(frozen=True)
 class ModelSpec:
-    arch: str = "mlp1h"
-    hidden_units: int | None = 200
+    """The model section of a config; input_dim and num_classes come from the data."""
+
+    arch: str
+    hidden_units: int | None = None
+
+    def __post_init__(self) -> None:
+        check_architecture(self.arch, self.hidden_units)
 
 
 @dataclass(frozen=True)

@@ -56,19 +56,21 @@ class PartitionSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in PARTITION_KINDS:
-            raise ValueError(f"unknown partition kind {self.kind!r}")
+            raise ValueError(
+                f"kind must be one of {', '.join(PARTITION_KINDS)}, not {self.kind!r}"
+            )
         if self.num_clients < 1:
             raise ValueError("num_clients must be >= 1")
         if self.min_shard_size < 0:
             raise ValueError("min_shard_size must be >= 0")
         if self.kind == KIND_DIRICHLET:
             if self.alpha is None or self.alpha <= 0:
-                raise ValueError("dirichlet partitions need alpha > 0")
+                raise ValueError(f"alpha must be > 0 for {KIND_DIRICHLET} partitions")
         elif self.alpha is not None:
             raise ValueError(f"alpha is only valid for {KIND_DIRICHLET} partitions")
         if self.kind == KIND_ROTATED_LT:
             if self.local_if is None or self.local_if < 1.0:
-                raise ValueError("rotated_lt partitions need local_if >= 1")
+                raise ValueError(f"local_if must be >= 1 for {KIND_ROTATED_LT} partitions")
         elif self.local_if is not None:
             raise ValueError(f"local_if is only valid for {KIND_ROTATED_LT} partitions")
 
@@ -110,8 +112,9 @@ def check_supply(spec: PartitionSpec, counts: np.ndarray) -> None:
     """Reject a dataset with these class counts before anything is drawn.
 
     Every client needs max(min_shard_size, 1) samples, and rotated_lt needs
-    a balanced source. Raises CapacityError or InfeasibleSpecError; the
-    config checks call this too, when the counts are known from the config.
+    a balanced source and a local_if profile that fits each client's share.
+    Raises CapacityError or InfeasibleSpecError; the config checks call this
+    too, when the counts are known from the config.
     """
     n, need = int(counts.sum()), max(spec.min_shard_size, 1)
     if spec.kind != KIND_ROTATED_LT:
@@ -127,6 +130,7 @@ def check_supply(spec: PartitionSpec, counts: np.ndarray) -> None:
             f"per-client budget {n // spec.num_clients} is below "
             f"min_shard_size {spec.min_shard_size}"
         )
+    _solve_profile_budget(len(counts), float(spec.local_if), n // spec.num_clients)
 
 
 def partition_iid(dataset: Dataset, spec: PartitionSpec) -> Partition:

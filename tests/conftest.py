@@ -1,10 +1,11 @@
-"""Shared fixtures and the acceptance-criterion summary printer."""
+"""Shared fixtures and helpers, and the acceptance-criterion summary printer."""
 import re
 
 import numpy as np
 import pytest
 
 from fltbench.datasets import generate_synthetic
+from fltbench.nn import ModelConfig, ModelParams
 
 _CRITERION_PATTERN = re.compile(r"test_criterion_(\d+)_(\w+)")
 
@@ -24,6 +25,19 @@ def cifar_scale_ds():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def as_vector(params: ModelParams) -> np.ndarray:
+    """All parameters as one flat vector: the rep block, then the head block."""
+    return np.concatenate([params.rep_block, params.head_block])
+
+
+def split_vector(config: ModelConfig, vec: np.ndarray) -> ModelParams:
+    """Inverse of as_vector for the given architecture."""
+    vec = np.asarray(vec, dtype=np.float64)
+    if vec.shape != (config.rep_size + config.head_size,):
+        raise ValueError("vector length does not match the architecture")
+    return ModelParams(vec[: config.rep_size].copy(), vec[config.rep_size :].copy())
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -33,6 +33,7 @@ from fltbench.partition import (
     partition_rotated_longtail,
 )
 from fltbench.stats import global_distribution, local_distribution
+from conftest import as_vector, split_vector
 from test_nn import fd_safe_batch
 
 
@@ -99,14 +100,12 @@ def test_criterion_03_gradient_oracle():
         weight_decay = float(rng.choice([0.0, 0.01]))
         _, grad = loss_and_grad(params, cfg, x, y, weight_decay)
         analytic = np.concatenate([grad.rep_block, grad.head_block])
-        vec = params.as_vector()
+        vec = as_vector(params)
         oracle = np.zeros_like(vec)
         for i in range(vec.size):
             plus, minus = vec.copy(), vec.copy()
             plus[i] += eps
             minus[i] -= eps
-            from fltbench.nn import split_vector
-
             lp, _ = loss_and_grad(split_vector(cfg, plus), cfg, x, y, weight_decay)
             lm, _ = loss_and_grad(split_vector(cfg, minus), cfg, x, y, weight_decay)
             oracle[i] = (lp - lm) / (2 * eps)
@@ -135,7 +134,7 @@ def test_criterion_04_fedavg_centralized_equivalence():
     expected = np.concatenate(
         [params.rep_block - lr * grad.rep_block, params.head_block - lr * grad.head_block]
     )
-    got = agg.as_vector()
+    got = as_vector(agg)
     rel = np.abs(got - expected) / np.maximum(np.abs(expected), 1e-12)
     assert rel.max() <= 1e-6
 

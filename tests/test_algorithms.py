@@ -28,8 +28,9 @@ from fltbench.nn import (
     loss_and_grad,
     sgd_epochs,
     softmax,
-    split_vector,
 )
+
+from conftest import as_vector, split_vector
 
 
 def _update(client_id, rep, head, n_k):
@@ -138,9 +139,9 @@ class TestFedProx:
         tc = TrainConfig(learning_rate=0.1, batch_size=40, local_epochs=1, shuffle_seed=3)
         a = local_update_fedavg(params, cfg, x, y, tc)
         p = local_update_fedprox(params, cfg, x, y, tc, mu=1e6)
-        base = params.as_vector()
-        assert np.linalg.norm(p.params.as_vector() - base) <= np.linalg.norm(
-            a.params.as_vector() - base
+        base = as_vector(params)
+        assert np.linalg.norm(as_vector(p.params) - base) <= np.linalg.norm(
+            as_vector(a.params) - base
         ) + 1e-12
 
     def test_moderate_mu_shrinks_multi_step_displacement(self, small_problem):
@@ -148,9 +149,9 @@ class TestFedProx:
         tc = TrainConfig(learning_rate=0.1, batch_size=10, local_epochs=5, shuffle_seed=3)
         a = local_update_fedavg(params, cfg, x, y, tc)
         p = local_update_fedprox(params, cfg, x, y, tc, mu=5.0)
-        base = params.as_vector()
-        assert np.linalg.norm(p.params.as_vector() - base) < np.linalg.norm(
-            a.params.as_vector() - base
+        base = as_vector(params)
+        assert np.linalg.norm(as_vector(p.params) - base) < np.linalg.norm(
+            as_vector(a.params) - base
         )
 
     def test_hooked_gradient_matches_augmented_objective(self, small_problem, rng):
@@ -170,7 +171,7 @@ class TestFedProx:
                 grad.head_block + mu * (moved.head_block - anchor.head_block),
             ]
         )
-        vec, anchor_vec = moved.as_vector(), anchor.as_vector()
+        vec, anchor_vec = as_vector(moved), as_vector(anchor)
         eps = 1e-5
         oracle = np.zeros_like(vec)
         for i in range(vec.size):

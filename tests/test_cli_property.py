@@ -40,6 +40,7 @@ ROTATED = {"kind": "rotated_lt", "local_if": 1.0}
 # Partition conflicts that a synthetic config shows before any data is built.
 UNBALANCED_ROTATED = _doc(ROTATED, lt_target_if=2.0)
 BUDGET_BELOW_MIN_SHARD = _doc({**ROTATED, "num_clients": 4, "min_shard_size": 16})
+BUDGET_BELOW_PROFILE = _doc({**ROTATED, "local_if": 100.0})
 
 
 def _train(doc, *flags):
@@ -134,6 +135,8 @@ def documents(draw):
 # Exited 1, as runtime failures of the partition step.
 @example(UNBALANCED_ROTATED)
 @example(BUDGET_BELOW_MIN_SHARD)
+# Passed --dry-run, then exited 1 when the partition was built.
+@example(BUDGET_BELOW_PROFILE)
 def test_train_always_exits_with_a_code(doc):
     code, _ = _train(doc)
     assert code in (0, 1, 2)
@@ -142,6 +145,7 @@ def test_train_always_exits_with_a_code(doc):
 @pytest.mark.parametrize("doc,message", [
     (UNBALANCED_ROTATED, "partition: rotated_lt needs a balanced source dataset (IF <= 1.05)"),
     (BUDGET_BELOW_MIN_SHARD, "partition: per-client budget 15 is below min_shard_size 16"),
+    (BUDGET_BELOW_PROFILE, "partition: per-client budget 30 cannot hold a profile with IF 100.0"),
 ])
 def test_partition_conflicts_exit_2_at_parse_time(doc, message):
     code, err = _train(doc, "--dry-run")

@@ -22,14 +22,15 @@ from fltbench.nn import (
     save_checkpoint,
     sgd_epochs,
     softmax,
-    split_vector,
 )
 from fltbench.seeding import rng_from
+
+from conftest import as_vector, split_vector
 
 
 def finite_difference_grad(params, cfg, x, y, weight_decay=0.0, eps=1e-5):
     """Central-difference gradient of the full loss; the independent oracle."""
-    vec = params.as_vector()
+    vec = as_vector(params)
     out = np.zeros_like(vec)
     for i in range(vec.size):
         plus, minus = vec.copy(), vec.copy()
@@ -356,7 +357,7 @@ class TestBlocks:
     def test_split_concat_round_trip(self, rng):
         cfg = ModelConfig(arch="mlp1h", input_dim=3, num_classes=4, init_seed=8, hidden_units=6)
         params = init_model(cfg)
-        back = split_vector(cfg, params.as_vector())
+        back = split_vector(cfg, as_vector(params))
         np.testing.assert_array_equal(back.rep_block, params.rep_block)
         np.testing.assert_array_equal(back.head_block, params.head_block)
 
