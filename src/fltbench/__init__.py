@@ -88,10 +88,8 @@ from .partition import (
 from .stats import (
     DistributionStats,
     global_distribution,
-    global_imbalance_factor,
     imbalance_factor_from_counts,
     local_distribution,
-    local_imbalance_factor,
 )
 
 __version__ = "0.1.0"

@@ -141,7 +141,8 @@ class ModelConfig:
 
 @dataclass
 class ModelParams:
-    """Flat parameter store; value-like, copy before mutating."""
+    """Flat parameter store; value-like, copy before mutating. Gradients
+    come in the same two blocks."""
 
     rep_block: np.ndarray
     head_block: np.ndarray
@@ -151,15 +152,6 @@ class ModelParams:
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.rep_block).all() and np.isfinite(self.head_block).all())
-
-
-@dataclass
-class GradVector:
-    """Gradient with the same block layout as ModelParams."""
-
-    rep_block: np.ndarray
-    head_block: np.ndarray
-    batch_size: int
 
 
 def init_model(config: ModelConfig) -> ModelParams:
@@ -240,7 +232,7 @@ def loss_and_grad(
     batch_x: np.ndarray,
     batch_y: np.ndarray,
     weight_decay: float = 0.0,
-) -> tuple[float, GradVector]:
+) -> tuple[float, ModelParams]:
     """Mean cross-entropy plus (weight_decay/2)*||params||^2, with gradients.
 
     Gradients come from explicit backprop through the affine/ReLU stack and
@@ -292,7 +284,7 @@ def loss_and_grad(
         )
         grad_rep += weight_decay * params.rep_block
         grad_head += weight_decay * params.head_block
-    return loss, GradVector(grad_rep, grad_head, batch_size=n)
+    return loss, ModelParams(grad_rep, grad_head)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import concurrent.futures
 import io
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -289,12 +290,11 @@ def _split_client_shards(
 class _HoldoutStack:
     """Client holdouts of equal row count, classified in one stacked pass.
 
-    positions index the client shards, so also the per-client accuracy
-    lists, which follow client id.
+    positions index the client shards, which follow client id, so they are
+    the clients' ids.
     """
 
     positions: np.ndarray  # (G,)
-    client_ids: tuple[int, ...]
     features: np.ndarray  # (G, n, input_dim)
     labels: np.ndarray  # (G, n)
 
@@ -314,7 +314,6 @@ def _holdout_stacks(train: Dataset, shards: list[ClientShard]) -> list[_HoldoutS
             idx = np.stack([shards[p].indices for p in chunk])
             stacks.append(_HoldoutStack(
                 positions=np.array(chunk),
-                client_ids=tuple(shards[p].client_id for p in chunk),
                 features=train.features[idx],
                 labels=train.labels[idx],
             ))
@@ -396,51 +395,70 @@ class ExperimentReport:
         return out.getvalue()
 
 
-class _RoundContext:
-    """Per-run state shared by the dispatch helpers."""
+@dataclass(frozen=True)
+class _Algorithm:
+    """One algorithm's client and server steps, and the state they update in
+    place from round to round."""
 
-    def __init__(self, config: ExperimentConfig, train: Dataset, model_config: ModelConfig):
-        self.config = config
-        self.train = train
-        self.model_config = model_config
-        self.client_heads: dict[int, np.ndarray] = {}
-        self.creff: CreffServer | None = None
-
-
-def _client_train_config(config: ExperimentConfig, round_idx: int, client_id: int) -> TrainConfig:
-    return replace(
-        config.train,
-        shuffle_seed=derive_seed(config.master_seed, "local-train", round_idx, client_id),
-    )
+    # (global params, shard x, shard y, train config, client id) -> update
+    client_step: Callable[[ModelParams, np.ndarray, np.ndarray, TrainConfig, int], ClientUpdate]
+    # (global params, updates) -> the next global params
+    server_step: Callable[[ModelParams, list[ClientUpdate]], ModelParams]
+    heads: np.ndarray | None = None  # FedPer: (num_clients, head_size), row k client k's head
+    features: np.ndarray | None = None  # CReFF: the prototypes that model.ckpt stores
 
 
-def _run_client(
-    ctx: _RoundContext,
-    round_idx: int,
-    client_id: int,
-    shard: ClientShard,
-    global_params: ModelParams,
-) -> ClientUpdate:
-    shard_x, shard_y = gather(ctx.train, shard)
-    tc = _client_train_config(ctx.config, round_idx, client_id)
-    algo = ctx.config.algo
+def _algorithm(
+    config: ExperimentConfig, model_config: ModelConfig, params: ModelParams
+) -> _Algorithm:
+    """The steps of config.algo.algorithm from the initial params: the only
+    code in this module that reads the algorithm's name. The steps look the
+    rules up in this module's globals at call time, so a wrapper set on those
+    names (the benchmark's tracer) sees every call."""
+    algo = config.algo
+
+    def local_sgd(w, x, y, tc, k):
+        return local_update_fedavg(w, model_config, x, y, tc, k)
+
+    def average(w, updates):
+        return aggregate_weighted(updates)
+
     if algo.algorithm == ALGO_FEDPROX:
-        return local_update_fedprox(
-            global_params, ctx.model_config, shard_x, shard_y, tc, algo.mu, client_id
+        return _Algorithm(
+            lambda w, x, y, tc, k: local_update_fedprox(w, model_config, x, y, tc, algo.mu, k),
+            average,
         )
     if algo.algorithm == ALGO_FEDPER:
-        return local_update_fedper(
-            global_params, ctx.client_heads[client_id], ctx.model_config,
-            shard_x, shard_y, tc, client_id,
+        heads = np.tile(params.head_block, (config.partition.num_clients, 1))
+
+        def keep_heads_average_rep(w, updates):
+            for u in updates:
+                heads[u.client_id] = u.params.head_block
+            return aggregate_rep_only(updates, w)
+
+        return _Algorithm(
+            lambda w, x, y, tc, k: local_update_fedper(w, heads[k], model_config, x, y, tc, k),
+            keep_heads_average_rep,
+            heads=heads,
         )
-    update = local_update_fedavg(
-        global_params, ctx.model_config, shard_x, shard_y, tc, client_id
-    )
     if algo.algorithm == ALGO_CREFF:
-        update.head_class_grads = creff_client_head_grads(
-            global_params, ctx.model_config, shard_x, shard_y
+        creff = CreffServer(
+            model_config, algo, seed=derive_seed(config.master_seed, "creff-features")
         )
-    return update
+
+        def local_sgd_and_head_grads(w, x, y, tc, k):
+            update = local_sgd(w, x, y, tc, k)
+            update.head_class_grads = creff_client_head_grads(w, model_config, x, y)
+            return update
+
+        def average_and_retrain_head(w, updates):
+            rep = aggregate_weighted(updates).rep_block
+            return ModelParams(rep, creff.server_round(w, [u.head_class_grads for u in updates]))
+
+        return _Algorithm(
+            local_sgd_and_head_grads, average_and_retrain_head, features=creff.features
+        )
+    return _Algorithm(local_sgd, average)
 
 
 def _client_accuracies(acc: np.ndarray) -> tuple[float | None, list[float | None]]:
@@ -452,29 +470,25 @@ def _client_accuracies(acc: np.ndarray) -> tuple[float | None, list[float | None
 
 
 def _evaluate_point(
-    ctx: _RoundContext,
-    round_idx: int,
-    params: ModelParams,
-    test: Dataset,
-    groups: dict[int, str],
+    config: ExperimentConfig, model_config: ModelConfig, round_idx: int, params: ModelParams,
+    heads: np.ndarray | None, test: Dataset, groups: dict[int, str],
     holdouts: list[_HoldoutStack] | None,
 ) -> EvalPoint:
-    global_metrics = evaluate(params, ctx.model_config, test, groups)
+    """Given FedPer's heads, also scores each client's personal model."""
+    global_metrics = evaluate(params, model_config, test, groups)
     personalized = None
     personalized_per = None
     global_on_clients = None
     global_per = None
     if holdouts is not None:
-        count = ctx.config.partition.num_clients
-        global_acc = np.full(count, np.nan)  # NaN marks an empty holdout
-        personal_acc = global_acc.copy() if ctx.config.algo.algorithm == ALGO_FEDPER else None
+        global_acc = np.full(config.partition.num_clients, np.nan)  # NaN: empty holdout
+        personal_acc = None if heads is None else global_acc.copy()
         for stack in holdouts:
-            preds = predict(params, ctx.model_config, stack.features)
+            preds = predict(params, model_config, stack.features)
             global_acc[stack.positions] = (preds == stack.labels).mean(axis=1)
-            if personal_acc is not None:
-                heads = np.stack([ctx.client_heads[c] for c in stack.client_ids])
-                personal = ModelParams(params.rep_block, heads)
-                preds = predict(personal, ctx.model_config, stack.features)
+            if heads is not None:
+                personal = ModelParams(params.rep_block, heads[stack.positions])
+                preds = predict(personal, model_config, stack.features)
                 personal_acc[stack.positions] = (preds == stack.labels).mean(axis=1)
         global_on_clients, global_per = _client_accuracies(global_acc)
         if personal_acc is not None:
@@ -529,21 +543,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         hidden_units=config.model.hidden_units,
     )
     params = init_model(model_config)
-
-    ctx = _RoundContext(config, train, model_config)
+    algorithm = _algorithm(config, model_config, params)
     algo = config.algo
-    if algo.algorithm == ALGO_FEDPER:
-        ctx.client_heads = {
-            s.client_id: params.head_block.copy() for s in partition.shards
-        }
-    if algo.algorithm == ALGO_CREFF:
-        ctx.creff = CreffServer(
-            model_config, algo, seed=derive_seed(config.master_seed, "creff-features")
-        )
 
     groups = head_tail_groups(partition.global_stats.counts)
     with np.errstate(over="ignore", invalid="ignore"):
-        eval_points = [_evaluate_point(ctx, 0, params, test, groups, holdouts)]
+        eval_points = [_evaluate_point(
+            config, model_config, 0, params, algorithm.heads, test, groups, holdouts
+        )]
         for round_idx in range(1, algo.rounds + 1):
             try:
                 sampled = sample_clients(
@@ -551,32 +558,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     algo.participation_fraction,
                     derive_seed(config.master_seed, "client-sampling", round_idx),
                 )
-                updates = [
-                    _run_client(ctx, round_idx, k, train_shards[k], params)
-                    for k in sampled
-                ]
-
-                if algo.algorithm == ALGO_FEDPER:
-                    for u in updates:
-                        ctx.client_heads[u.client_id] = u.params.head_block.copy()
-                    params = aggregate_rep_only(updates, params)
-                elif algo.algorithm == ALGO_CREFF:
-                    aggregated = aggregate_weighted(updates)
-                    new_head = ctx.creff.server_round(
-                        params, [u.head_class_grads for u in updates]
-                    )
-                    params = ModelParams(aggregated.rep_block, new_head)
-                else:
-                    params = aggregate_weighted(updates)
+                updates = []
+                for k in sampled:
+                    shard_x, shard_y = gather(train, train_shards[k])
+                    seed = derive_seed(config.master_seed, "local-train", round_idx, k)
+                    tc = replace(config.train, shuffle_seed=seed)
+                    updates.append(algorithm.client_step(params, shard_x, shard_y, tc, k))
+                params = algorithm.server_step(params, updates)
                 if not params.is_finite():
                     raise NonFiniteError(_divergence_message(updates))
             except FltbenchError as exc:
                 raise ExperimentError(f"round {round_idx}: {exc}") from exc
 
             if round_idx % config.eval_every == 0 or round_idx == algo.rounds:
-                eval_points.append(
-                    _evaluate_point(ctx, round_idx, params, test, groups, holdouts)
-                )
+                eval_points.append(_evaluate_point(
+                    config, model_config, round_idx, params, algorithm.heads,
+                    test, groups, holdouts,
+                ))
 
     best = max(p.global_metrics.accuracy for p in eval_points)
     best_personalized = None
@@ -596,7 +594,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         wall_clock_sec=time.perf_counter() - start,
         model_config=model_config,
         final_params=params,
-        federated_features=None if ctx.creff is None else ctx.creff.features.copy(),
+        federated_features=(
+            None if algorithm.features is None else algorithm.features.copy()
+        ),
     )
 
 

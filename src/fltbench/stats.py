@@ -90,14 +90,3 @@ def global_distribution(shards: Sequence[ClientShard], dataset: Dataset) -> Dist
         raise EmptyPartitionError("every shard is empty")
     return stats_from_counts(counts)
 
-
-def local_imbalance_factor(stats: DistributionStats) -> float:
-    """Imbalance factor of one client, recomputed from exact counts."""
-    if stats.total <= 0:
-        raise EmptyShardError("imbalance factor needs a non-empty shard")
-    return imbalance_factor_from_counts(stats.counts)
-
-
-def global_imbalance_factor(shards: Sequence[ClientShard], dataset: Dataset) -> float:
-    """Imbalance factor of the summed per-class counts across all shards."""
-    return global_distribution(shards, dataset).imbalance_factor

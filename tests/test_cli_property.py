@@ -41,6 +41,11 @@ ROTATED = {"kind": "rotated_lt", "local_if": 1.0}
 UNBALANCED_ROTATED = _doc(ROTATED, lt_target_if=2.0)
 BUDGET_BELOW_MIN_SHARD = _doc({**ROTATED, "num_clients": 4, "min_shard_size": 16})
 BUDGET_BELOW_PROFILE = _doc({**ROTATED, "local_if": 100.0})
+# Two clients use 2 of the 10 head rotations, so classes 0 to 3 are
+# oversubscribed; scaled down to their supply, client 0 realizes IF 7.58.
+PROFILE_DISTORTED_BY_SCALING = _doc(
+    {**ROTATED, "local_if": 10.0}, num_classes=10, per_class=100
+)
 
 
 def _train(doc, *flags):
@@ -137,6 +142,7 @@ def documents(draw):
 @example(BUDGET_BELOW_MIN_SHARD)
 # Passed --dry-run, then exited 1 when the partition was built.
 @example(BUDGET_BELOW_PROFILE)
+@example(PROFILE_DISTORTED_BY_SCALING)
 def test_train_always_exits_with_a_code(doc):
     code, _ = _train(doc)
     assert code in (0, 1, 2)
@@ -146,6 +152,7 @@ def test_train_always_exits_with_a_code(doc):
     (UNBALANCED_ROTATED, "partition: rotated_lt needs a balanced source dataset (IF <= 1.05)"),
     (BUDGET_BELOW_MIN_SHARD, "partition: per-client budget 15 is below min_shard_size 16"),
     (BUDGET_BELOW_PROFILE, "partition: per-client budget 30 cannot hold a profile with IF 100.0"),
+    (PROFILE_DISTORTED_BY_SCALING, "partition: client 0 realizes IF 7.58, outside 10% of target"),
 ])
 def test_partition_conflicts_exit_2_at_parse_time(doc, message):
     code, err = _train(doc, "--dry-run")

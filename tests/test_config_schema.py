@@ -34,7 +34,7 @@ BASE = {
 
 MLP1H = {"model": {"arch": "mlp1h", "hidden_units": 5}}
 DIRICHLET = {"partition": {"kind": "dirichlet", "alpha": 0.5}}
-ROTATED = {"partition": {"kind": "rotated_lt", "local_if": 2.0}}
+ROTATED = {"partition": {"kind": "rotated_lt", "num_clients": 4, "local_if": 2.0}}
 
 # (section, key, type, default, a valid value, the sections that value needs).
 FIELDS = [

@@ -8,7 +8,6 @@ import fltbench.nn
 from fltbench.datasets import Dataset, generate_synthetic
 from fltbench.errors import EmptyShardError, MalformedFileError
 from fltbench.nn import (
-    GradVector,
     Metrics,
     ModelConfig,
     ModelParams,
@@ -97,7 +96,7 @@ def _loss_and_grad_reference(params, cfg, batch_x, batch_y, weight_decay=0.0):
         )
         grad_rep = grad_rep + weight_decay * params.rep_block
         grad_head = grad_head + weight_decay * params.head_block
-    return loss, GradVector(grad_rep, grad_head, batch_size=n)
+    return loss, ModelParams(grad_rep, grad_head)
 
 
 def _sgd_reference(params, cfg, tc, shard_x, shard_y, extra_grad_hook=None):
@@ -343,14 +342,6 @@ class TestLossAndGrad:
         assert loss == ref_loss
         np.testing.assert_array_equal(grad.head_block, ref.head_block)
         np.testing.assert_array_equal(grad.rep_block, ref.rep_block)
-
-    def test_grad_vector_records_batch_size(self, rng):
-        cfg = ModelConfig(arch="linear_softmax", input_dim=2, num_classes=2)
-        _, grad = loss_and_grad(
-            init_model(cfg), cfg, rng.standard_normal((5, 2)), rng.integers(0, 2, 5)
-        )
-        assert isinstance(grad, GradVector)
-        assert grad.batch_size == 5
 
 
 class TestBlocks:

@@ -257,17 +257,17 @@ class TestClientHoldoutEvaluation:
         ]
         assert [c for c, ds in client_tests if ds is None] == empty
         stacks = _holdout_stacks(train, holdouts)
-        assert any(len(st.client_ids) == 1 for st in stacks)
-        assert any(len(st.client_ids) > 1 for st in stacks)
+        assert any(len(st.positions) == 1 for st in stacks)
+        assert any(len(st.positions) > 1 for st in stacks)
         assert len({st.features.shape[1] for st in stacks}) > 2
 
         seen = []
         original = fltbench.orchestrator._evaluate_point
 
-        def recording(ctx, round_idx, params, *args):
-            point = original(ctx, round_idx, params, *args)
-            heads = {c: h.copy() for c, h in ctx.client_heads.items()}
-            seen.append((point, ctx.model_config, params.copy(), heads))
+        def recording(config, model_config, round_idx, params, heads, *args):
+            point = original(config, model_config, round_idx, params, heads, *args)
+            heads = None if heads is None else heads.copy()
+            seen.append((point, model_config, params.copy(), heads))
             return point
 
         monkeypatch.setattr(fltbench.orchestrator, "_evaluate_point", recording)
@@ -297,12 +297,12 @@ class TestClientHoldoutEvaluation:
         for st in stacks:
             g, n, _ = st.features.shape
             assert g == 1 or g * n <= EVAL_BLOCK_ROWS
-            for pos, client_id, x, y in zip(st.positions, st.client_ids, st.features, st.labels):
+            for pos, client_id, x, y in zip(st.positions, st.positions, st.features, st.labels):
                 assert shards[pos].client_id == client_id
                 np.testing.assert_array_equal(x, train.features[shards[pos].indices])
                 np.testing.assert_array_equal(y, train.labels[shards[pos].indices])
         # 41 holdouts of 16 rows fill stacks of 16 clients: 16 + 16 + 9.
-        assert sorted(len(st.client_ids) for st in stacks if st.features.shape[1] == 16) == [
+        assert sorted(len(st.positions) for st in stacks if st.features.shape[1] == 16) == [
             9, 16, 16,
         ]
 

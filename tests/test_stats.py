@@ -12,10 +12,8 @@ from fltbench.lt_shaping import exponential_profile, shape_long_tailed
 from fltbench.partition import PartitionSpec, partition_iid
 from fltbench.stats import (
     global_distribution,
-    global_imbalance_factor,
     imbalance_factor_from_counts,
     local_distribution,
-    local_imbalance_factor,
     stats_from_counts,
 )
 
@@ -123,17 +121,17 @@ class TestImbalanceFactor:
 
     def test_local_if_from_stats(self):
         stats = stats_from_counts(np.array([12, 3]))
-        assert local_imbalance_factor(stats) == 4.0
+        assert stats.imbalance_factor == 4.0
 
     def test_global_if_of_shaped_dataset(self, cifar_scale_ds):
         lt = shape_long_tailed(cifar_scale_ds, exponential_profile(5000, 10, 50), seed=1)
         shard = ClientShard(0, np.arange(len(lt)))
-        measured = global_imbalance_factor([shard], lt)
+        measured = global_distribution([shard], lt).imbalance_factor
         assert abs(measured - 50.0) <= 0.02 * 50.0
 
     def test_balanced_dataset_gives_one(self, balanced_ds):
         shard = ClientShard(0, np.arange(len(balanced_ds)))
-        assert global_imbalance_factor([shard], balanced_ds) == 1.0
+        assert global_distribution([shard], balanced_ds).imbalance_factor == 1.0
 
     @given(
         st.lists(st.integers(min_value=0, max_value=500), min_size=2, max_size=8).filter(
