@@ -25,18 +25,12 @@ from .datasets import (
     gather,
     generate_synthetic,
     load_cifar10,
-    read_record_file,
-    stratified_holdout,
     subset,
-    write_cifar_batch,
-    write_record_file,
 )
 from .errors import (
     CapacityError,
     ConfigError,
     CorruptRecordError,
-    DegenerateClassError,
-    EmptyPartitionError,
     EmptyShardError,
     ExperimentError,
     FltbenchError,
@@ -48,8 +42,6 @@ from .errors import (
 from .lt_shaping import (
     LtProfile,
     exponential_profile,
-    profile_from_json,
-    rotate_profile,
     shape_long_tailed,
 )
 from .nn import (
@@ -80,16 +72,11 @@ from .partition import (
     PartitionReport,
     PartitionSpec,
     build_partition,
+    imbalance_factor,
     partition_dirichlet,
     partition_iid,
     partition_report,
     partition_rotated_longtail,
-)
-from .stats import (
-    DistributionStats,
-    global_distribution,
-    imbalance_factor_from_counts,
-    local_distribution,
 )
 
 __version__ = "0.1.0"

@@ -13,10 +13,6 @@ class CorruptRecordError(FltbenchError):
     """A record inside an otherwise well-formed file holds an invalid value."""
 
 
-class DegenerateClassError(FltbenchError):
-    """A class is too small to be split the way the caller asked for."""
-
-
 class CapacityError(FltbenchError):
     """A class or dataset cannot supply the number of samples requested."""
 
@@ -31,10 +27,6 @@ class InfeasibleSpecError(FltbenchError):
 
 class EmptyShardError(FltbenchError):
     """An operation that needs at least one sample was given an empty shard."""
-
-
-class EmptyPartitionError(FltbenchError):
-    """Every shard of a partition is empty."""
 
 
 class NonFiniteError(FltbenchError):

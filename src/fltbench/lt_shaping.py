@@ -1,9 +1,10 @@
 """Long-tail shaping: exponential class-count profiles and dataset subsampling.
 
-A profile assigns a target count to each rank (rank 0 = head), decaying
-geometrically so that head/tail equals the requested imbalance factor. The
-class_order permutation maps ranks to class indices; rotating it gives
-different clients different head/tail patterns while keeping the counts.
+A profile assigns a target count to each class, head first (class 0 is the
+head), decaying geometrically so that head/tail equals the requested
+imbalance factor. Shaping subsamples a dataset to those counts; the
+rotated_lt partition rotates the same counts to give each client another
+head class.
 """
 from __future__ import annotations
 
@@ -22,24 +23,19 @@ PROFILE_IF_TOLERANCE = 0.02
 
 @dataclass(frozen=True)
 class LtProfile:
-    """Per-rank sample counts plus the rank -> class assignment."""
+    """Per-class sample counts, non-increasing from the head class 0."""
 
     target_if: float
     counts: np.ndarray
-    class_order: np.ndarray
 
     def __post_init__(self) -> None:
         counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        order = np.ascontiguousarray(self.class_order, dtype=np.int64)
-        m = counts.shape[0]
-        if m < 2:
+        if counts.shape[0] < 2:
             raise ValueError("a profile needs at least two classes")
-        if order.shape != (m,) or set(order.tolist()) != set(range(m)):
-            raise ValueError("class_order must be a permutation of 0..M-1")
         if counts.min() < 1:
             raise ProfileTooSteepError("profile tail count fell to zero")
         if np.any(np.diff(counts) > 0):
-            raise ProfileTooSteepError("profile counts must be non-increasing by rank")
+            raise ProfileTooSteepError("profile counts must be non-increasing by class")
         realized = counts[0] / counts[-1]
         if abs(realized - self.target_if) > PROFILE_IF_TOLERANCE * self.target_if:
             raise ProfileTooSteepError(
@@ -47,32 +43,11 @@ class LtProfile:
                 f"outside {PROFILE_IF_TOLERANCE:.0%} of target {self.target_if}"
             )
         counts.flags.writeable = False
-        order.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "class_order", order)
 
     @property
     def num_classes(self) -> int:
         return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "target_if": self.target_if,
-            "counts": self.counts.tolist(),
-            "class_order": self.class_order.tolist(),
-        }
-
-
-def profile_from_json(doc: dict) -> LtProfile:
-    return LtProfile(
-        target_if=float(doc["target_if"]),
-        counts=np.asarray(doc["counts"], dtype=np.int64),
-        class_order=np.asarray(doc["class_order"], dtype=np.int64),
-    )
 
 
 def profile_counts(n_max: int, num_classes: int, target_if: float) -> np.ndarray:
@@ -89,7 +64,7 @@ def profile_counts(n_max: int, num_classes: int, target_if: float) -> np.ndarray
 
 
 def exponential_profile(n_max: int, num_classes: int, target_if: float) -> LtProfile:
-    """Build a head-first profile with identity class order.
+    """Build a head-first profile.
 
     Raises ProfileTooSteepError when integer rounding cannot realize the
     target ratio (tiny n_max relative to target_if).
@@ -103,19 +78,6 @@ def exponential_profile(n_max: int, num_classes: int, target_if: float) -> LtPro
     return LtProfile(
         target_if=float(target_if),
         counts=profile_counts(n_max, num_classes, target_if),
-        class_order=np.arange(num_classes, dtype=np.int64),
-    )
-
-
-def rotate_profile(profile: LtProfile, offset: int) -> LtProfile:
-    """Shift which classes sit at the head: rank j maps to class (order[j] + offset) mod M."""
-    m = profile.num_classes
-    if not 0 <= offset < m:
-        raise ValueError("offset must lie in [0, M)")
-    return LtProfile(
-        target_if=profile.target_if,
-        counts=profile.counts.copy(),
-        class_order=(profile.class_order + offset) % m,
     )
 
 
@@ -130,12 +92,11 @@ def shape_long_tailed(dataset: Dataset, profile: LtProfile, seed: int) -> Datase
     have = class_counts(dataset)
     rng = rng_from(seed)
     picks: list[np.ndarray] = []
-    for rank in range(profile.num_classes):
-        cls = int(profile.class_order[rank])
-        need = int(profile.counts[rank])
+    for cls in range(profile.num_classes):
+        need = int(profile.counts[cls])
         if have[cls] < need:
             raise CapacityError(
-                f"class {cls} has {int(have[cls])} samples, profile rank {rank} needs {need}"
+                f"class {cls} has {int(have[cls])} samples, the profile needs {need}"
             )
         pool = np.nonzero(dataset.labels == cls)[0]
         picks.append(rng.permutation(pool)[:need])

@@ -264,8 +264,8 @@ def _split_client_shards(
 ) -> tuple[list[ClientShard], list[ClientShard] | None]:
     """Hold out a stratified slice of every client shard for evaluation.
 
-    Uses the lenient per-class rule: single-sample classes stay on the train
-    side, every class with two or more samples contributes a holdout sample.
+    A single-sample class stays on the train side; every class with two or
+    more samples contributes a holdout sample.
     """
     if fraction == 0.0:
         return list(partition.shards), None
@@ -274,9 +274,7 @@ def _split_client_shards(
     for shard in partition.shards:
         labels = train.labels[shard.indices]
         rng = derive_rng(master_seed, "client-holdout", shard.client_id)
-        tr_pos, te_pos = stratified_split_indices(
-            labels, train.num_classes, fraction, rng, strict=False
-        )
+        tr_pos, te_pos = stratified_split_indices(labels, train.num_classes, fraction, rng)
         train_shards.append(ClientShard(shard.client_id, shard.indices[tr_pos]))
         test_shards.append(ClientShard(shard.client_id, shard.indices[te_pos]))
         if np.intersect1d(train_shards[-1].indices, test_shards[-1].indices).size:
@@ -546,7 +544,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     algorithm = _algorithm(config, model_config, params)
     algo = config.algo
 
-    groups = head_tail_groups(partition.global_stats.counts)
+    groups = head_tail_groups(partition.counts.sum(axis=0))
     with np.errstate(over="ignore", invalid="ignore"):
         eval_points = [_evaluate_point(
             config, model_config, 0, params, algorithm.heads, test, groups, holdouts

@@ -13,7 +13,9 @@ imbalance:
                     global stays balanced.
 
 All constructions are deterministic in PartitionSpec.seed and never assign
-one sample to two clients.
+one sample to two clients. A partition carries its client-by-class count
+matrix, from which the report derives each client's imbalance factor (IF_L)
+and the global one (IF_G).
 """
 from __future__ import annotations
 
@@ -27,12 +29,6 @@ from .datasets import ClientShard, Dataset, class_counts
 from .errors import CapacityError, InfeasibleSpecError, ProfileTooSteepError
 from .lt_shaping import exponential_profile, profile_counts
 from .seeding import derive_rng, rng_from
-from .stats import (
-    DistributionStats,
-    global_distribution,
-    imbalance_factor_from_counts,
-    local_distribution,
-)
 
 KIND_IID = "iid"
 KIND_DIRICHLET = "dirichlet"
@@ -61,8 +57,8 @@ class PartitionSpec:
             )
         if self.num_clients < 1:
             raise ValueError("num_clients must be >= 1")
-        if self.min_shard_size < 0:
-            raise ValueError("min_shard_size must be >= 0")
+        if self.min_shard_size < 1:
+            raise ValueError("min_shard_size must be >= 1")
         if self.kind == KIND_DIRICHLET:
             if self.alpha is None or self.alpha <= 0:
                 raise ValueError(f"alpha must be > 0 for {KIND_DIRICHLET} partitions")
@@ -75,12 +71,24 @@ class PartitionSpec:
             raise ValueError(f"local_if is only valid for {KIND_ROTATED_LT} partitions")
 
 
+def imbalance_factor(counts: np.ndarray) -> np.ndarray | float:
+    """Largest count over the smallest non-zero count, along the last axis.
+
+    Empty classes are left out of the minimum (the ratio would otherwise be
+    infinite). A 1-D count vector gives a scalar, a matrix one ratio per row.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    lows = np.where(counts > 0, counts, np.iinfo(np.int64).max).min(axis=-1)
+    return counts.max(axis=-1) / lows
+
+
 @dataclass(frozen=True)
 class Partition:
+    """Client shards and their (num_clients, M) count matrix: row k holds
+    client k's per-class sample counts."""
+
     shards: tuple[ClientShard, ...]
-    spec: PartitionSpec
-    client_stats: tuple[DistributionStats, ...] = field(repr=False)
-    global_stats: DistributionStats = field(repr=False)
+    counts: np.ndarray = field(repr=False)
 
 
 def _finish(dataset: Dataset, spec: PartitionSpec, index_lists: list[np.ndarray]) -> Partition:
@@ -88,30 +96,26 @@ def _finish(dataset: Dataset, spec: PartitionSpec, index_lists: list[np.ndarray]
         ClientShard(client_id=k, indices=np.sort(idx).astype(np.int64))
         for k, idx in enumerate(index_lists)
     )
-    seen: set[int] = set()
     for shard in shards:
         if len(shard) < spec.min_shard_size:
             raise InfeasibleSpecError(
                 f"client {shard.client_id} got {len(shard)} samples, "
                 f"below min_shard_size {spec.min_shard_size}"
             )
-        as_set = set(shard.indices.tolist())
-        if seen & as_set:
-            raise AssertionError("internal error: overlapping shards")
-        seen |= as_set
-    client_stats = tuple(local_distribution(s, dataset) for s in shards)
-    return Partition(
-        shards=shards,
-        spec=spec,
-        client_stats=client_stats,
-        global_stats=global_distribution(shards, dataset),
-    )
+    owned = np.concatenate([s.indices for s in shards])
+    if np.unique(owned).size != owned.size:
+        raise AssertionError("internal error: overlapping shards")
+    counts = np.stack(
+        [np.bincount(dataset.labels[s.indices], minlength=dataset.num_classes) for s in shards]
+    ).astype(np.int64)
+    counts.flags.writeable = False
+    return Partition(shards=shards, counts=counts)
 
 
 def check_supply(spec: PartitionSpec, counts: np.ndarray) -> np.ndarray | None:
     """Reject a dataset with these class counts before anything is drawn.
 
-    Every client needs max(min_shard_size, 1) samples. rotated_lt needs a
+    Every client needs min_shard_size samples. rotated_lt needs a
     balanced source and a local_if profile that fits each client's share and
     that every client still realizes, within LOCAL_IF_TOLERANCE, once
     oversubscribed classes are scaled down to their supply. For rotated_lt
@@ -120,14 +124,14 @@ def check_supply(spec: PartitionSpec, counts: np.ndarray) -> np.ndarray | None:
     or InfeasibleSpecError; the config checks call this too, when the counts
     are known from the config.
     """
-    n, need = int(counts.sum()), max(spec.min_shard_size, 1)
+    n, need = int(counts.sum()), spec.min_shard_size
     if spec.kind != KIND_ROTATED_LT:
         if n < spec.num_clients * need:
             raise CapacityError(
                 f"{n} samples cannot give {spec.num_clients} clients at least {need} each"
             )
         return None
-    if imbalance_factor_from_counts(counts) > 1.05:
+    if imbalance_factor(counts) > 1.05:
         raise InfeasibleSpecError("rotated_lt needs a balanced source dataset (IF <= 1.05)")
     num_clients, m, local_if = spec.num_clients, len(counts), float(spec.local_if)
     if n // num_clients < need:
@@ -147,11 +151,7 @@ def check_supply(spec: PartitionSpec, counts: np.ndarray) -> np.ndarray | None:
             scaled = demand[:, cls].astype(np.float64) * (counts[cls] / demanded)
             demand[:, cls] = _largest_remainder(scaled, int(counts[cls]))
 
-    # Each client's largest count over its smallest non-zero one, for all
-    # clients at once: one imbalance_factor_from_counts call per client took
-    # two thirds of this check's time at 100 clients.
-    lows = np.where(demand > 0, demand, np.iinfo(np.int64).max).min(axis=1)
-    realized = demand.max(axis=1) / lows
+    realized = imbalance_factor(demand)
     off = np.flatnonzero(np.abs(realized - local_if) > LOCAL_IF_TOLERANCE * local_if)
     if off.size:
         k = off[0]
@@ -342,14 +342,13 @@ class PartitionReport:
 
 def partition_report(partition: Partition) -> PartitionReport:
     """Summarize a partition as an N x M count matrix with imbalance columns."""
-    matrix = np.stack([s.counts for s in partition.client_stats])
+    matrix = partition.counts
+    global_counts = matrix.sum(axis=0)
     return PartitionReport(
         matrix=matrix,
-        client_sizes=np.asarray([s.total for s in partition.client_stats], dtype=np.int64),
-        client_if=np.asarray(
-            [s.imbalance_factor for s in partition.client_stats], dtype=np.float64
-        ),
-        global_counts=partition.global_stats.counts.copy(),
-        global_size=partition.global_stats.total,
-        global_if=partition.global_stats.imbalance_factor,
+        client_sizes=matrix.sum(axis=1),
+        client_if=imbalance_factor(matrix),
+        global_counts=global_counts,
+        global_size=int(global_counts.sum()),
+        global_if=float(imbalance_factor(global_counts)),
     )

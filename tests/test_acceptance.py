@@ -12,7 +12,7 @@ import pytest
 
 from fltbench.algorithms import AlgoConfig
 from fltbench.cli import main as cli_main
-from fltbench.datasets import ClientShard, generate_synthetic
+from fltbench.datasets import generate_synthetic
 from fltbench.lt_shaping import exponential_profile, shape_long_tailed
 from fltbench.nn import (
     ModelConfig,
@@ -30,9 +30,10 @@ from fltbench.partition import (
     PartitionSpec,
     build_partition,
     partition_dirichlet,
+    partition_iid,
+    partition_report,
     partition_rotated_longtail,
 )
-from fltbench.stats import global_distribution, local_distribution
 from conftest import as_vector, split_vector
 from test_nn import fd_safe_batch
 
@@ -59,15 +60,15 @@ def test_criterion_01_distribution_identities():
             min_shard_size=1,
         )
         part = build_partition(ds, spec)
+        report = partition_report(part)
         summed = sum(
             np.bincount(ds.labels[s.indices], minlength=m) for s in part.shards
         )
-        np.testing.assert_array_equal(part.global_stats.counts, summed)
-        locals_ = [local_distribution(s, ds) for s in part.shards]
-        weighted = sum(s.total * s.probs for s in locals_) / sum(
-            s.total for s in locals_
-        )
-        assert np.max(np.abs(part.global_stats.probs - weighted)) <= 1e-12
+        np.testing.assert_array_equal(report.global_counts, summed)
+        sizes = report.client_sizes[:, None]
+        weighted = (sizes * (report.matrix / sizes)).sum(axis=0) / sizes.sum()
+        global_probs = report.global_counts / report.global_size
+        assert np.max(np.abs(global_probs - weighted)) <= 1e-12
 
 
 def test_criterion_02_imbalance_factor_exactness(cifar_scale_ds):
@@ -76,8 +77,8 @@ def test_criterion_02_imbalance_factor_exactness(cifar_scale_ds):
     for target in (10.0, 50.0, 100.0):
         profile = exponential_profile(5000, 10, target)
         shaped = shape_long_tailed(cifar_scale_ds, profile, seed=0)
-        shard = ClientShard(0, np.arange(len(shaped)))
-        measured = global_distribution([shard], shaped).imbalance_factor
+        one_client = partition_iid(shaped, PartitionSpec(kind="iid", num_clients=1))
+        measured = partition_report(one_client).global_if
         assert abs(measured - target) <= 0.02 * target
 
 
@@ -177,10 +178,10 @@ def test_criterion_06_rotated_longtail_construction(cifar_scale_ds):
     client lands within 10% of target and the global stays near-balanced."""
     for target in (10.0, 50.0, 100.0):
         spec = PartitionSpec(kind="rotated_lt", num_clients=40, seed=0, local_if=target)
-        part = partition_rotated_longtail(cifar_scale_ds, spec)
-        for stats in part.client_stats:
-            assert abs(stats.imbalance_factor - target) <= 0.10 * target
-        assert part.global_stats.imbalance_factor <= 1.1
+        report = partition_report(partition_rotated_longtail(cifar_scale_ds, spec))
+        for client_if in report.client_if:
+            assert abs(client_if - target) <= 0.10 * target
+        assert report.global_if <= 1.1
 
 
 def _trend_config(lt_if, seed=0):
@@ -283,15 +284,17 @@ def test_criterion_09_dirichlet_concentration(balanced_ds):
     global_probs = np.full(10, 0.1)
     for seed in range(10):
         spec = PartitionSpec(kind="dirichlet", num_clients=10, seed=seed, alpha=1e6)
-        part = partition_dirichlet(balanced_ds, spec)
-        for stats in part.client_stats:
-            assert np.max(np.abs(stats.probs - global_probs)) <= 0.02
+        report = partition_report(partition_dirichlet(balanced_ds, spec))
+        for row, size in zip(report.matrix, report.client_sizes):
+            assert np.max(np.abs(row / size - global_probs)) <= 0.02
 
     global_entropy = np.log(10)
     for seed in range(10):
         spec = PartitionSpec(kind="dirichlet", num_clients=10, seed=seed, alpha=0.1)
-        part = partition_dirichlet(balanced_ds, spec)
-        mean_entropy = np.mean([s.entropy for s in part.client_stats])
+        report = partition_report(partition_dirichlet(balanced_ds, spec))
+        probs = report.matrix / report.client_sizes[:, None]
+        logs = np.log(np.where(probs > 0, probs, 1.0))
+        mean_entropy = np.mean(-(probs * logs).sum(axis=1))
         assert mean_entropy <= 0.60 * global_entropy
 
 

@@ -1,4 +1,4 @@
-"""Dataset construction, CIFAR binary IO, synthetic generation, holdouts."""
+"""Dataset construction, CIFAR binary parsing, synthetic generation, holdouts."""
 import os
 from pathlib import Path
 
@@ -12,17 +12,9 @@ from fltbench.datasets import (
     class_counts,
     generate_synthetic,
     load_cifar10,
-    read_record_file,
-    stratified_holdout,
-    subset,
-    write_cifar_batch,
-    write_record_file,
+    stratified_split_indices,
 )
-from fltbench.errors import (
-    CorruptRecordError,
-    DegenerateClassError,
-    MalformedFileError,
-)
+from fltbench.errors import CorruptRecordError, MalformedFileError
 from fltbench.nn import ModelConfig, TrainConfig, evaluate, init_model, sgd_epochs
 
 
@@ -86,24 +78,21 @@ class TestCifarLoader:
         np.testing.assert_allclose(planes.mean(axis=(0, 2)), 0.0, atol=1e-12)
         np.testing.assert_allclose(planes.std(axis=(0, 2)), 1.0, atol=1e-9)
 
-    def test_round_trip_preserves_bytes(self, tmp_path):
+    def test_records_parse_in_file_order(self, tmp_path):
+        # Oracle: each record's label byte, and its pixel bytes scaled to
+        # [0, 1] and standardized per channel plane with the file's own
+        # statistics, row for row.
         p = tmp_path / "orig.bin"
-        blob = _make_cifar_file(p, [4, 0, 9, 9], seed=7)
-        train, _ = load_cifar10([p], p)
-        out = tmp_path / "back.bin"
-        write_cifar_batch(out, train)
-        assert out.read_bytes() == blob
-
-    def test_round_trip_of_subset(self, tmp_path):
-        p = tmp_path / "orig.bin"
-        _make_cifar_file(p, [4, 0, 9, 9], seed=7)
-        train, _ = load_cifar10([p], p)
-        sub = subset(train, [1, 2])
-        out = tmp_path / "sub.bin"
-        write_cifar_batch(out, sub)
-        reloaded, _ = load_cifar10([out], out)
-        assert reloaded.labels.tolist() == [0, 9]
-        np.testing.assert_array_equal(reloaded.raw_pixels, train.raw_pixels[[1, 2]])
+        blob = _make_cifar_file(p, [4, 0, 9, 9, 2], seed=7)
+        train, test = load_cifar10([p], p)
+        records = np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
+        planes = records[:, 1:].reshape(-1, 3, 1024) / 255.0
+        mean = planes.mean(axis=(0, 2))[None, :, None]
+        std = planes.std(axis=(0, 2))[None, :, None]
+        expected = ((planes - mean) / std).reshape(-1, 3072)
+        for ds in (train, test):
+            assert ds.labels.tolist() == records[:, 0].tolist()
+            np.testing.assert_allclose(ds.features, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.skipif(
         not os.environ.get("FLTB_DATA_DIR"), reason="real CIFAR-10 data not configured"
@@ -160,23 +149,9 @@ class TestSynthetic:
 
 
 class TestClassCounts:
-    def test_shard_counts(self):
-        ds = Dataset(np.zeros((3, 1)), np.array([0, 0, 1]), num_classes=3)
-        shard = ClientShard(0, np.array([0, 1, 2]))
-        assert class_counts(shard, ds).tolist() == [2, 1, 0]
-
-    def test_empty_shard(self):
-        ds = Dataset(np.zeros((3, 1)), np.array([0, 0, 1]), num_classes=3)
-        shard = ClientShard(0, np.array([], dtype=np.int64))
-        assert class_counts(shard, ds).tolist() == [0, 0, 0]
-
     def test_counts_sum_to_size(self):
         ds = generate_synthetic(4, 11, 2, 0.3, seed=5)
         assert class_counts(ds).sum() == len(ds)
-
-    def test_shard_without_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            class_counts(ClientShard(0, np.array([0])))
 
 
 class TestDatasetInvariants:
@@ -201,68 +176,43 @@ class TestDatasetInvariants:
             ds.features[0, 0] = 1.0
 
 
+def _split(labels, fraction, seed):
+    """(train, holdout) positions of a stratified split of the labels."""
+    labels = np.asarray(labels)
+    return stratified_split_indices(
+        labels, int(labels.max()) + 1, fraction, np.random.default_rng(seed)
+    )
+
+
 class TestStratifiedHoldout:
     def test_fraction_point_two(self):
-        ds = generate_synthetic(2, 10, 2, 0.5, seed=0)
-        train, hold = stratified_holdout(ds, 0.2, seed=1)
-        assert class_counts(hold).tolist() == [2, 2]
-        assert class_counts(train).tolist() == [8, 8]
+        labels = np.repeat([0, 1], 10)
+        train, hold = _split(labels, 0.2, seed=1)
+        assert np.bincount(labels[hold]).tolist() == [2, 2]
+        assert np.bincount(labels[train]).tolist() == [8, 8]
 
     def test_floor_rule_keeps_one_in_train(self):
-        ds = generate_synthetic(2, 10, 2, 0.5, seed=0)
-        train, hold = stratified_holdout(ds, 0.999, seed=1)
-        assert class_counts(train).min() >= 1
-        assert class_counts(hold).tolist() == [9, 9]
+        labels = np.repeat([0, 1], 10)
+        train, hold = _split(labels, 0.999, seed=1)
+        assert np.bincount(labels[train]).min() >= 1
+        assert np.bincount(labels[hold]).tolist() == [9, 9]
 
     def test_deterministic(self):
-        ds = generate_synthetic(3, 12, 2, 0.5, seed=0)
-        a_train, a_hold = stratified_holdout(ds, 0.25, seed=9)
-        b_train, b_hold = stratified_holdout(ds, 0.25, seed=9)
-        np.testing.assert_array_equal(a_train.labels, b_train.labels)
-        np.testing.assert_array_equal(a_hold.features, b_hold.features)
+        labels = np.repeat([0, 1, 2], 12)
+        a_train, a_hold = _split(labels, 0.25, seed=9)
+        b_train, b_hold = _split(labels, 0.25, seed=9)
+        np.testing.assert_array_equal(a_train, b_train)
+        np.testing.assert_array_equal(a_hold, b_hold)
 
-    def test_single_sample_class_is_degenerate(self):
-        ds = Dataset(np.zeros((3, 1)), np.array([0, 0, 1]), num_classes=2)
-        with pytest.raises(DegenerateClassError):
-            stratified_holdout(ds, 0.5, seed=0)
+    def test_single_sample_class_stays_in_train(self):
+        labels = np.array([0, 0, 1])
+        train, hold = _split(labels, 0.5, seed=0)
+        assert 2 in train.tolist() and 2 not in hold.tolist()
+        assert np.bincount(labels[train], minlength=2).tolist() == [1, 1]
+        assert np.bincount(labels[hold], minlength=2).tolist() == [1, 0]
 
     def test_fraction_bounds(self):
-        ds = generate_synthetic(2, 4, 2, 0.5, seed=0)
+        labels = np.repeat([0, 1], 4)
         for bad in (0.0, 1.0, -0.1):
             with pytest.raises(ValueError):
-                stratified_holdout(ds, bad, seed=0)
-
-
-class TestRecordFile:
-    def test_round_trip(self, tmp_path):
-        ds = generate_synthetic(3, 4, 5, 0.5, seed=2)
-        path = tmp_path / "ds.fltds"
-        write_record_file(path, ds)
-        back = read_record_file(path)
-        assert back.num_classes == 3
-        np.testing.assert_array_equal(back.labels, ds.labels)
-        np.testing.assert_array_equal(
-            back.features, ds.features.astype(np.float32).astype(np.float64)
-        )
-
-    def test_rewrite_is_stable(self, tmp_path):
-        ds = generate_synthetic(3, 4, 5, 0.5, seed=2)
-        first = tmp_path / "a.fltds"
-        second = tmp_path / "b.fltds"
-        write_record_file(first, ds)
-        write_record_file(second, read_record_file(first))
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.fltds"
-        path.write_bytes(b"NOTADS" + b"\x00" * 32)
-        with pytest.raises(MalformedFileError):
-            read_record_file(path)
-
-    def test_truncated_body(self, tmp_path):
-        ds = generate_synthetic(2, 3, 4, 0.5, seed=1)
-        path = tmp_path / "t.fltds"
-        write_record_file(path, ds)
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(MalformedFileError):
-            read_record_file(path)
+                _split(labels, bad, seed=0)

@@ -1,16 +1,11 @@
-"""Exponential profiles, long-tail subsampling, and rotations."""
+"""Exponential profiles, long-tail subsampling, and the rotations rotated_lt makes."""
 import numpy as np
 import pytest
 
-from fltbench.datasets import class_counts, generate_synthetic
+from fltbench.datasets import Dataset, class_counts, generate_synthetic
 from fltbench.errors import CapacityError, ProfileTooSteepError
-from fltbench.lt_shaping import (
-    LtProfile,
-    exponential_profile,
-    profile_from_json,
-    rotate_profile,
-    shape_long_tailed,
-)
+from fltbench.lt_shaping import LtProfile, exponential_profile, shape_long_tailed
+from fltbench.partition import PartitionSpec, partition_rotated_longtail
 
 # Oracle values: floor(5000 * 10^(-j/9)) per class, tail forced to 5000/10.
 PROFILE_5000_10_IF10 = [5000, 3871, 2997, 2320, 1796, 1391, 1077, 834, 645, 500]
@@ -20,7 +15,6 @@ class TestExponentialProfile:
     def test_if_one_is_flat(self):
         profile = exponential_profile(5000, 10, 1.0)
         assert profile.counts.tolist() == [5000] * 10
-        assert profile.class_order.tolist() == list(range(10))
 
     def test_if_100_endpoints(self):
         profile = exponential_profile(5000, 10, 100.0)
@@ -59,41 +53,37 @@ class TestExponentialProfile:
         with pytest.raises(ProfileTooSteepError):
             exponential_profile(10, 10, 1.05)
 
-    def test_json_round_trip(self):
-        profile = exponential_profile(300, 5, 4.0)
-        back = profile_from_json(profile.to_json_dict())
-        assert back.target_if == profile.target_if
-        np.testing.assert_array_equal(back.counts, profile.counts)
-        np.testing.assert_array_equal(back.class_order, profile.class_order)
-
 
 class TestRotate:
+    """Profiles are rotated by the rotated_lt partition: client k holds
+    profile.counts[(c - k) mod M] samples of class c."""
+
+    @staticmethod
+    def _rotated_rows(profile):
+        """The count matrix of M clients whose per-client budget is exactly
+        the profile's total, so each client holds one rotation of it."""
+        m = profile.num_classes
+        dataset = generate_synthetic(m, int(profile.counts.sum()), 2, 0.5, seed=0)
+        spec = PartitionSpec(kind="rotated_lt", num_clients=m, local_if=profile.target_if)
+        return partition_rotated_longtail(dataset, spec).counts
+
     def test_offset_zero_is_identity(self):
         profile = exponential_profile(100, 4, 2.0)
-        rotated = rotate_profile(profile, 0)
-        np.testing.assert_array_equal(rotated.class_order, profile.class_order)
+        rows = self._rotated_rows(profile)
+        np.testing.assert_array_equal(rows[0], profile.counts)
 
     def test_offset_moves_head(self):
-        profile = exponential_profile(5000, 10, 10.0)
-        rotated = rotate_profile(profile, 3)
-        assert rotated.class_order[0] == 3
-        np.testing.assert_array_equal(rotated.counts, profile.counts)
+        profile = exponential_profile(500, 10, 10.0)
+        rows = self._rotated_rows(profile)
+        assert rows[3].argmax() == 3
+        np.testing.assert_array_equal(rows[3], np.roll(profile.counts, 3))
 
     def test_rotation_balance_lemma(self):
         # Summing all M rotations of one profile loads every class equally.
-        profile = exponential_profile(5000, 10, 100.0)
-        totals = np.zeros(10, dtype=np.int64)
-        for offset in range(10):
-            rotated = rotate_profile(profile, offset)
-            totals[rotated.class_order] += rotated.counts
+        profile = exponential_profile(500, 10, 100.0)
+        totals = self._rotated_rows(profile).sum(axis=0)
         assert len(set(totals.tolist())) == 1
         assert totals[0] == profile.counts.sum()
-
-    def test_offset_bounds(self):
-        profile = exponential_profile(100, 4, 2.0)
-        for bad in (-1, 4):
-            with pytest.raises(ValueError):
-                rotate_profile(profile, bad)
 
 
 class TestShapeLongTailed:
@@ -122,18 +112,9 @@ class TestShapeLongTailed:
         assert a.features.tobytes() == b.features.tobytes()
 
     def test_capacity_error_names_class(self):
-        ds = generate_synthetic(3, 10, 2, 0.5, seed=0)
-        profile = LtProfile(
-            target_if=2.0,
-            counts=np.array([20, 15, 10]),
-            class_order=np.array([2, 1, 0]),
-        )
+        # Classes 0 and 1 can supply their share; class 2 holds 5 of its 10.
+        labels = np.repeat([0, 1, 2], [30, 30, 5])
+        ds = Dataset(np.zeros((labels.size, 1)), labels, num_classes=3)
+        profile = LtProfile(target_if=2.0, counts=np.array([20, 15, 10]))
         with pytest.raises(CapacityError, match="class 2"):
             shape_long_tailed(ds, profile, seed=0)
-
-    def test_rotated_profile_moves_head_class(self, balanced_ds):
-        profile = rotate_profile(exponential_profile(400, 10, 10.0), 3)
-        shaped = shape_long_tailed(balanced_ds, profile, seed=2)
-        counts = class_counts(shaped)
-        assert counts[3] == 400
-        assert counts.argmax() == 3

@@ -1,4 +1,6 @@
 """IID, Dirichlet, and rotated long-tail partitions plus reporting."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,18 @@ from fltbench.lt_shaping import exponential_profile, shape_long_tailed
 from fltbench.partition import (
     PartitionSpec,
     build_partition,
+    imbalance_factor,
     partition_dirichlet,
     partition_iid,
     partition_report,
     partition_rotated_longtail,
 )
-from fltbench.stats import global_distribution, local_distribution
+
+
+def _entropy(row):
+    """Shannon entropy (nats) of one count row's class frequencies."""
+    p = row[row > 0] / row.sum()
+    return float(-(p * np.log(p)).sum())
 
 
 def _assert_disjoint(partition):
@@ -44,8 +52,8 @@ class TestIid:
         ds = generate_synthetic(2, 50, 2, 0.5, seed=0)
         part = partition_iid(ds, PartitionSpec(kind="iid", num_clients=2, seed=1))
         assert [len(s) for s in part.shards] == [50, 50]
-        for stats in part.client_stats:
-            assert stats.imbalance_factor <= 1.5
+        for client_if in partition_report(part).client_if:
+            assert client_if <= 1.5
         _assert_disjoint(part)
 
     def test_single_client_gets_everything(self):
@@ -64,8 +72,8 @@ class TestIid:
         # tail class per client.
         lt = shape_long_tailed(cifar_scale_ds, exponential_profile(5000, 10, 100), seed=0)
         part = partition_iid(lt, PartitionSpec(kind="iid", num_clients=40, seed=0))
-        for stats in part.client_stats:
-            assert 30.0 <= stats.imbalance_factor <= 200.0
+        for client_if in partition_report(part).client_if:
+            assert 30.0 <= client_if <= 200.0
 
     def test_capacity(self):
         ds = generate_synthetic(2, 5, 2, 0.5, seed=0)
@@ -86,10 +94,10 @@ class TestDirichlet:
             spec = PartitionSpec(
                 kind="dirichlet", num_clients=10, seed=seed, alpha=1e6
             )
-            part = partition_dirichlet(balanced_ds, spec)
-            g = global_distribution(part.shards, balanced_ds)
-            for stats in part.client_stats:
-                assert np.max(np.abs(stats.probs - g.probs)) <= 0.02
+            report = partition_report(partition_dirichlet(balanced_ds, spec))
+            global_probs = report.global_counts / report.global_size
+            for row, size in zip(report.matrix, report.client_sizes):
+                assert np.max(np.abs(row / size - global_probs)) <= 0.02
 
     def test_small_alpha_collapses_entropy(self, balanced_ds):
         # Threshold frozen from a 10-seed pre-run: the mean client label
@@ -97,8 +105,8 @@ class TestDirichlet:
         global_entropy = np.log(10)
         for seed in range(10):
             spec = PartitionSpec(kind="dirichlet", num_clients=10, seed=seed, alpha=0.1)
-            part = partition_dirichlet(balanced_ds, spec)
-            mean_entropy = np.mean([s.entropy for s in part.client_stats])
+            report = partition_report(partition_dirichlet(balanced_ds, spec))
+            mean_entropy = np.mean([_entropy(row) for row in report.matrix])
             assert mean_entropy <= 0.60 * global_entropy
 
     def test_single_client(self, balanced_ds):
@@ -115,7 +123,9 @@ class TestDirichlet:
     def test_class_totals_preserved_exactly(self, balanced_ds):
         spec = PartitionSpec(kind="dirichlet", num_clients=6, seed=2, alpha=0.2)
         part = partition_dirichlet(balanced_ds, spec)
-        summed = sum(class_counts(s, balanced_ds) for s in part.shards)
+        summed = sum(
+            np.bincount(balanced_ds.labels[s.indices], minlength=10) for s in part.shards
+        )
         np.testing.assert_array_equal(summed, class_counts(balanced_ds))
 
     def test_min_shard_size_enforced(self, balanced_ds):
@@ -144,37 +154,33 @@ class TestRotatedLongtail:
     def test_two_class_symmetry(self):
         ds = generate_synthetic(2, 100, 2, 0.5, seed=0)
         spec = PartitionSpec(kind="rotated_lt", num_clients=2, seed=3, local_if=3.0)
-        part = partition_rotated_longtail(ds, spec)
-        counts0 = class_counts(part.shards[0], ds)
-        counts1 = class_counts(part.shards[1], ds)
-        assert counts0.tolist() == [75, 25]
-        assert counts1.tolist() == [25, 75]
-        g = global_distribution(part.shards, ds)
-        assert g.counts.tolist() == [100, 100]
-        assert g.imbalance_factor == 1.0
+        report = partition_report(partition_rotated_longtail(ds, spec))
+        assert report.matrix[0].tolist() == [75, 25]
+        assert report.matrix[1].tolist() == [25, 75]
+        assert report.global_counts.tolist() == [100, 100]
+        assert report.global_if == 1.0
 
     def test_cifar_scale_targets(self, cifar_scale_ds):
         for target in (10.0, 50.0, 100.0):
             spec = PartitionSpec(
                 kind="rotated_lt", num_clients=40, seed=0, local_if=target
             )
-            part = partition_rotated_longtail(cifar_scale_ds, spec)
-            for stats in part.client_stats:
-                assert abs(stats.imbalance_factor - target) <= 0.10 * target
-            assert part.global_stats.imbalance_factor <= 1.1
+            report = partition_report(partition_rotated_longtail(cifar_scale_ds, spec))
+            for client_if in report.client_if:
+                assert abs(client_if - target) <= 0.10 * target
+            assert report.global_if <= 1.1
 
     def test_if_one_degenerates_to_uniform_iid_shards(self, balanced_ds):
         spec = PartitionSpec(kind="rotated_lt", num_clients=10, seed=0, local_if=1.0)
-        part = partition_rotated_longtail(balanced_ds, spec)
-        for stats in part.client_stats:
-            assert stats.imbalance_factor == 1.0
-            assert len(set(stats.counts.tolist())) == 1
-        assert part.global_stats.imbalance_factor == 1.0
+        report = partition_report(partition_rotated_longtail(balanced_ds, spec))
+        for row, client_if in zip(report.matrix, report.client_if):
+            assert client_if == 1.0
+            assert len(set(row.tolist())) == 1
+        assert report.global_if == 1.0
 
     def test_balance_lemma_exact_with_n_multiple_of_m(self, cifar_scale_ds):
         spec = PartitionSpec(kind="rotated_lt", num_clients=40, seed=7, local_if=100.0)
-        part = partition_rotated_longtail(cifar_scale_ds, spec)
-        totals = part.global_stats.counts
+        totals = partition_report(partition_rotated_longtail(cifar_scale_ds, spec)).global_counts
         assert len(set(totals.tolist())) == 1
 
     def test_leftover_bounded_by_clients_times_classes(self, cifar_scale_ds):
@@ -192,7 +198,7 @@ class TestRotatedLongtail:
     def test_infeasible_budget_rejected(self):
         ds = generate_synthetic(10, 12, 2, 0.5, seed=0)
         spec = PartitionSpec(
-            kind="rotated_lt", num_clients=2, seed=0, local_if=100.0, min_shard_size=0
+            kind="rotated_lt", num_clients=2, seed=0, local_if=100.0, min_shard_size=1
         )
         with pytest.raises(InfeasibleSpecError):
             partition_rotated_longtail(ds, spec)
@@ -205,16 +211,30 @@ class TestRotatedLongtail:
             np.testing.assert_array_equal(sa.indices, sb.indices)
 
 
+def _assert_counts_match_shards(dataset, spec):
+    """The stored count matrix equals each shard's label bincount, and each
+    client's IF_L is the scalar rule applied to its row."""
+    part = build_partition(dataset, spec)
+    report = partition_report(part)
+    for shard, row, client_if in zip(part.shards, report.matrix, report.client_if):
+        fresh = np.bincount(dataset.labels[shard.indices], minlength=dataset.num_classes)
+        np.testing.assert_array_equal(row, fresh)
+        assert client_if == imbalance_factor(fresh)
+    assert report.global_if == imbalance_factor(report.matrix.sum(axis=0))
+
+
 class TestStatsCoherence:
     def test_stored_stats_match_recomputation(self, balanced_ds):
         spec = PartitionSpec(kind="dirichlet", num_clients=5, seed=21, alpha=0.4)
-        part = build_partition(balanced_ds, spec)
-        for shard, stored in zip(part.shards, part.client_stats):
-            fresh = local_distribution(shard, balanced_ds)
-            np.testing.assert_array_equal(fresh.counts, stored.counts)
-            assert fresh.imbalance_factor == stored.imbalance_factor
-        fresh_global = global_distribution(part.shards, balanced_ds)
-        np.testing.assert_array_equal(fresh_global.counts, part.global_stats.counts)
+        _assert_counts_match_shards(balanced_ds, spec)
+
+    def test_iid_counts_match_recomputation(self, cifar_scale_ds):
+        lt = shape_long_tailed(cifar_scale_ds, exponential_profile(5000, 10, 100), seed=0)
+        _assert_counts_match_shards(lt, PartitionSpec(kind="iid", num_clients=40, seed=0))
+
+    def test_rotated_lt_counts_match_recomputation(self, balanced_ds):
+        spec = PartitionSpec(kind="rotated_lt", num_clients=10, seed=13, local_if=10.0)
+        _assert_counts_match_shards(balanced_ds, spec)
 
 
 class TestReport:
@@ -252,3 +272,13 @@ class TestReport:
         assert doc["global_size"] == len(balanced_ds)
         assert len(doc["matrix"]) == 3
         assert doc["client_sizes"] == [len(s) for s in partition_iid(balanced_ds, spec).shards]
+
+
+def test_readme_python_api_example_runs(capsys):
+    # The fenced python block under README's "Python API" heading must run
+    # as shown, so every name it imports has to stay exported.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("client,class_0,")
