@@ -19,10 +19,8 @@ from .algorithms import (
     local_update_fedprox,
 )
 from .datasets import (
-    ClientShard,
     Dataset,
     class_counts,
-    gather,
     generate_synthetic,
     load_cifar10,
     subset,
@@ -73,10 +71,7 @@ from .partition import (
     PartitionSpec,
     build_partition,
     imbalance_factor,
-    partition_dirichlet,
-    partition_iid,
     partition_report,
-    partition_rotated_longtail,
 )
 
 __version__ = "0.1.0"

@@ -110,17 +110,8 @@ def local_update_fedprox(
     client_id: int = 0,
 ) -> ClientUpdate:
     """FedAvg update with mu*(w - w_global) added to every batch gradient."""
-    anchor = global_params.copy()
-
-    def proximal_pull(w: ModelParams) -> ModelParams:
-        return ModelParams(
-            mu * (w.rep_block - anchor.rep_block),
-            mu * (w.head_block - anchor.head_block),
-        )
-
     trained = sgd_epochs(
-        global_params, model_config, train_config, shard_x, shard_y,
-        extra_grad_hook=proximal_pull,
+        global_params, model_config, train_config, shard_x, shard_y, prox_mu=mu
     )
     return ClientUpdate(client_id=client_id, params=trained, n_k=shard_y.shape[0])
 
@@ -255,20 +246,17 @@ def matching_loss_and_grad(
 def retrain_head(
     head_block: np.ndarray,
     features: np.ndarray,
-    num_classes: int,
     learning_rate: float,
     steps: int,
 ) -> np.ndarray:
     """Full-batch gradient descent of the head on labeled feature prototypes.
 
-    features is (M, per_class, feature_dim); every prototype carries its
-    class label, so the training set is balanced by construction. Each step
-    is the linear-softmax cross-entropy gradient step, computed in place on
-    views of one head copy.
+    features is (M, per_class, feature_dim), one slice per class; every
+    prototype carries its class label, so the training set is balanced by
+    construction. Each step is the linear-softmax cross-entropy gradient
+    step, computed in place on views of one head copy.
     """
     m, per_class, feat_dim = features.shape
-    if m != num_classes:
-        raise ValueError("feature prototypes must cover every class")
     if not np.isfinite(features).all():
         raise NonFiniteError("feature prototypes contain non-finite values")
     n = m * per_class
@@ -345,7 +333,6 @@ class CreffServer:
         return retrain_head(
             global_params.head_block,
             self.features,
-            m,
             self.algo_config.retrain_lr,
             self.algo_config.retrain_steps,
         )

@@ -86,7 +86,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     manifest = {
         "dataset": train.name,
         "num_samples": len(train),
-        "clients": {str(s.client_id): s.indices.tolist() for s in partition.shards},
+        "clients": {str(k): shard.tolist() for k, shard in enumerate(partition.shards)},
     }
     _write(out / "shards.json", json.dumps(manifest) + "\n")
     print(f"wrote partition report for {config.partition.num_clients} clients to {out}")
@@ -153,8 +153,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             cell_dir / f"{slug}.report.json",
             json.dumps(report.to_json_dict(), indent=2) + "\n",
         )
-    for cell, message in result.errors:
-        print(f"warning: cell ({cell.row}, {cell.col}) failed: {message}", file=sys.stderr)
+    failures = [
+        f"cell ({cell.row}, {cell.col}) seed {cell.seed_index} failed: {message}\n"
+        for cell, message in result.errors
+    ]
+    _write(out / "errors.txt", "".join(failures))
+    for line in failures:
+        print(f"warning: {line}", end="", file=sys.stderr)
     print(f"sweep table written to {out / (name + '.csv')} ({len(result.errors)} warnings)")
     return EXIT_OK
 

@@ -166,16 +166,19 @@ def parse_grid_config(
     algorithms = raw.get("algorithms")
     if not isinstance(algorithms, list) or not algorithms:
         raise ConfigError("grid.algorithms must be a non-empty list")
+    for i, algo in enumerate(algorithms):
+        if algo in algorithms[:i]:
+            raise ConfigError(f"duplicate algorithm {algo!r}")
     settings = raw.get("settings")
     if not isinstance(settings, list) or not settings:
         raise ConfigError("grid.settings must be a non-empty list")
     seeds = raw.get("seeds", None)
     if seeds is None:
         seeds = [None]
-    elif not isinstance(seeds, list) or not all(
+    elif not isinstance(seeds, list) or not seeds or not all(
         isinstance(s, int) and not isinstance(s, bool) for s in seeds
     ):
-        raise ConfigError("grid.seeds must be a list of integers")
+        raise ConfigError("grid.seeds must be a non-empty list of integers")
 
     cols: list[str] = []
     cells: list[SweepCell] = []

@@ -1,9 +1,10 @@
-"""Labeled classification datasets and client-side index views.
+"""Labeled classification datasets.
 
 Covers reading CIFAR-10 binary batches, a fast synthetic Gaussian generator
 used for desk-scale runs, class counting, and the stratified split of a
 label vector that carves client holdouts. Datasets are immutable after
-construction; shards are index views into a parent dataset, never copies.
+construction; a client's shard is an index array into one (see
+partition.Partition), never a copy.
 """
 from __future__ import annotations
 
@@ -61,26 +62,6 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class ClientShard:
-    """An index view over a parent dataset owned by one client."""
-
-    client_id: int
-    indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        idx = np.ascontiguousarray(self.indices, dtype=np.int64)
-        if idx.ndim != 1:
-            raise ValueError("shard indices must be 1-D")
-        if idx.size and np.unique(idx).size != idx.size:
-            raise ValueError(f"shard {self.client_id} holds duplicate indices")
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-
-    def __len__(self) -> int:
-        return self.indices.shape[0]
-
-
 def class_counts(dataset: Dataset) -> np.ndarray:
     """Per-class sample counts; counts always sum to the dataset size."""
     return np.bincount(dataset.labels, minlength=dataset.num_classes).astype(np.int64)
@@ -95,11 +76,6 @@ def subset(dataset: Dataset, indices: np.ndarray | Sequence[int], name: str | No
         num_classes=dataset.num_classes,
         name=name if name is not None else dataset.name,
     )
-
-
-def gather(dataset: Dataset, shard: ClientShard) -> tuple[np.ndarray, np.ndarray]:
-    """Features and labels of a shard as dense arrays."""
-    return dataset.features[shard.indices], dataset.labels[shard.indices]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import Dataset, class_counts, subset
+from . import datasets
+from .datasets import Dataset, class_counts
 from .errors import CapacityError, ProfileTooSteepError
 from .seeding import rng_from
 
@@ -101,4 +102,5 @@ def shape_long_tailed(dataset: Dataset, profile: LtProfile, seed: int) -> Datase
         pool = np.nonzero(dataset.labels == cls)[0]
         picks.append(rng.permutation(pool)[:need])
     chosen = np.sort(np.concatenate(picks))
-    return subset(dataset, chosen, name=f"{dataset.name}-lt{profile.target_if:g}")
+    # Through the module, so a wrapper set on datasets.subset sees the call.
+    return datasets.subset(dataset, chosen, name=f"{dataset.name}-lt{profile.target_if:g}")

@@ -305,22 +305,20 @@ class TrainConfig:
             raise ValueError("weight_decay must be >= 0")
 
 
-GradHook = Callable[[ModelParams], ModelParams]
-
-
 def sgd_epochs(
     params: ModelParams,
     config: ModelConfig,
     train_config: TrainConfig,
     shard_x: np.ndarray,
     shard_y: np.ndarray,
-    extra_grad_hook: GradHook | None = None,
+    prox_mu: float = 0.0,
 ) -> ModelParams:
     """Run local_epochs of mini-batch SGD and return the updated copy.
 
     Each epoch reshuffles under shuffle_seed's stream; the final short batch
-    is kept. When extra_grad_hook is given, its params-shaped output is added
-    to every batch gradient (this is how the proximal pull is injected).
+    is kept. A non-zero prox_mu adds FedProx's proximal pull
+    prox_mu * (w - params) to every batch gradient, toward the params the
+    call started from.
     """
     n = shard_y.shape[0]
     if n == 0:
@@ -339,10 +337,9 @@ def sgd_epochs(
                 w, config, xs[start : start + bs], ys[start : start + bs],
                 train_config.weight_decay,
             )
-            if extra_grad_hook is not None:
-                extra = extra_grad_hook(w)
-                grad.rep_block += extra.rep_block
-                grad.head_block += extra.head_block
+            if prox_mu:
+                grad.rep_block += prox_mu * (w.rep_block - params.rep_block)
+                grad.head_block += prox_mu * (w.head_block - params.head_block)
             grad.rep_block *= lr
             grad.head_block *= lr
             w.rep_block -= grad.rep_block

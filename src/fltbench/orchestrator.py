@@ -13,6 +13,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +33,8 @@ from .algorithms import (
     local_update_fedprox,
 )
 from .datasets import (
-    ClientShard,
     Dataset,
     class_counts,
-    gather,
     generate_synthetic,
     load_cifar10,
     stratified_split_indices,
@@ -227,20 +226,16 @@ def build_data(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict]:
     return train, test, info
 
 
-def head_tail_groups(
-    train_global_counts: np.ndarray,
-    hi: float | None = None,
-    lo: float | None = None,
-) -> dict[int, str]:
+def head_tail_groups(train_global_counts: np.ndarray) -> dict[int, str]:
     """Bucket classes by train count: > hi is head, < lo is tail, else medium.
 
-    Default cutoffs are 1000/200 at CIFAR scale (largest class 5000) and
+    The cutoffs hi/lo are 1000/200 at CIFAR scale (largest class 5000) and
     scale proportionally with the largest observed class count.
     """
     counts = np.asarray(train_global_counts, dtype=np.int64)
     scale = counts.max() / GROUP_REFERENCE_MAX
-    hi = GROUP_HI_REFERENCE * scale if hi is None else hi
-    lo = GROUP_LO_REFERENCE * scale if lo is None else lo
+    hi = GROUP_HI_REFERENCE * scale
+    lo = GROUP_LO_REFERENCE * scale
     groups: dict[int, str] = {}
     for cls, count in enumerate(counts):
         if count > hi:
@@ -253,34 +248,39 @@ def head_tail_groups(
 
 
 def sample_clients(num_clients: int, fraction: float, seed: int) -> list[int]:
-    """ceil(C*N) distinct clients, drawn uniformly under the given seed."""
-    count = math.ceil(fraction * num_clients)
+    """ceil(C*N) distinct clients, drawn uniformly under the given seed.
+
+    C*N is taken from the decimal C that was configured, so a fraction of
+    0.07 with 100 clients picks 7 clients, not 8 (0.07 * 100 in floats is
+    7.000000000000001).
+    """
+    count = math.ceil(Fraction(str(fraction)) * num_clients)
     rng = rng_from(seed)
     return sorted(int(k) for k in rng.choice(num_clients, size=count, replace=False))
 
 
 def _split_client_shards(
     train: Dataset, partition: Partition, fraction: float, master_seed: int
-) -> tuple[list[ClientShard], list[ClientShard] | None]:
+) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
     """Hold out a stratified slice of every client shard for evaluation.
 
-    A single-sample class stays on the train side; every class with two or
+    Returns the train and holdout index arrays, position k for client k. A
+    single-sample class stays on the train side; every class with two or
     more samples contributes a holdout sample.
     """
     if fraction == 0.0:
         return list(partition.shards), None
-    train_shards: list[ClientShard] = []
-    test_shards: list[ClientShard] = []
-    for shard in partition.shards:
-        labels = train.labels[shard.indices]
-        rng = derive_rng(master_seed, "client-holdout", shard.client_id)
-        tr_pos, te_pos = stratified_split_indices(labels, train.num_classes, fraction, rng)
-        train_shards.append(ClientShard(shard.client_id, shard.indices[tr_pos]))
-        test_shards.append(ClientShard(shard.client_id, shard.indices[te_pos]))
-        if np.intersect1d(train_shards[-1].indices, test_shards[-1].indices).size:
-            raise AssertionError(
-                f"client {shard.client_id} evaluation indices leaked into training"
-            )
+    train_shards: list[np.ndarray] = []
+    test_shards: list[np.ndarray] = []
+    for k, shard in enumerate(partition.shards):
+        rng = derive_rng(master_seed, "client-holdout", k)
+        tr_pos, te_pos = stratified_split_indices(
+            train.labels[shard], train.num_classes, fraction, rng
+        )
+        train_shards.append(shard[tr_pos])
+        test_shards.append(shard[te_pos])
+        if np.intersect1d(train_shards[-1], test_shards[-1]).size:
+            raise AssertionError(f"client {k} evaluation indices leaked into training")
     return train_shards, test_shards
 
 
@@ -288,8 +288,8 @@ def _split_client_shards(
 class _HoldoutStack:
     """Client holdouts of equal row count, classified in one stacked pass.
 
-    positions index the client shards, which follow client id, so they are
-    the clients' ids.
+    positions index the client shards, position k for client k, so they
+    are the clients' ids.
     """
 
     positions: np.ndarray  # (G,)
@@ -297,7 +297,7 @@ class _HoldoutStack:
     labels: np.ndarray  # (G, n)
 
 
-def _holdout_stacks(train: Dataset, shards: list[ClientShard]) -> list[_HoldoutStack]:
+def _holdout_stacks(train: Dataset, shards: list[np.ndarray]) -> list[_HoldoutStack]:
     """Stack the non-empty holdouts by row count, at most EVAL_BLOCK_ROWS rows
     a stack (a holdout longer than that forms a stack of its own)."""
     by_rows: dict[int, list[int]] = {}
@@ -309,7 +309,7 @@ def _holdout_stacks(train: Dataset, shards: list[ClientShard]) -> list[_HoldoutS
         per_stack = max(1, EVAL_BLOCK_ROWS // n)
         for lo in range(0, len(positions), per_stack):
             chunk = positions[lo : lo + per_stack]
-            idx = np.stack([shards[p].indices for p in chunk])
+            idx = np.stack([shards[p] for p in chunk])
             stacks.append(_HoldoutStack(
                 positions=np.array(chunk),
                 features=train.features[idx],
@@ -558,7 +558,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 )
                 updates = []
                 for k in sampled:
-                    shard_x, shard_y = gather(train, train_shards[k])
+                    shard = train_shards[k]
+                    shard_x, shard_y = train.features[shard], train.labels[shard]
                     seed = derive_seed(config.master_seed, "local-train", round_idx, k)
                     tc = replace(config.train, shuffle_seed=seed)
                     updates.append(algorithm.client_step(params, shard_x, shard_y, tc, k))
@@ -638,12 +639,12 @@ class SweepResult:
 
 
 def _run_cell(cell: SweepCell) -> tuple[SweepCell, ExperimentReport | None, str | None]:
-    """Run one cell; any exception becomes the cell's error, so one crashing
-    cell never takes down the sweep."""
+    """Run one cell; any exception becomes the cell's one-line error, so one
+    crashing cell never takes down the sweep."""
     try:
         return cell, run_experiment(cell.config), None
     except Exception as exc:
-        return cell, None, f"{type(exc).__name__}: {exc}"
+        return cell, None, " ".join(f"{type(exc).__name__}: {exc}".splitlines())
 
 
 def run_sweep(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datasets import ClientShard, Dataset, class_counts
+from .datasets import Dataset, class_counts
 from .errors import CapacityError, InfeasibleSpecError, ProfileTooSteepError
 from .lt_shaping import exponential_profile, profile_counts
 from .seeding import derive_rng, rng_from
@@ -84,29 +84,30 @@ def imbalance_factor(counts: np.ndarray) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class Partition:
-    """Client shards and their (num_clients, M) count matrix: row k holds
-    client k's per-class sample counts."""
+    """Client shards and their (num_clients, M) count matrix.
 
-    shards: tuple[ClientShard, ...]
+    shards[k] is client k's sorted, read-only int64 array of dataset
+    indices; row k of counts holds its per-class sample counts.
+    """
+
+    shards: tuple[np.ndarray, ...]
     counts: np.ndarray = field(repr=False)
 
 
 def _finish(dataset: Dataset, spec: PartitionSpec, index_lists: list[np.ndarray]) -> Partition:
-    shards = tuple(
-        ClientShard(client_id=k, indices=np.sort(idx).astype(np.int64))
-        for k, idx in enumerate(index_lists)
-    )
-    for shard in shards:
-        if len(shard) < spec.min_shard_size:
+    shards = tuple(np.sort(np.asarray(idx, dtype=np.int64)) for idx in index_lists)
+    for k, shard in enumerate(shards):
+        if shard.size < spec.min_shard_size:
             raise InfeasibleSpecError(
-                f"client {shard.client_id} got {len(shard)} samples, "
+                f"client {k} got {shard.size} samples, "
                 f"below min_shard_size {spec.min_shard_size}"
             )
-    owned = np.concatenate([s.indices for s in shards])
+        shard.flags.writeable = False
+    owned = np.concatenate(shards)
     if np.unique(owned).size != owned.size:
         raise AssertionError("internal error: overlapping shards")
     counts = np.stack(
-        [np.bincount(dataset.labels[s.indices], minlength=dataset.num_classes) for s in shards]
+        [np.bincount(dataset.labels[s], minlength=dataset.num_classes) for s in shards]
     ).astype(np.int64)
     counts.flags.writeable = False
     return Partition(shards=shards, counts=counts)
@@ -164,17 +165,6 @@ def check_supply(spec: PartitionSpec, counts: np.ndarray) -> np.ndarray | None:
     return demand
 
 
-def partition_iid(dataset: Dataset, spec: PartitionSpec) -> Partition:
-    """Shuffle all indices under the seed and deal them round-robin."""
-    if spec.kind != KIND_IID:
-        raise ValueError("spec.kind must be 'iid'")
-    check_supply(spec, class_counts(dataset))
-    n = len(dataset)
-    perm = rng_from(spec.seed).permutation(n)
-    lists = [perm[k :: spec.num_clients] for k in range(spec.num_clients)]
-    return _finish(dataset, spec, lists)
-
-
 def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
     """Round non-negative quotas to integers that sum exactly to total.
 
@@ -188,48 +178,6 @@ def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
         order = np.lexsort((np.arange(quotas.shape[0]), -frac))
         base[order[:short]] += 1
     return base
-
-
-def partition_dirichlet(dataset: Dataset, spec: PartitionSpec) -> Partition:
-    """Per class, split its samples across clients by Dirichlet(alpha) shares.
-
-    Shares are drawn independently per class from a symmetric Dirichlet and
-    rounded by largest remainder, so per-class totals are preserved exactly.
-    Draws that leave any client below min_shard_size are retried with a
-    derived sub-seed, up to DIRICHLET_RETRY_BUDGET attempts.
-    """
-    if spec.kind != KIND_DIRICHLET:
-        raise ValueError("spec.kind must be 'dirichlet'")
-    num_clients = spec.num_clients
-    counts = class_counts(dataset)
-    check_supply(spec, counts)
-    for attempt in range(DIRICHLET_RETRY_BUDGET):
-        rng = derive_rng(spec.seed, "dirichlet-attempt", attempt)
-        lists: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
-        sizes = np.zeros(num_clients, dtype=np.int64)
-        for cls in range(dataset.num_classes):
-            n_cls = int(counts[cls])
-            if n_cls == 0:
-                continue
-            pool = rng.permutation(np.nonzero(dataset.labels == cls)[0])
-            if num_clients == 1:
-                shares = np.asarray([n_cls], dtype=np.int64)
-            else:
-                props = rng.dirichlet(np.full(num_clients, spec.alpha))
-                shares = _largest_remainder(props * n_cls, n_cls)
-            offsets = np.concatenate([[0], np.cumsum(shares)])
-            for k in range(num_clients):
-                lists[k].append(pool[offsets[k] : offsets[k + 1]])
-            sizes += shares
-        if sizes.min() >= spec.min_shard_size:
-            merged = [
-                np.concatenate(parts) if parts else np.empty(0, np.int64) for parts in lists
-            ]
-            return _finish(dataset, spec, merged)
-    raise InfeasibleSpecError(
-        f"no Dirichlet draw satisfied min_shard_size={spec.min_shard_size} "
-        f"within {DIRICHLET_RETRY_BUDGET} attempts (alpha={spec.alpha}, N={num_clients})"
-    )
 
 
 def _solve_profile_budget(num_classes: int, local_if: float, budget: int) -> int:
@@ -263,38 +211,78 @@ def _solve_profile_budget(num_classes: int, local_if: float, budget: int) -> int
     )
 
 
-def partition_rotated_longtail(dataset: Dataset, spec: PartitionSpec) -> Partition:
-    """Give every client the same long-tail profile with a rotated head.
+def _draw_iid(n: int, spec: PartitionSpec) -> list[np.ndarray]:
+    """Shuffle all indices under the seed and deal them round-robin."""
+    perm = rng_from(spec.seed).permutation(n)
+    return [perm[k :: spec.num_clients] for k in range(spec.num_clients)]
 
-    Client k's head class is (k mod M). Per-class demand that exceeds supply
-    (possible when N is not a multiple of M) is scaled down proportionally
-    with largest-remainder rounding. With N a multiple of M the per-class
-    global totals come out exactly equal; with N much smaller than M the
-    few used rotations pile demand onto neighbouring head classes and the
-    scaled shards may no longer realize the target ratio, which raises
-    InfeasibleSpecError rather than returning a distorted partition. The
-    demand matrix comes from check_supply.
+
+def _draw_dirichlet(
+    labels: np.ndarray, counts: np.ndarray, spec: PartitionSpec
+) -> list[np.ndarray]:
+    """Per class, split its samples across clients by Dirichlet(alpha) shares.
+
+    Shares are drawn independently per class from a symmetric Dirichlet and
+    rounded by largest remainder, so per-class totals are preserved exactly.
+    Draws that leave any client below min_shard_size are retried with a
+    derived sub-seed, up to DIRICHLET_RETRY_BUDGET attempts.
     """
-    if spec.kind != KIND_ROTATED_LT:
-        raise ValueError("spec.kind must be 'rotated_lt'")
-    demand = check_supply(spec, class_counts(dataset))
+    num_clients = spec.num_clients
+    for attempt in range(DIRICHLET_RETRY_BUDGET):
+        rng = derive_rng(spec.seed, "dirichlet-attempt", attempt)
+        lists: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
+        sizes = np.zeros(num_clients, dtype=np.int64)
+        for cls in range(counts.shape[0]):
+            n_cls = int(counts[cls])
+            if n_cls == 0:
+                continue
+            pool = rng.permutation(np.nonzero(labels == cls)[0])
+            if num_clients == 1:
+                shares = np.asarray([n_cls], dtype=np.int64)
+            else:
+                props = rng.dirichlet(np.full(num_clients, spec.alpha))
+                shares = _largest_remainder(props * n_cls, n_cls)
+            offsets = np.concatenate([[0], np.cumsum(shares)])
+            for k in range(num_clients):
+                lists[k].append(pool[offsets[k] : offsets[k + 1]])
+            sizes += shares
+        if sizes.min() >= spec.min_shard_size:
+            return [np.concatenate(parts) if parts else np.empty(0, np.int64) for parts in lists]
+    raise InfeasibleSpecError(
+        f"no Dirichlet draw satisfied min_shard_size={spec.min_shard_size} "
+        f"within {DIRICHLET_RETRY_BUDGET} attempts (alpha={spec.alpha}, N={num_clients})"
+    )
+
+
+def _draw_rotated(labels: np.ndarray, demand: np.ndarray, spec: PartitionSpec) -> list[np.ndarray]:
+    """Deal each class's shuffled samples to the clients by check_supply's
+    demand matrix: client k's head class is (k mod M)."""
     rng = rng_from(spec.seed)
     lists: list[list[np.ndarray]] = [[] for _ in range(spec.num_clients)]
-    for cls in range(dataset.num_classes):
-        pool = rng.permutation(np.nonzero(dataset.labels == cls)[0])
+    for cls in range(demand.shape[1]):
+        pool = rng.permutation(np.nonzero(labels == cls)[0])
         offsets = np.concatenate([[0], np.cumsum(demand[:, cls])])
         for k in range(spec.num_clients):
             lists[k].append(pool[offsets[k] : offsets[k + 1]])
-    return _finish(dataset, spec, [np.concatenate(parts) for parts in lists])
+    return [np.concatenate(parts) for parts in lists]
 
 
 def build_partition(dataset: Dataset, spec: PartitionSpec) -> Partition:
-    """Dispatch on spec.kind."""
+    """Partition a dataset among spec.num_clients clients by spec.kind.
+
+    The class counts are checked once against the spec (check_supply raises
+    CapacityError or InfeasibleSpecError), then the shards are drawn under
+    spec.seed.
+    """
+    counts = class_counts(dataset)
+    demand = check_supply(spec, counts)
     if spec.kind == KIND_IID:
-        return partition_iid(dataset, spec)
-    if spec.kind == KIND_DIRICHLET:
-        return partition_dirichlet(dataset, spec)
-    return partition_rotated_longtail(dataset, spec)
+        lists = _draw_iid(len(dataset), spec)
+    elif spec.kind == KIND_DIRICHLET:
+        lists = _draw_dirichlet(dataset.labels, counts, spec)
+    else:
+        lists = _draw_rotated(dataset.labels, demand, spec)
+    return _finish(dataset, spec, lists)
 
 
 # ---------------------------------------------------------------------------

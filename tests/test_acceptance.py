@@ -29,10 +29,7 @@ from fltbench.orchestrator import (
 from fltbench.partition import (
     PartitionSpec,
     build_partition,
-    partition_dirichlet,
-    partition_iid,
     partition_report,
-    partition_rotated_longtail,
 )
 from conftest import as_vector, split_vector
 from test_nn import fd_safe_batch
@@ -62,7 +59,7 @@ def test_criterion_01_distribution_identities():
         part = build_partition(ds, spec)
         report = partition_report(part)
         summed = sum(
-            np.bincount(ds.labels[s.indices], minlength=m) for s in part.shards
+            np.bincount(ds.labels[s], minlength=m) for s in part.shards
         )
         np.testing.assert_array_equal(report.global_counts, summed)
         sizes = report.client_sizes[:, None]
@@ -77,7 +74,7 @@ def test_criterion_02_imbalance_factor_exactness(cifar_scale_ds):
     for target in (10.0, 50.0, 100.0):
         profile = exponential_profile(5000, 10, target)
         shaped = shape_long_tailed(cifar_scale_ds, profile, seed=0)
-        one_client = partition_iid(shaped, PartitionSpec(kind="iid", num_clients=1))
+        one_client = build_partition(shaped, PartitionSpec(kind="iid", num_clients=1))
         measured = partition_report(one_client).global_if
         assert abs(measured - target) <= 0.02 * target
 
@@ -178,7 +175,7 @@ def test_criterion_06_rotated_longtail_construction(cifar_scale_ds):
     client lands within 10% of target and the global stays near-balanced."""
     for target in (10.0, 50.0, 100.0):
         spec = PartitionSpec(kind="rotated_lt", num_clients=40, seed=0, local_if=target)
-        report = partition_report(partition_rotated_longtail(cifar_scale_ds, spec))
+        report = partition_report(build_partition(cifar_scale_ds, spec))
         for client_if in report.client_if:
             assert abs(client_if - target) <= 0.10 * target
         assert report.global_if <= 1.1
@@ -284,14 +281,14 @@ def test_criterion_09_dirichlet_concentration(balanced_ds):
     global_probs = np.full(10, 0.1)
     for seed in range(10):
         spec = PartitionSpec(kind="dirichlet", num_clients=10, seed=seed, alpha=1e6)
-        report = partition_report(partition_dirichlet(balanced_ds, spec))
+        report = partition_report(build_partition(balanced_ds, spec))
         for row, size in zip(report.matrix, report.client_sizes):
             assert np.max(np.abs(row / size - global_probs)) <= 0.02
 
     global_entropy = np.log(10)
     for seed in range(10):
         spec = PartitionSpec(kind="dirichlet", num_clients=10, seed=seed, alpha=0.1)
-        report = partition_report(partition_dirichlet(balanced_ds, spec))
+        report = partition_report(build_partition(balanced_ds, spec))
         probs = report.matrix / report.client_sizes[:, None]
         logs = np.log(np.where(probs > 0, probs, 1.0))
         mean_entropy = np.mean(-(probs * logs).sum(axis=1))

@@ -365,7 +365,7 @@ class TestCreffServer:
         cfg = ModelConfig(arch="linear_softmax", input_dim=6, num_classes=4, init_seed=3)
         params = init_model(cfg)
         prototypes = np.repeat(means[:, None, :], 10, axis=1)
-        new_head = retrain_head(params.head_block, prototypes, 4, 0.5, 400)
+        new_head = retrain_head(params.head_block, prototypes, 0.5, 400)
         tuned = ModelParams(params.rep_block, new_head)
         assert evaluate(tuned, cfg, toy).accuracy == 1.0
 
@@ -373,14 +373,14 @@ class TestCreffServer:
         m, per_class, f = 10, 20, 30
         head = rng.standard_normal(m * f + m) * 0.1
         prototypes = rng.standard_normal((m, per_class, f))
-        new_head = retrain_head(head, prototypes, m, 0.1, 25)
+        new_head = retrain_head(head, prototypes, 0.1, 25)
         np.testing.assert_array_equal(new_head, _retrain_reference(head, prototypes, 0.1, 25))
 
     def test_retrain_rejects_non_finite_prototypes(self, rng):
         prototypes = rng.standard_normal((3, 2, 4))
         prototypes[1, 0, 2] = np.nan
         with pytest.raises(NonFiniteError):
-            retrain_head(np.zeros(3 * 4 + 3), prototypes, 3, 0.1, 1)
+            retrain_head(np.zeros(3 * 4 + 3), prototypes, 0.1, 1)
 
     def test_server_round_changes_only_the_head(self, rng):
         cfg = ModelConfig(arch="mlp1h", input_dim=5, num_classes=3, init_seed=1, hidden_units=6)

@@ -67,3 +67,27 @@ def test_one_round_records_the_spans_of_every_step(algorithm):
     recorded = {name for name, *_ in tracer.spans}
     expected = EVERY_ALGORITHM | (CREFF if algorithm == "creff" else set())
     assert expected <= recorded, f"no spans of {sorted(expected - recorded)}"
+
+
+def test_setup_of_a_long_tail_run_records_its_spans():
+    config = ExperimentConfig(
+        data=DataConfig(source="synthetic", num_classes=3, per_class=40, test_per_class=4,
+                        dim=2, lt_target_if=4.0),
+        partition=PartitionSpec(kind="iid", num_clients=3, min_shard_size=1),
+        model=ModelSpec(arch="linear_softmax"),
+        train=TrainConfig(learning_rate=0.1, batch_size=8),
+        algo=AlgoConfig(algorithm="fedavg", rounds=0),
+        client_holdout_fraction=0.3,
+    )
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        fltbench.orchestrator.run_experiment(config)
+    finally:
+        tracer.uninstall()
+    recorded = {name for name, *_ in tracer.spans}
+    expected = {
+        "datasets.build", "lt_shaping.shape", "datasets.subset", "partition.build",
+        "partition.report", "datasets.split",
+    }
+    assert expected <= recorded, f"no spans of {sorted(expected - recorded)}"

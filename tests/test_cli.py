@@ -127,6 +127,20 @@ class TestConfigSchema:
         seeds = {c.config.master_seed for c in cells}
         assert seeds == {0, 1}
 
+    def test_grid_without_seeds_rejected(self, tmp_path, capsys):
+        code = main(["sweep", "--config", _write_config(tmp_path, _grid_doc(seeds=[])),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "grid.seeds must be a non-empty list" in capsys.readouterr().err
+
+    def test_algorithm_listed_twice_rejected(self, tmp_path, capsys):
+        doc = _grid_doc()
+        doc["algorithms"] = ["fedavg", "fedprox", "fedavg"]
+        code = main(["sweep", "--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "duplicate algorithm 'fedavg'" in capsys.readouterr().err
+
     def test_grid_override_touches_only_named_keys(self):
         _, cells, _, _ = parse_grid_config(_grid_doc())
         dir_cells = [c for c in cells if c.col == "dir05"]
@@ -315,6 +329,26 @@ class TestSweepCommand:
         assert len(lines) == 3
         cells = list((out / "cells").glob("*.report.json"))
         assert len(cells) == 4
+        assert (out / "errors.txt").read_text() == ""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_errors_file_names_the_one_failing_cell(self, tmp_path, capsys, workers):
+        doc = _grid_doc(rounds=1)
+        doc["algorithms"] = ["fedavg"]
+        doc["settings"][1] = {"label": "broken", "overrides": {
+            "data": {"source": "cifar10", "data_dir": "/missing"},
+        }}
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", _write_config(tmp_path, doc), "--out", str(out),
+                     "--workers", workers])
+        assert code == 0
+        assert (out / "errors.txt").read_text() == (
+            "cell (fedavg, broken) seed 0 failed: ConfigError: "
+            "dataset file not found: /missing/data_batch_1.bin\n"
+        )
+        assert capsys.readouterr().err == "warning: " + (out / "errors.txt").read_text()
+        rows = [line.split(",") for line in (out / "smoke_table.csv").read_text().split()]
+        assert rows[1][1] != "ERROR" and rows[1][2] == "ERROR"
 
     def test_rerun_identical_csv(self, tmp_path):
         config = _write_config(tmp_path, _grid_doc())

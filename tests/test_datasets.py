@@ -7,7 +7,6 @@ import pytest
 
 from fltbench.datasets import (
     CIFAR_RECORD_BYTES,
-    ClientShard,
     Dataset,
     class_counts,
     generate_synthetic,
@@ -165,10 +164,6 @@ class TestDatasetInvariants:
         feats[1, 0] = bad
         with pytest.raises(ValueError, match="NaN or infinity"):
             Dataset(feats, np.array([0, 1, 0]), num_classes=2)
-
-    def test_duplicate_shard_indices(self):
-        with pytest.raises(ValueError):
-            ClientShard(0, np.array([1, 1, 2]))
 
     def test_features_are_immutable(self):
         ds = generate_synthetic(2, 2, 2, 0.5, seed=0)

@@ -5,7 +5,7 @@ import pytest
 from fltbench.datasets import Dataset, class_counts, generate_synthetic
 from fltbench.errors import CapacityError, ProfileTooSteepError
 from fltbench.lt_shaping import LtProfile, exponential_profile, shape_long_tailed
-from fltbench.partition import PartitionSpec, partition_rotated_longtail
+from fltbench.partition import PartitionSpec, build_partition
 
 # Oracle values: floor(5000 * 10^(-j/9)) per class, tail forced to 5000/10.
 PROFILE_5000_10_IF10 = [5000, 3871, 2997, 2320, 1796, 1391, 1077, 834, 645, 500]
@@ -65,7 +65,7 @@ class TestRotate:
         m = profile.num_classes
         dataset = generate_synthetic(m, int(profile.counts.sum()), 2, 0.5, seed=0)
         spec = PartitionSpec(kind="rotated_lt", num_clients=m, local_if=profile.target_if)
-        return partition_rotated_longtail(dataset, spec).counts
+        return build_partition(dataset, spec).counts
 
     def test_offset_zero_is_identity(self):
         profile = exponential_profile(100, 4, 2.0)

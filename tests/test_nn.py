@@ -99,7 +99,7 @@ def _loss_and_grad_reference(params, cfg, batch_x, batch_y, weight_decay=0.0):
     return loss, ModelParams(grad_rep, grad_head)
 
 
-def _sgd_reference(params, cfg, tc, shard_x, shard_y, extra_grad_hook=None):
+def _sgd_reference(params, cfg, tc, shard_x, shard_y, prox_mu=0.0):
     """The sgd_epochs loop as written before it gathered each epoch once."""
     w = params.copy()
     rng = rng_from(tc.shuffle_seed)
@@ -110,10 +110,9 @@ def _sgd_reference(params, cfg, tc, shard_x, shard_y, extra_grad_hook=None):
             _, grad = _loss_and_grad_reference(
                 w, cfg, shard_x[sel], shard_y[sel], tc.weight_decay
             )
-            if extra_grad_hook is not None:
-                extra = extra_grad_hook(w)
-                grad.rep_block = grad.rep_block + extra.rep_block
-                grad.head_block = grad.head_block + extra.head_block
+            if prox_mu:
+                grad.rep_block = grad.rep_block + prox_mu * (w.rep_block - params.rep_block)
+                grad.head_block = grad.head_block + prox_mu * (w.head_block - params.head_block)
             w.rep_block -= tc.learning_rate * grad.rep_block
             w.head_block -= tc.learning_rate * grad.head_block
     return w
@@ -431,13 +430,9 @@ class TestSgd:
         y = rng.integers(0, 10, 150)
         tc = TrainConfig(learning_rate=0.1, batch_size=64, local_epochs=2,
                          weight_decay=1e-4, shuffle_seed=12)
-        hook = None
-        if proximal:
-            def hook(w):
-                return ModelParams(0.01 * (w.rep_block - params.rep_block),
-                                   0.01 * (w.head_block - params.head_block))
-        out = sgd_epochs(params, cfg, tc, x, y, extra_grad_hook=hook)
-        ref = _sgd_reference(params, cfg, tc, x, y, extra_grad_hook=hook)
+        mu = 0.01 if proximal else 0.0
+        out = sgd_epochs(params, cfg, tc, x, y, prox_mu=mu)
+        ref = _sgd_reference(params, cfg, tc, x, y, prox_mu=mu)
         np.testing.assert_array_equal(out.rep_block, ref.rep_block)
         np.testing.assert_array_equal(out.head_block, ref.head_block)
 
@@ -468,18 +463,25 @@ class TestSgd:
         with pytest.raises(ValueError):
             sgd_epochs(init_model(cfg), cfg, tc, x, np.zeros(6, dtype=np.int64))
 
-    def test_hook_contributes_to_every_batch(self, rng):
+    def test_proximal_pull_contributes_to_every_batch(self, rng):
+        # Two batches of 4 in one epoch: the first starts at the anchor, where
+        # the pull is zero; the second adds mu * (w - anchor) to its gradient.
         cfg = ModelConfig(arch="linear_softmax", input_dim=2, num_classes=2, init_seed=0)
         params = init_model(cfg)
-        x = rng.standard_normal((4, 2))
-        y = np.array([0, 1, 0, 1])
-        tc = TrainConfig(learning_rate=0.1, batch_size=4, local_epochs=1, shuffle_seed=0)
-        pull = ModelParams(np.empty(0), np.ones_like(params.head_block))
-        hooked = sgd_epochs(params, cfg, tc, x, y, extra_grad_hook=lambda w: pull)
+        x = rng.standard_normal((8, 2))
+        y = np.array([0, 1, 0, 1, 1, 0, 1, 0])
+        mu, lr = 2.0, 0.1
+        tc = TrainConfig(learning_rate=lr, batch_size=4, local_epochs=1, shuffle_seed=0)
+        pulled = sgd_epochs(params, cfg, tc, x, y, prox_mu=mu)
+        order = rng_from(0).permutation(8)
+        w = params.copy()
+        for batch in (order[:4], order[4:]):
+            _, grad = loss_and_grad(w, cfg, x[batch], y[batch])
+            step = grad.head_block + mu * (w.head_block - params.head_block)
+            w.head_block = w.head_block - lr * step
+        np.testing.assert_allclose(pulled.head_block, w.head_block, rtol=0, atol=1e-15)
         plain = sgd_epochs(params, cfg, tc, x, y)
-        np.testing.assert_allclose(
-            plain.head_block - hooked.head_block, 0.1 * pull.head_block, atol=1e-15
-        )
+        assert not np.allclose(plain.head_block, pulled.head_block, rtol=0, atol=1e-9)
 
 
 class TestEvaluate:

@@ -5,7 +5,7 @@ import pytest
 import fltbench.nn
 import fltbench.orchestrator
 from fltbench.algorithms import AlgoConfig
-from fltbench.datasets import ClientShard, gather, generate_synthetic, subset
+from fltbench.datasets import generate_synthetic, subset
 from fltbench.errors import ConfigError
 from fltbench.nn import (
     EVAL_BLOCK_ROWS,
@@ -69,7 +69,7 @@ class TestRunExperiment:
         report = run_experiment(config)
         train, _, _ = build_data(config)
         _, partition = prepare_partition(config)
-        x, y = gather(train, partition.shards[0])
+        x, y = train.features[partition.shards[0]], train.labels[partition.shards[0]]
         from fltbench.nn import ModelConfig, init_model
 
         model_cfg = ModelConfig(
@@ -190,6 +190,12 @@ class TestClientSampling:
     def test_fractional_count(self):
         assert len(sample_clients(10, 0.35, seed=2)) == 4  # ceil(3.5)
 
+    @pytest.mark.parametrize("num_clients,fraction", [(100, 0.07), (25, 0.28)])
+    def test_exact_product_is_not_rounded_up(self, num_clients, fraction):
+        # In floats 0.07 * 100 is 7.000000000000001 and 0.28 * 25 is
+        # 7.000000000000001; the configured products are exactly 7.
+        assert len(sample_clients(num_clients, fraction, seed=0)) == 7
+
     def test_sampling_fairness_chi_square(self):
         # 400 rounds at C=0.5 over 10 clients: each expected 200 selections.
         counts = np.zeros(10)
@@ -206,12 +212,11 @@ class TestClientSampling:
         train_shards, test_shards = _split_client_shards(
             train, partition, 0.25, config.master_seed
         )
-        for tr, te in zip(train_shards, test_shards):
-            assert np.intersect1d(tr.indices, te.indices).size == 0
-            combined = np.sort(np.concatenate([tr.indices, te.indices]))
-            np.testing.assert_array_equal(
-                combined, np.sort(partition.shards[tr.client_id].indices)
-            )
+        assert len(train_shards) == len(test_shards) == len(partition.shards)
+        for tr, te, shard in zip(train_shards, test_shards, partition.shards):
+            assert np.intersect1d(tr, te).size == 0
+            combined = np.sort(np.concatenate([tr, te]))
+            np.testing.assert_array_equal(combined, shard)
 
 
 def _per_client_reference(model_config, params, client_heads, client_tests, fedper):
@@ -253,7 +258,7 @@ class TestClientHoldoutEvaluation:
         train, partition = prepare_partition(config)
         _, holdouts = _split_client_shards(train, partition, 0.2, config.master_seed)
         client_tests = [
-            (s.client_id, subset(train, s.indices) if len(s) else None) for s in holdouts
+            (k, subset(train, s) if len(s) else None) for k, s in enumerate(holdouts)
         ]
         assert [c for c, ds in client_tests if ds is None] == empty
         stacks = _holdout_stacks(train, holdouts)
@@ -289,18 +294,16 @@ class TestClientHoldoutEvaluation:
         train = generate_synthetic(3, 800, 2, 1.0, seed=0)
         sizes = [16] * 40 + [300, 0, 1, 300, 100, 1, 100, 100, 255, 257, 16]
         offsets = np.cumsum([0] + sizes)
-        shards = [ClientShard(k, np.arange(offsets[k], offsets[k + 1]))
-                  for k in range(len(sizes))]
+        shards = [np.arange(offsets[k], offsets[k + 1]) for k in range(len(sizes))]
         stacks = _holdout_stacks(train, shards)
         positions = np.concatenate([st.positions for st in stacks])
         assert sorted(positions.tolist()) == [k for k, s in enumerate(shards) if len(s)]
         for st in stacks:
             g, n, _ = st.features.shape
             assert g == 1 or g * n <= EVAL_BLOCK_ROWS
-            for pos, client_id, x, y in zip(st.positions, st.positions, st.features, st.labels):
-                assert shards[pos].client_id == client_id
-                np.testing.assert_array_equal(x, train.features[shards[pos].indices])
-                np.testing.assert_array_equal(y, train.labels[shards[pos].indices])
+            for pos, x, y in zip(st.positions, st.features, st.labels):
+                np.testing.assert_array_equal(x, train.features[shards[pos]])
+                np.testing.assert_array_equal(y, train.labels[shards[pos]])
         # 41 holdouts of 16 rows fill stacks of 16 clients: 16 + 16 + 9.
         assert sorted(len(st.positions) for st in stacks if st.features.shape[1] == 16) == [
             9, 16, 16,
@@ -358,9 +361,10 @@ class TestHeadTailGroups:
             "tail", "tail", "tail",
         ]
 
-    def test_explicit_thresholds(self):
-        groups = head_tail_groups(np.array([100, 50, 5]), hi=60, lo=10)
-        assert [groups[c] for c in range(3)] == ["head", "medium", "tail"]
+    def test_counts_on_a_cutoff_are_medium(self):
+        # Largest class 5000: the cutoffs are exactly 1000 and 200.
+        groups = head_tail_groups(np.array([5000, 1001, 1000, 200, 199]))
+        assert [groups[c] for c in range(5)] == ["head", "head", "medium", "medium", "tail"]
 
 
 class TestSweep:

@@ -4,17 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fltbench.partition
 from fltbench.datasets import class_counts, generate_synthetic
 from fltbench.errors import CapacityError, InfeasibleSpecError
 from fltbench.lt_shaping import exponential_profile, shape_long_tailed
 from fltbench.partition import (
     PartitionSpec,
+    _finish,
     build_partition,
     imbalance_factor,
-    partition_dirichlet,
-    partition_iid,
     partition_report,
-    partition_rotated_longtail,
 )
 
 
@@ -25,7 +24,7 @@ def _entropy(row):
 
 
 def _assert_disjoint(partition):
-    all_indices = np.concatenate([s.indices for s in partition.shards])
+    all_indices = np.concatenate(partition.shards)
     assert np.unique(all_indices).size == all_indices.size
 
 
@@ -50,7 +49,7 @@ class TestSpecValidation:
 class TestIid:
     def test_even_split_of_balanced_data(self):
         ds = generate_synthetic(2, 50, 2, 0.5, seed=0)
-        part = partition_iid(ds, PartitionSpec(kind="iid", num_clients=2, seed=1))
+        part = build_partition(ds, PartitionSpec(kind="iid", num_clients=2, seed=1))
         assert [len(s) for s in part.shards] == [50, 50]
         for client_if in partition_report(part).client_if:
             assert client_if <= 1.5
@@ -58,11 +57,11 @@ class TestIid:
 
     def test_single_client_gets_everything(self):
         ds = generate_synthetic(3, 20, 2, 0.5, seed=0)
-        part = partition_iid(ds, PartitionSpec(kind="iid", num_clients=1, seed=1))
+        part = build_partition(ds, PartitionSpec(kind="iid", num_clients=1, seed=1))
         assert len(part.shards[0]) == len(ds)
 
     def test_union_is_whole_dataset(self, balanced_ds):
-        part = partition_iid(balanced_ds, PartitionSpec(kind="iid", num_clients=7, seed=3))
+        part = build_partition(balanced_ds, PartitionSpec(kind="iid", num_clients=7, seed=3))
         _assert_disjoint(part)
         assert sum(len(s) for s in part.shards) == len(balanced_ds)
 
@@ -71,21 +70,21 @@ class TestIid:
         # was [37.7, 142.0]; the noisy tail leaves roughly one sample per
         # tail class per client.
         lt = shape_long_tailed(cifar_scale_ds, exponential_profile(5000, 10, 100), seed=0)
-        part = partition_iid(lt, PartitionSpec(kind="iid", num_clients=40, seed=0))
+        part = build_partition(lt, PartitionSpec(kind="iid", num_clients=40, seed=0))
         for client_if in partition_report(part).client_if:
             assert 30.0 <= client_if <= 200.0
 
     def test_capacity(self):
         ds = generate_synthetic(2, 5, 2, 0.5, seed=0)
         with pytest.raises(CapacityError):
-            partition_iid(ds, PartitionSpec(kind="iid", num_clients=2, min_shard_size=50))
+            build_partition(ds, PartitionSpec(kind="iid", num_clients=2, min_shard_size=50))
 
     def test_determinism(self, balanced_ds):
         spec = PartitionSpec(kind="iid", num_clients=5, seed=11)
-        a = partition_iid(balanced_ds, spec)
-        b = partition_iid(balanced_ds, spec)
+        a = build_partition(balanced_ds, spec)
+        b = build_partition(balanced_ds, spec)
         for sa, sb in zip(a.shards, b.shards):
-            np.testing.assert_array_equal(sa.indices, sb.indices)
+            np.testing.assert_array_equal(sa, sb)
 
 
 class TestDirichlet:
@@ -94,7 +93,7 @@ class TestDirichlet:
             spec = PartitionSpec(
                 kind="dirichlet", num_clients=10, seed=seed, alpha=1e6
             )
-            report = partition_report(partition_dirichlet(balanced_ds, spec))
+            report = partition_report(build_partition(balanced_ds, spec))
             global_probs = report.global_counts / report.global_size
             for row, size in zip(report.matrix, report.client_sizes):
                 assert np.max(np.abs(row / size - global_probs)) <= 0.02
@@ -105,33 +104,33 @@ class TestDirichlet:
         global_entropy = np.log(10)
         for seed in range(10):
             spec = PartitionSpec(kind="dirichlet", num_clients=10, seed=seed, alpha=0.1)
-            report = partition_report(partition_dirichlet(balanced_ds, spec))
+            report = partition_report(build_partition(balanced_ds, spec))
             mean_entropy = np.mean([_entropy(row) for row in report.matrix])
             assert mean_entropy <= 0.60 * global_entropy
 
     def test_single_client(self, balanced_ds):
         spec = PartitionSpec(kind="dirichlet", num_clients=1, seed=0, alpha=0.3)
-        part = partition_dirichlet(balanced_ds, spec)
+        part = build_partition(balanced_ds, spec)
         assert len(part.shards[0]) == len(balanced_ds)
 
     def test_union_is_whole_dataset(self, balanced_ds):
         spec = PartitionSpec(kind="dirichlet", num_clients=8, seed=5, alpha=0.5)
-        part = partition_dirichlet(balanced_ds, spec)
+        part = build_partition(balanced_ds, spec)
         _assert_disjoint(part)
         assert sum(len(s) for s in part.shards) == len(balanced_ds)
 
     def test_class_totals_preserved_exactly(self, balanced_ds):
         spec = PartitionSpec(kind="dirichlet", num_clients=6, seed=2, alpha=0.2)
-        part = partition_dirichlet(balanced_ds, spec)
+        part = build_partition(balanced_ds, spec)
         summed = sum(
-            np.bincount(balanced_ds.labels[s.indices], minlength=10) for s in part.shards
+            np.bincount(balanced_ds.labels[s], minlength=10) for s in part.shards
         )
         np.testing.assert_array_equal(summed, class_counts(balanced_ds))
 
     def test_min_shard_size_enforced(self, balanced_ds):
         spec = PartitionSpec(kind="dirichlet", num_clients=10, seed=4, alpha=0.1,
                              min_shard_size=10)
-        part = partition_dirichlet(balanced_ds, spec)
+        part = build_partition(balanced_ds, spec)
         assert min(len(s) for s in part.shards) >= 10
 
     def test_retry_budget_exhaustion(self):
@@ -140,21 +139,21 @@ class TestDirichlet:
             kind="dirichlet", num_clients=10, seed=0, alpha=0.01, min_shard_size=100
         )
         with pytest.raises(InfeasibleSpecError):
-            partition_dirichlet(ds, spec)
+            build_partition(ds, spec)
 
     def test_determinism(self, balanced_ds):
         spec = PartitionSpec(kind="dirichlet", num_clients=4, seed=9, alpha=0.7)
-        a = partition_dirichlet(balanced_ds, spec)
-        b = partition_dirichlet(balanced_ds, spec)
+        a = build_partition(balanced_ds, spec)
+        b = build_partition(balanced_ds, spec)
         for sa, sb in zip(a.shards, b.shards):
-            np.testing.assert_array_equal(sa.indices, sb.indices)
+            np.testing.assert_array_equal(sa, sb)
 
 
 class TestRotatedLongtail:
     def test_two_class_symmetry(self):
         ds = generate_synthetic(2, 100, 2, 0.5, seed=0)
         spec = PartitionSpec(kind="rotated_lt", num_clients=2, seed=3, local_if=3.0)
-        report = partition_report(partition_rotated_longtail(ds, spec))
+        report = partition_report(build_partition(ds, spec))
         assert report.matrix[0].tolist() == [75, 25]
         assert report.matrix[1].tolist() == [25, 75]
         assert report.global_counts.tolist() == [100, 100]
@@ -165,14 +164,14 @@ class TestRotatedLongtail:
             spec = PartitionSpec(
                 kind="rotated_lt", num_clients=40, seed=0, local_if=target
             )
-            report = partition_report(partition_rotated_longtail(cifar_scale_ds, spec))
+            report = partition_report(build_partition(cifar_scale_ds, spec))
             for client_if in report.client_if:
                 assert abs(client_if - target) <= 0.10 * target
             assert report.global_if <= 1.1
 
     def test_if_one_degenerates_to_uniform_iid_shards(self, balanced_ds):
         spec = PartitionSpec(kind="rotated_lt", num_clients=10, seed=0, local_if=1.0)
-        report = partition_report(partition_rotated_longtail(balanced_ds, spec))
+        report = partition_report(build_partition(balanced_ds, spec))
         for row, client_if in zip(report.matrix, report.client_if):
             assert client_if == 1.0
             assert len(set(row.tolist())) == 1
@@ -180,12 +179,12 @@ class TestRotatedLongtail:
 
     def test_balance_lemma_exact_with_n_multiple_of_m(self, cifar_scale_ds):
         spec = PartitionSpec(kind="rotated_lt", num_clients=40, seed=7, local_if=100.0)
-        totals = partition_report(partition_rotated_longtail(cifar_scale_ds, spec)).global_counts
+        totals = partition_report(build_partition(cifar_scale_ds, spec)).global_counts
         assert len(set(totals.tolist())) == 1
 
     def test_leftover_bounded_by_clients_times_classes(self, cifar_scale_ds):
         spec = PartitionSpec(kind="rotated_lt", num_clients=40, seed=7, local_if=50.0)
-        part = partition_rotated_longtail(cifar_scale_ds, spec)
+        part = build_partition(cifar_scale_ds, spec)
         leftover = len(cifar_scale_ds) - sum(len(s) for s in part.shards)
         assert leftover <= 40 * 10
 
@@ -193,7 +192,7 @@ class TestRotatedLongtail:
         lt = shape_long_tailed(cifar_scale_ds, exponential_profile(5000, 10, 10), seed=0)
         spec = PartitionSpec(kind="rotated_lt", num_clients=4, seed=0, local_if=10.0)
         with pytest.raises(InfeasibleSpecError):
-            partition_rotated_longtail(lt, spec)
+            build_partition(lt, spec)
 
     def test_infeasible_budget_rejected(self):
         ds = generate_synthetic(10, 12, 2, 0.5, seed=0)
@@ -201,14 +200,14 @@ class TestRotatedLongtail:
             kind="rotated_lt", num_clients=2, seed=0, local_if=100.0, min_shard_size=1
         )
         with pytest.raises(InfeasibleSpecError):
-            partition_rotated_longtail(ds, spec)
+            build_partition(ds, spec)
 
     def test_determinism(self, balanced_ds):
         spec = PartitionSpec(kind="rotated_lt", num_clients=10, seed=13, local_if=10.0)
-        a = partition_rotated_longtail(balanced_ds, spec)
-        b = partition_rotated_longtail(balanced_ds, spec)
+        a = build_partition(balanced_ds, spec)
+        b = build_partition(balanced_ds, spec)
         for sa, sb in zip(a.shards, b.shards):
-            np.testing.assert_array_equal(sa.indices, sb.indices)
+            np.testing.assert_array_equal(sa, sb)
 
 
 def _assert_counts_match_shards(dataset, spec):
@@ -217,7 +216,7 @@ def _assert_counts_match_shards(dataset, spec):
     part = build_partition(dataset, spec)
     report = partition_report(part)
     for shard, row, client_if in zip(part.shards, report.matrix, report.client_if):
-        fresh = np.bincount(dataset.labels[shard.indices], minlength=dataset.num_classes)
+        fresh = np.bincount(dataset.labels[shard], minlength=dataset.num_classes)
         np.testing.assert_array_equal(row, fresh)
         assert client_if == imbalance_factor(fresh)
     assert report.global_if == imbalance_factor(report.matrix.sum(axis=0))
@@ -237,17 +236,54 @@ class TestStatsCoherence:
         _assert_counts_match_shards(balanced_ds, spec)
 
 
+SPECS = [
+    PartitionSpec(kind="iid", num_clients=7, seed=3),
+    PartitionSpec(kind="dirichlet", num_clients=5, seed=21, alpha=0.4),
+    PartitionSpec(kind="rotated_lt", num_clients=10, seed=13, local_if=10.0),
+]
+
+
+class TestBuildPartition:
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_supply_is_checked_once(self, balanced_ds, monkeypatch, spec):
+        calls = []
+        real = fltbench.partition.check_supply
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fltbench.partition, "check_supply", counting)
+        build_partition(balanced_ds, spec)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_shards_are_sorted_read_only_index_arrays(self, balanced_ds, spec):
+        part = build_partition(balanced_ds, spec)
+        assert isinstance(part.shards, tuple) and len(part.shards) == spec.num_clients
+        for shard in part.shards:
+            assert shard.dtype == np.int64 and shard.ndim == 1
+            assert np.all(np.diff(shard) > 0)
+            with pytest.raises(ValueError):
+                shard[0] = 0
+
+    def test_duplicate_shard_indices(self, balanced_ds):
+        spec = PartitionSpec(kind="iid", num_clients=2, min_shard_size=1)
+        with pytest.raises(AssertionError, match="overlapping"):
+            _finish(balanced_ds, spec, [np.array([1, 1, 2]), np.array([3])])
+
+
 class TestReport:
     def test_two_client_matrix(self):
         ds = generate_synthetic(2, 100, 2, 0.5, seed=0)
         spec = PartitionSpec(kind="rotated_lt", num_clients=2, seed=3, local_if=3.0)
-        report = partition_report(partition_rotated_longtail(ds, spec))
+        report = partition_report(build_partition(ds, spec))
         assert report.matrix.tolist() == [[75, 25], [25, 75]]
         assert report.global_counts.tolist() == [100, 100]
 
     def test_csv_layout_and_column_sums(self, balanced_ds):
         spec = PartitionSpec(kind="iid", num_clients=4, seed=1)
-        report = partition_report(partition_iid(balanced_ds, spec))
+        report = partition_report(build_partition(balanced_ds, spec))
         lines = report.to_csv().strip().split("\n")
         header = lines[0].split(",")
         assert header[0] == "client"
@@ -262,16 +298,16 @@ class TestReport:
         profile = exponential_profile(5000, 10, 100.0)
         lt = shape_long_tailed(cifar_scale_ds, profile, seed=0)
         spec = PartitionSpec(kind="dirichlet", num_clients=20, seed=2, alpha=0.5)
-        report = partition_report(partition_dirichlet(lt, spec))
+        report = partition_report(build_partition(lt, spec))
         np.testing.assert_array_equal(report.matrix.sum(axis=0), profile.counts)
 
     def test_json_mirror(self, balanced_ds):
         spec = PartitionSpec(kind="iid", num_clients=3, seed=1)
-        report = partition_report(partition_iid(balanced_ds, spec))
+        report = partition_report(build_partition(balanced_ds, spec))
         doc = report.to_json_dict()
         assert doc["global_size"] == len(balanced_ds)
         assert len(doc["matrix"]) == 3
-        assert doc["client_sizes"] == [len(s) for s in partition_iid(balanced_ds, spec).shards]
+        assert doc["client_sizes"] == [len(s) for s in build_partition(balanced_ds, spec).shards]
 
 
 def test_readme_python_api_example_runs(capsys):
