@@ -55,9 +55,10 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 
 @functools.cache
-def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The (get, set) thread-count functions of the OpenBLAS that numpy has
-    loaded from its wheel's numpy.libs directory, or None for any other BLAS.
+def _openblas() -> tuple[Path, Callable[[], int], Callable[[int], None]] | None:
+    """The path of the OpenBLAS that numpy has loaded from its wheel's
+    numpy.libs directory and its (get, set) thread-count functions, or None
+    for any other BLAS.
 
     Loading the library by its path returns the copy numpy already uses.
     """
@@ -71,8 +72,14 @@ def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | Non
                 continue
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
+            return path, get, set_
     return None
+
+
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The (get, set) thread-count functions of numpy's OpenBLAS, or None."""
+    found = _openblas()
+    return found[1:] if found else None
 
 
 @contextlib.contextmanager
