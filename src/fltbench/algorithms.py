@@ -130,7 +130,7 @@ def local_update_fedper(
     The returned update carries the trained head only so the caller can
     persist it client-side; aggregation must use aggregate_rep_only.
     """
-    start = ModelParams(global_params.rep_block.copy(), np.asarray(local_head, dtype=np.float64).copy())
+    start = ModelParams(global_params.rep_block, local_head)
     trained = sgd_epochs(start, model_config, train_config, shard_x, shard_y)
     return ClientUpdate(client_id=client_id, params=trained, n_k=shard_y.shape[0])
 

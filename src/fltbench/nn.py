@@ -239,7 +239,9 @@ def loss_and_grad(
     batch_x: np.ndarray,
     batch_y: np.ndarray,
     weight_decay: float = 0.0,
-) -> tuple[float, ModelParams]:
+    *,
+    out: ModelParams | None = None,
+) -> tuple[float | None, ModelParams]:
     """Mean cross-entropy plus (weight_decay/2)*||params||^2, with gradients.
 
     Gradients come from explicit backprop through the affine/ReLU stack and
@@ -248,6 +250,12 @@ def loss_and_grad(
     once per batch. Every intermediate is computed in place in the buffer of
     the product that produced it, with the same float operations as
     ``forward`` followed by ``softmax``.
+
+    Without ``out`` the gradient goes to two fresh blocks. With ``out``,
+    whose blocks must be C-contiguous float64 arrays of the block sizes, the
+    gradient (weight decay included) is written into them with the same
+    float operations, the loss is not computed, and (None, out) is returned.
+    Training reads only the gradient, so sgd_epochs passes ``out``.
     """
     x = np.asarray(batch_x, dtype=np.float64)
     y = np.asarray(batch_y, dtype=np.int64)
@@ -266,17 +274,19 @@ def loss_and_grad(
     probs -= probs.max(axis=1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
-    loss = float(-np.mean(np.log(np.maximum(probs[rows, y], 1e-300))))
+    loss = None
+    if out is None:
+        loss = float(-np.mean(np.log(np.maximum(probs[rows, y], 1e-300))))
+        out = ModelParams(np.empty(config.rep_size), np.empty(config.head_size))
 
     delta = probs
     delta[rows, y] -= 1.0
     delta /= n
 
     m, f = w2.shape
-    grad_head = np.empty(config.head_size, dtype=np.float64)
+    grad_rep, grad_head = out.rep_block, out.head_block
     np.matmul(delta.T, feats, out=grad_head[: m * f].reshape(m, f))
     delta.sum(axis=0, out=grad_head[m * f :])
-    grad_rep = np.empty(config.rep_size, dtype=np.float64)
     if config.arch == ARCH_MLP1H:
         h, d = w1.shape
         dpre = delta @ w2
@@ -285,13 +295,14 @@ def loss_and_grad(
         dpre.sum(axis=0, out=grad_rep[h * d :])
 
     if weight_decay != 0.0:
-        loss += 0.5 * weight_decay * (
-            float(params.rep_block @ params.rep_block)
-            + float(params.head_block @ params.head_block)
-        )
+        if loss is not None:
+            loss += 0.5 * weight_decay * (
+                float(params.rep_block @ params.rep_block)
+                + float(params.head_block @ params.head_block)
+            )
         grad_rep += weight_decay * params.rep_block
         grad_head += weight_decay * params.head_block
-    return loss, ModelParams(grad_rep, grad_head)
+    return loss, out
 
 
 @dataclass(frozen=True)
@@ -326,31 +337,49 @@ def sgd_epochs(
     is kept. A non-zero prox_mu adds FedProx's proximal pull
     prox_mu * (w - params) to every batch gradient, toward the params the
     call started from.
+
+    Training runs in one contiguous float64 buffer that starts as a copy of
+    params, so the caller's arrays are never written; the returned blocks
+    are views into it. Each batch has loss_and_grad write its gradient into
+    views of one gradient buffer, with no loss computed, and then adds
+    weight decay and the proximal pull, scales by the learning rate and
+    steps, each once over the whole buffer. The float operations per element
+    are those of the per-block update, so the result is bit-equal to it.
     """
     n = shard_y.shape[0]
     if n == 0:
         raise EmptyShardError("cannot train on an empty shard")
     if not np.isfinite(shard_x).all():
         raise ValueError("shard contains non-finite features")
-    w = params.copy()
+    split = params.rep_block.shape[0]
+    flat = np.concatenate([params.rep_block, params.head_block])
+    grad = np.empty_like(flat)
+    scratch = np.empty_like(flat)
+    anchor = flat.copy() if prox_mu else None
+    w = ModelParams(flat[:split], flat[split:])
+    out = ModelParams(grad[:split], grad[split:])
     rng = rng_from(train_config.shuffle_seed)
     lr = train_config.learning_rate
     bs = train_config.batch_size
+    weight_decay = train_config.weight_decay
     for _ in range(train_config.local_epochs):
         order = rng.permutation(n)
         xs, ys = shard_x[order], shard_y[order]
         for start in range(0, n, bs):
-            _, grad = loss_and_grad(
-                w, config, xs[start : start + bs], ys[start : start + bs],
-                train_config.weight_decay,
-            )
+            # Weight decay is added below, once over the whole buffer. Config
+            # and labels stay positional: bench/tracer.py reads args[1] and
+            # args[3] of this call.
+            loss_and_grad(w, config, xs[start : start + bs], ys[start : start + bs], 0.0,
+                          out=out)
+            if weight_decay != 0.0:
+                np.multiply(flat, weight_decay, out=scratch)
+                grad += scratch
             if prox_mu:
-                grad.rep_block += prox_mu * (w.rep_block - params.rep_block)
-                grad.head_block += prox_mu * (w.head_block - params.head_block)
-            grad.rep_block *= lr
-            grad.head_block *= lr
-            w.rep_block -= grad.rep_block
-            w.head_block -= grad.head_block
+                np.subtract(flat, anchor, out=scratch)
+                scratch *= prox_mu
+                grad += scratch
+            grad *= lr
+            flat -= grad
     return w
 
 

@@ -342,6 +342,26 @@ class TestLossAndGrad:
         np.testing.assert_array_equal(grad.head_block, ref.head_block)
         np.testing.assert_array_equal(grad.rep_block, ref.rep_block)
 
+    @pytest.mark.parametrize("arch,hidden", BENCH_ARCHS)
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_out_writes_the_same_gradient_bytes_in_place(self, rng, arch, hidden, weight_decay):
+        cfg = ModelConfig(arch=arch, input_dim=5, num_classes=10, init_seed=3,
+                          hidden_units=hidden)
+        params = init_model(cfg)
+        params.head_block += 0.01 * rng.standard_normal(params.head_block.shape)
+        x = 3.0 * rng.standard_normal((64, 5))
+        y = rng.integers(0, 10, 64)
+        _, ref = loss_and_grad(params, cfg, x, y, weight_decay)
+        # Views into one buffer, as sgd_epochs passes them; NaN shows any
+        # element left unwritten.
+        buffer = np.full(cfg.rep_size + cfg.head_size, np.nan)
+        rep, head = buffer[: cfg.rep_size], buffer[cfg.rep_size :]
+        out = ModelParams(rep, head)
+        loss, grad = loss_and_grad(params, cfg, x, y, weight_decay, out=out)
+        assert loss is None
+        assert grad is out and out.rep_block is rep and out.head_block is head
+        assert buffer.tobytes() == ref.rep_block.tobytes() + ref.head_block.tobytes()
+
 
 class TestBlocks:
     def test_split_concat_round_trip(self, rng):
@@ -435,6 +455,20 @@ class TestSgd:
         ref = _sgd_reference(params, cfg, tc, x, y, prox_mu=mu)
         np.testing.assert_array_equal(out.rep_block, ref.rep_block)
         np.testing.assert_array_equal(out.head_block, ref.head_block)
+
+    @pytest.mark.parametrize("arch,hidden", BENCH_ARCHS)
+    @pytest.mark.parametrize("proximal", [False, True])
+    def test_input_params_left_unchanged(self, rng, arch, hidden, proximal):
+        cfg = ModelConfig(arch=arch, input_dim=5, num_classes=10, init_seed=4,
+                          hidden_units=hidden)
+        params = init_model(cfg)
+        before = (params.rep_block.tobytes(), params.head_block.tobytes())
+        tc = TrainConfig(learning_rate=0.1, batch_size=64, local_epochs=2,
+                         weight_decay=1e-4, shuffle_seed=12)
+        out = sgd_epochs(params, cfg, tc, 3.0 * rng.standard_normal((150, 5)),
+                         rng.integers(0, 10, 150), prox_mu=0.01 if proximal else 0.0)
+        assert (params.rep_block.tobytes(), params.head_block.tobytes()) == before
+        assert out.head_block.tobytes() != before[1]
 
     def test_one_loss_and_grad_call_per_batch(self, rng, monkeypatch):
         # bench/tracer.py counts SGD rows from args[3] of calls that go
