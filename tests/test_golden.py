@@ -14,12 +14,14 @@ regenerating. A change that alters outputs by design regenerates them with
     PYTHONPATH=src python tests/test_golden.py
 """
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
 import json
 import platform
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,7 @@ CASES = [("fedavg_iid", None), ("creff_lt", None), ("fedper_c100", None),
          ("table_sweep", 1), ("table_sweep", 2)]
 
 
+@functools.cache
 def _load_workloads():
     spec = importlib.util.spec_from_file_location(
         "fltbench_bench_workloads", ROOT / "bench" / "workloads.py"
@@ -94,8 +97,6 @@ def test_outputs_match_golden_digests(name, workers, tmp_path):
 
 
 def regenerate() -> None:
-    import tempfile
-
     table = {}
     for name, workers in CASES:
         with tempfile.TemporaryDirectory() as work:
