@@ -55,10 +55,9 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 
 @functools.cache
-def _openblas() -> tuple[Path, Callable[[], int], Callable[[int], None]] | None:
-    """The path of the OpenBLAS that numpy has loaded from its wheel's
-    numpy.libs directory and its (get, set) thread-count functions, or None
-    for any other BLAS.
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The (get, set) thread-count functions of the OpenBLAS that numpy has
+    loaded from its wheel's numpy.libs directory, or None for any other BLAS.
 
     Loading the library by its path returns the copy numpy already uses.
     """
@@ -72,14 +71,8 @@ def _openblas() -> tuple[Path, Callable[[], int], Callable[[int], None]] | None:
                 continue
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
-            return path, get, set_
+            return get, set_
     return None
-
-
-def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The (get, set) thread-count functions of numpy's OpenBLAS, or None."""
-    found = _openblas()
-    return found[1:] if found else None
 
 
 @contextlib.contextmanager
@@ -340,11 +333,12 @@ def sgd_epochs(
 
     Training runs in one contiguous float64 buffer that starts as a copy of
     params, so the caller's arrays are never written; the returned blocks
-    are views into it. Each batch has loss_and_grad write its gradient into
-    views of one gradient buffer, with no loss computed, and then adds
-    weight decay and the proximal pull, scales by the learning rate and
-    steps, each once over the whole buffer. The float operations per element
-    are those of the per-block update, so the result is bit-equal to it.
+    are views into it. Each batch has loss_and_grad write its gradient,
+    weight decay included, into views of one gradient buffer, with no loss
+    computed, and then adds the proximal pull, scales by the learning rate
+    and steps, each once over the whole buffer. The float operations per
+    element are those of the per-block update, so the result is bit-equal
+    to it.
     """
     n = shard_y.shape[0]
     if n == 0:
@@ -354,8 +348,8 @@ def sgd_epochs(
     split = params.rep_block.shape[0]
     flat = np.concatenate([params.rep_block, params.head_block])
     grad = np.empty_like(flat)
-    scratch = np.empty_like(flat)
-    anchor = flat.copy() if prox_mu else None
+    if prox_mu:
+        anchor, scratch = flat.copy(), np.empty_like(flat)
     w = ModelParams(flat[:split], flat[split:])
     out = ModelParams(grad[:split], grad[split:])
     rng = rng_from(train_config.shuffle_seed)
@@ -366,14 +360,10 @@ def sgd_epochs(
         order = rng.permutation(n)
         xs, ys = shard_x[order], shard_y[order]
         for start in range(0, n, bs):
-            # Weight decay is added below, once over the whole buffer. Config
-            # and labels stay positional: bench/tracer.py reads args[1] and
-            # args[3] of this call.
-            loss_and_grad(w, config, xs[start : start + bs], ys[start : start + bs], 0.0,
-                          out=out)
-            if weight_decay != 0.0:
-                np.multiply(flat, weight_decay, out=scratch)
-                grad += scratch
+            # Config and labels stay positional: bench/tracer.py reads
+            # args[1] and args[3] of this call.
+            loss_and_grad(w, config, xs[start : start + bs], ys[start : start + bs],
+                          weight_decay, out=out)
             if prox_mu:
                 np.subtract(flat, anchor, out=scratch)
                 scratch *= prox_mu

@@ -6,18 +6,16 @@ and compares the sha256 digest of every output file with tests/golden.json.
 ``wall_clock_sec`` is masked out of reports first. ``table_sweep`` runs at
 ``--workers`` 1 and 2 against the same digests.
 
-The digests hold for one numpy version, one OpenBLAS library and one machine
-type, which golden.json records; anywhere else the test skips and names the
+The digests hold for one numpy version, one BLAS build and one machine type,
+which golden.json records; anywhere else the test skips and names the
 difference. A change that keeps outputs byte-identical must pass without
 regenerating. A change that alters outputs by design regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
-import contextlib
 import functools
 import hashlib
 import importlib.util
-import io
 import json
 import platform
 import sys
@@ -26,8 +24,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-
-from fltbench import cli, nn
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
@@ -52,11 +48,11 @@ def _load_workloads():
 
 def environment() -> dict:
     """What the digests depend on beyond the source: the numpy version, the
-    file name of the OpenBLAS library numpy loaded and the machine type."""
-    found = nn._openblas()
+    name and version of the BLAS numpy was built with and the machine type."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
-        "openblas": found[0].name if found else None,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
         "machine": platform.machine(),
     }
 
@@ -69,20 +65,10 @@ def digests(name: str, workers: int | None, work: Path) -> dict[str, str]:
     (doc["base"] if workload.sweep else doc)["algo"]["rounds"] = ROUNDS[name]
     config = work / "config.json"
     config.write_text(json.dumps(doc))
-    out = work / "out"
-    argv = ["sweep" if workload.sweep else "train", "--config", str(config), "--out", str(out)]
-    if workers is not None:
-        argv += ["--workers", str(workers)]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
-    if code != 0:
-        raise RuntimeError(f"{name}: fltbench {argv[0]} exited {code}")
-    return {
-        str(path.relative_to(out)): hashlib.sha256(
-            workloads.WALL_CLOCK.sub(b'"wall_clock_sec": -', path.read_bytes())
-        ).hexdigest()
-        for path in sorted(out.rglob("*")) if path.is_file()
-    }
+    outcome = workloads.run_op(workload, config, work / "out", workers or 1, floor=0.0)
+    if outcome.problems:
+        raise RuntimeError(f"{name}: {'; '.join(outcome.problems)}")
+    return {path: hashlib.sha256(data).hexdigest() for path, data in outcome.files.items()}
 
 
 @pytest.mark.parametrize("name,workers", CASES)
