@@ -25,18 +25,7 @@ from .datasets import (
     load_cifar10,
     subset,
 )
-from .errors import (
-    CapacityError,
-    ConfigError,
-    CorruptRecordError,
-    EmptyShardError,
-    ExperimentError,
-    FltbenchError,
-    InfeasibleSpecError,
-    MalformedFileError,
-    NonFiniteError,
-    ProfileTooSteepError,
-)
+from .errors import ConfigError, FltbenchError
 from .lt_shaping import (
     LtProfile,
     exponential_profile,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import FltbenchError
 from .nn import (
     ModelConfig,
     ModelParams,
@@ -75,8 +75,10 @@ class AlgoConfig:
             raise ValueError("participation_fraction must lie in (0, 1]")
         if self.mu < 0:
             raise ValueError("mu must be >= 0")
-        if self.ff_per_class < 1 or self.ff_steps < 0 or self.retrain_steps < 0:
-            raise ValueError("feature re-training knobs must be non-negative")
+        if self.ff_per_class < 1:
+            raise ValueError("ff_per_class must be >= 1")
+        if self.ff_steps < 0 or self.retrain_steps < 0:
+            raise ValueError("ff_steps and retrain_steps must be >= 0")
 
 
 @dataclass
@@ -258,7 +260,7 @@ def retrain_head(
     """
     m, per_class, feat_dim = features.shape
     if not np.isfinite(features).all():
-        raise NonFiniteError("feature prototypes contain non-finite values")
+        raise FltbenchError("feature prototypes contain non-finite values")
     n = m * per_class
     x = features.reshape(n, feat_dim)
     y = np.repeat(np.arange(m, dtype=np.int64), per_class)
@@ -325,7 +327,7 @@ class CreffServer:
                 feats = feats - self.algo_config.ff_lr * d_feats
                 finite = np.isfinite(feats).all(axis=(1, 2))
                 if not finite.all():
-                    raise NonFiniteError(
+                    raise FltbenchError(
                         f"feature optimization diverged for class "
                         f"{classes[int(np.argmin(finite))]} at step {step}"
                     )

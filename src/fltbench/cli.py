@@ -1,8 +1,9 @@
 """Command-line front end: partition, train, and sweep subcommands.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or config error. All CSVs
-are UTF-8 with LF line endings and '.' decimals; every emitted file is fully
-determined by the config file (the CLI injects no entropy of its own).
+Exit codes: 0 success, 1 runtime failure (FltbenchError), 2 usage error or
+an input at fault (ConfigError). All CSVs are UTF-8 with LF line endings and
+'.' decimals; every emitted file is fully determined by the config file (the
+CLI injects no entropy of its own).
 """
 from __future__ import annotations
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
+import sys
 import typing
 from pathlib import Path
 from typing import Any
@@ -21,7 +23,7 @@ from typing import Any
 from .errors import ConfigError
 from .nn import TrainConfig
 from .orchestrator import SOURCE_CIFAR10, ExperimentConfig, SweepCell
-from .partition import PartitionSpec
+from .partition import PartitionSpec, check_supply
 
 _RUN = "run"
 
@@ -74,11 +76,14 @@ def _get(section: dict, key: str, kind: type, where: str, default: Any = ...) ->
         return default
     value = section[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        # An integer beyond the float range counts as infinite.
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if isinstance(value, bool) and kind in (int, float):
         raise ConfigError(f"{where}.{key} must be a number, not a boolean")
     if not isinstance(value, kind):
         raise ConfigError(f"{where}.{key} has the wrong type")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where}.{key} must be finite")
     return value
 
 
@@ -87,7 +92,10 @@ def parse_experiment_config(raw: dict, env_data_dir: str | None = None) -> Exper
 
     env_data_dir supplies a default dataset root (the FLTB_DATA_DIR
     environment variable) for cifar10 configs without an explicit data_dir.
-    A dataclass's ValueError becomes a ConfigError prefixed by its section.
+    A dataclass's ValueError or ConfigError becomes a ConfigError prefixed
+    by its section. A synthetic config's partition is checked against the
+    class counts its data section implies, so a spec the data cannot supply
+    fails here and not when the partition is built.
     """
     raw = _require_mapping(raw, "config")
     _check_keys(raw, _SECTIONS, "config")
@@ -105,7 +113,10 @@ def parse_experiment_config(raw: dict, env_data_dir: str | None = None) -> Exper
             values.update(built)
         try:
             built[name] = cls(**values)
-        except ValueError as exc:
+            counts = built["data"].synthetic_train_counts() if name == "partition" else None
+            if counts is not None:
+                check_supply(built[name], counts)
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(str(exc) if name == _RUN else f"{name}: {exc}") from exc
     return built[_RUN]
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CorruptRecordError, MalformedFileError
+from .errors import ConfigError
 from .seeding import rng_from
 
 CIFAR_RECORD_BYTES = 3073
@@ -85,14 +85,14 @@ def subset(dataset: Dataset, indices: np.ndarray | Sequence[int], name: str | No
 def _read_cifar_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     blob = Path(path).read_bytes()
     if len(blob) == 0 or len(blob) % CIFAR_RECORD_BYTES != 0:
-        raise MalformedFileError(
+        raise ConfigError(
             f"{path}: size {len(blob)} is not a positive multiple of {CIFAR_RECORD_BYTES}"
         )
     records = np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
     labels = records[:, 0]
     bad = np.nonzero(labels >= CIFAR_CLASSES)[0]
     if bad.size:
-        raise CorruptRecordError(
+        raise ConfigError(
             f"{path}: record {int(bad[0])} has label byte {int(labels[bad[0]])} >= {CIFAR_CLASSES}"
         )
     return labels.astype(np.int64), records[:, 1:]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import datasets
 from .datasets import Dataset, class_counts
-from .errors import CapacityError, ProfileTooSteepError
+from .errors import ConfigError
 from .seeding import rng_from
 
 # Tolerance on the realized head/tail ratio after integer rounding.
@@ -24,7 +24,11 @@ PROFILE_IF_TOLERANCE = 0.02
 
 @dataclass(frozen=True)
 class LtProfile:
-    """Per-class sample counts, non-increasing from the head class 0."""
+    """Per-class sample counts, non-increasing from the head class 0.
+
+    Counts that do not realize target_if raise a ConfigError that names the
+    long-tail target (lt_target_if) and the head class's count.
+    """
 
     target_if: float
     counts: np.ndarray
@@ -33,14 +37,16 @@ class LtProfile:
         counts = np.ascontiguousarray(self.counts, dtype=np.int64)
         if counts.shape[0] < 2:
             raise ValueError("a profile needs at least two classes")
+        steep = (f"lt_target_if {self.target_if:g} cannot be realized from "
+                 f"{counts[0]} samples per class")
         if counts.min() < 1:
-            raise ProfileTooSteepError("profile tail count fell to zero")
+            raise ConfigError(f"{steep}: profile tail count fell to zero")
         if np.any(np.diff(counts) > 0):
-            raise ProfileTooSteepError("profile counts must be non-increasing by class")
+            raise ConfigError(f"{steep}: profile counts must be non-increasing by class")
         realized = counts[0] / counts[-1]
         if abs(realized - self.target_if) > PROFILE_IF_TOLERANCE * self.target_if:
-            raise ProfileTooSteepError(
-                f"integer rounding realizes IF {realized:.3f}, "
+            raise ConfigError(
+                f"{steep}: integer rounding realizes IF {realized:.3f}, "
                 f"outside {PROFILE_IF_TOLERANCE:.0%} of target {self.target_if}"
             )
         counts.flags.writeable = False
@@ -67,8 +73,8 @@ def profile_counts(n_max: int, num_classes: int, target_if: float) -> np.ndarray
 def exponential_profile(n_max: int, num_classes: int, target_if: float) -> LtProfile:
     """Build a head-first profile.
 
-    Raises ProfileTooSteepError when integer rounding cannot realize the
-    target ratio (tiny n_max relative to target_if).
+    Raises ConfigError when integer rounding cannot realize the target
+    ratio (tiny n_max relative to target_if).
     """
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
@@ -96,7 +102,7 @@ def shape_long_tailed(dataset: Dataset, profile: LtProfile, seed: int) -> Datase
     for cls in range(profile.num_classes):
         need = int(profile.counts[cls])
         if have[cls] < need:
-            raise CapacityError(
+            raise ConfigError(
                 f"class {cls} has {int(have[cls])} samples, the profile needs {need}"
             )
         pool = np.nonzero(dataset.labels == cls)[0]

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from .datasets import Dataset
-from .errors import EmptyShardError, MalformedFileError
+from .errors import ConfigError, FltbenchError
 from .seeding import rng_from
 
 ARCH_LINEAR = "linear_softmax"
@@ -342,7 +342,7 @@ def sgd_epochs(
     """
     n = shard_y.shape[0]
     if n == 0:
-        raise EmptyShardError("cannot train on an empty shard")
+        raise FltbenchError("cannot train on an empty shard")
     if not np.isfinite(shard_x).all():
         raise ValueError("shard contains non-finite features")
     split = params.rep_block.shape[0]
@@ -487,12 +487,12 @@ def load_checkpoint(
     blob = Path(path).read_bytes()
     base = len(CHECKPOINT_MAGIC)
     if blob[:base] != CHECKPOINT_MAGIC:
-        raise MalformedFileError(f"{path}: missing checkpoint header")
+        raise ConfigError(f"{path}: missing checkpoint header")
     arch_code, hidden, input_dim, m, init_seed, rep_len, head_len = _CKPT_HEADER.unpack(
         blob[base : base + _CKPT_HEADER.size]
     )
     if arch_code not in _ARCH_NAMES:
-        raise MalformedFileError(f"{path}: unknown architecture code {arch_code}")
+        raise ConfigError(f"{path}: unknown architecture code {arch_code}")
     config = ModelConfig(
         arch=_ARCH_NAMES[arch_code],
         input_dim=input_dim,
@@ -508,7 +508,7 @@ def load_checkpoint(
     ff = None
     if pos < len(blob):
         if blob[pos : pos + len(_FF_MAGIC)] != _FF_MAGIC:
-            raise MalformedFileError(f"{path}: trailing bytes are not a feature section")
+            raise ConfigError(f"{path}: trailing bytes are not a feature section")
         pos += len(_FF_MAGIC)
         shape = _FF_HEADER.unpack(blob[pos : pos + _FF_HEADER.size])
         pos += _FF_HEADER.size
@@ -516,5 +516,5 @@ def load_checkpoint(
         ff = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
     params = ModelParams(rep, head)
     if (rep.shape[0], head.shape[0]) != (config.rep_size, config.head_size):
-        raise MalformedFileError(f"{path}: block lengths do not match the architecture")
+        raise ConfigError(f"{path}: block lengths do not match the architecture")
     return config, params, ff

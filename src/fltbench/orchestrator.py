@@ -39,15 +39,7 @@ from .datasets import (
     load_cifar10,
     stratified_split_indices,
 )
-from .errors import (
-    CapacityError,
-    ConfigError,
-    ExperimentError,
-    FltbenchError,
-    InfeasibleSpecError,
-    NonFiniteError,
-    ProfileTooSteepError,
-)
+from .errors import ConfigError, FltbenchError
 from .lt_shaping import LtProfile, exponential_profile, shape_long_tailed
 from .nn import (
     EVAL_BLOCK_ROWS,
@@ -66,7 +58,6 @@ from .partition import (
     PartitionReport,
     PartitionSpec,
     build_partition,
-    check_supply,
     partition_report,
 )
 from .seeding import derive_rng, derive_seed, rng_from
@@ -127,21 +118,15 @@ class DataConfig:
 def _long_tail_profile(n_max: int, num_classes: int, target_if: float) -> LtProfile:
     """The lt_target_if profile over classes of at least n_max samples.
 
-    Raises ValueError when no profile exists: the tail class would get less
+    Raises ConfigError when no profile exists: the tail class would get less
     than one sample, or integer rounding cannot realize the ratio.
     """
     if n_max < target_if:
-        raise ValueError(
+        raise ConfigError(
             f"the smallest class has {n_max} samples, below lt_target_if {target_if:g}: "
             "the tail class would get less than one sample"
         )
-    try:
-        return exponential_profile(n_max, num_classes, target_if)
-    except ProfileTooSteepError as exc:
-        raise ValueError(
-            f"lt_target_if {target_if:g} cannot be realized from {n_max} samples "
-            f"per class: {exc}"
-        ) from exc
+    return exponential_profile(n_max, num_classes, target_if)
 
 
 @dataclass(frozen=True)
@@ -171,12 +156,6 @@ class ExperimentConfig:
             raise ValueError("eval_every must be >= 1")
         if not 0.0 <= self.client_holdout_fraction < 1.0:
             raise ValueError("client_holdout_fraction must lie in [0, 1)")
-        counts = self.data.synthetic_train_counts()
-        if counts is not None:
-            try:
-                check_supply(self.partition, counts)
-            except (CapacityError, InfeasibleSpecError) as exc:
-                raise ValueError(f"partition: {exc}") from exc
 
 
 def build_data(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict]:
@@ -213,10 +192,7 @@ def build_data(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict]:
     info = {"train_size_before_shaping": len(train), "train_size": len(train)}
     if data.lt_target_if is not None:
         n_max = int(class_counts(train).min())
-        try:
-            profile = _long_tail_profile(n_max, train.num_classes, data.lt_target_if)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        profile = _long_tail_profile(n_max, train.num_classes, data.lt_target_if)
         train = shape_long_tailed(
             train, profile, seed=derive_seed(config.master_seed, "lt-shaping")
         )
@@ -519,7 +495,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     local update for each in client-id order, aggregates, and evaluates the
     global model every eval_every rounds plus at round 0 and the final round.
     A round whose aggregated model holds NaN or infinity ends the run with an
-    ExperimentError naming the round; numpy's overflow and invalid-value
+    FltbenchError naming the round; numpy's overflow and invalid-value
     warnings on the way there are silenced, since that error reports them.
     """
     start = time.perf_counter()
@@ -565,9 +541,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     updates.append(algorithm.client_step(params, shard_x, shard_y, tc, k))
                 params = algorithm.server_step(params, updates)
                 if not params.is_finite():
-                    raise NonFiniteError(_divergence_message(updates))
+                    raise FltbenchError(_divergence_message(updates))
             except FltbenchError as exc:
-                raise ExperimentError(f"round {round_idx}: {exc}") from exc
+                raise FltbenchError(f"round {round_idx}: {exc}") from exc
 
             if round_idx % config.eval_every == 0 or round_idx == algo.rounds:
                 eval_points.append(_evaluate_point(

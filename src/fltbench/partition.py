@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datasets import Dataset, class_counts
-from .errors import CapacityError, InfeasibleSpecError, ProfileTooSteepError
+from .errors import ConfigError
 from .lt_shaping import exponential_profile, profile_counts
 from .seeding import derive_rng, rng_from
 
@@ -98,7 +98,7 @@ def _finish(dataset: Dataset, spec: PartitionSpec, index_lists: list[np.ndarray]
     shards = tuple(np.sort(np.asarray(idx, dtype=np.int64)) for idx in index_lists)
     for k, shard in enumerate(shards):
         if shard.size < spec.min_shard_size:
-            raise InfeasibleSpecError(
+            raise ConfigError(
                 f"client {k} got {shard.size} samples, "
                 f"below min_shard_size {spec.min_shard_size}"
             )
@@ -121,22 +121,22 @@ def check_supply(spec: PartitionSpec, counts: np.ndarray) -> np.ndarray | None:
     that every client still realizes, within LOCAL_IF_TOLERANCE, once
     oversubscribed classes are scaled down to their supply. For rotated_lt
     this returns the (num_clients, M) demand matrix, client k's per-class
-    sample counts in row k; None for the other kinds. Raises CapacityError
-    or InfeasibleSpecError; the config checks call this too, when the counts
-    are known from the config.
+    sample counts in row k; None for the other kinds. Raises ConfigError;
+    the config checks call this too, when the counts are known from the
+    config.
     """
     n, need = int(counts.sum()), spec.min_shard_size
     if spec.kind != KIND_ROTATED_LT:
         if n < spec.num_clients * need:
-            raise CapacityError(
+            raise ConfigError(
                 f"{n} samples cannot give {spec.num_clients} clients at least {need} each"
             )
         return None
     if imbalance_factor(counts) > 1.05:
-        raise InfeasibleSpecError("rotated_lt needs a balanced source dataset (IF <= 1.05)")
+        raise ConfigError("rotated_lt needs a balanced source dataset (IF <= 1.05)")
     num_clients, m, local_if = spec.num_clients, len(counts), float(spec.local_if)
     if n // num_clients < need:
-        raise CapacityError(
+        raise ConfigError(
             f"per-client budget {n // num_clients} is below "
             f"min_shard_size {spec.min_shard_size}"
         )
@@ -156,7 +156,7 @@ def check_supply(spec: PartitionSpec, counts: np.ndarray) -> np.ndarray | None:
     off = np.flatnonzero(np.abs(realized - local_if) > LOCAL_IF_TOLERANCE * local_if)
     if off.size:
         k = off[0]
-        raise InfeasibleSpecError(
+        raise ConfigError(
             f"client {k} realizes IF {realized[k]:.2f}, outside "
             f"{LOCAL_IF_TOLERANCE:.0%} of target {local_if}; the dataset is "
             f"too small for this profile or too few clients share the "
@@ -189,7 +189,7 @@ def _solve_profile_budget(num_classes: int, local_if: float, budget: int) -> int
     """
     lo = max(int(np.ceil(local_if)), 1)
     if int(profile_counts(lo, num_classes, local_if).sum()) > budget:
-        raise InfeasibleSpecError(
+        raise ConfigError(
             f"per-client budget {budget} cannot hold a profile with IF {local_if}"
         )
     hi = budget
@@ -203,10 +203,10 @@ def _solve_profile_budget(num_classes: int, local_if: float, budget: int) -> int
     for n_max in range(lo, floor_n - 1, -1):
         try:
             exponential_profile(n_max, num_classes, local_if)
-        except ProfileTooSteepError:
+        except ConfigError:
             continue
         return n_max
-    raise InfeasibleSpecError(
+    raise ConfigError(
         f"no integer profile realizes IF {local_if} within the budget {budget}"
     )
 
@@ -248,7 +248,7 @@ def _draw_dirichlet(
             sizes += shares
         if sizes.min() >= spec.min_shard_size:
             return [np.concatenate(parts) if parts else np.empty(0, np.int64) for parts in lists]
-    raise InfeasibleSpecError(
+    raise ConfigError(
         f"no Dirichlet draw satisfied min_shard_size={spec.min_shard_size} "
         f"within {DIRICHLET_RETRY_BUDGET} attempts (alpha={spec.alpha}, N={num_clients})"
     )
@@ -271,8 +271,7 @@ def build_partition(dataset: Dataset, spec: PartitionSpec) -> Partition:
     """Partition a dataset among spec.num_clients clients by spec.kind.
 
     The class counts are checked once against the spec (check_supply raises
-    CapacityError or InfeasibleSpecError), then the shards are drawn under
-    spec.seed.
+    ConfigError), then the shards are drawn under spec.seed.
     """
     counts = class_counts(dataset)
     demand = check_supply(spec, counts)

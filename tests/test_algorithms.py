@@ -18,7 +18,7 @@ from fltbench.algorithms import (
     retrain_head,
 )
 from fltbench.datasets import Dataset
-from fltbench.errors import NonFiniteError
+from fltbench.errors import FltbenchError
 from fltbench.nn import (
     ModelConfig,
     ModelParams,
@@ -379,7 +379,7 @@ class TestCreffServer:
     def test_retrain_rejects_non_finite_prototypes(self, rng):
         prototypes = rng.standard_normal((3, 2, 4))
         prototypes[1, 0, 2] = np.nan
-        with pytest.raises(NonFiniteError):
+        with pytest.raises(FltbenchError, match="^feature prototypes contain non-finite values$"):
             retrain_head(np.zeros(3 * 4 + 3), prototypes, 0.1, 1)
 
     def test_server_round_changes_only_the_head(self, rng):
@@ -422,7 +422,9 @@ class TestCreffServer:
         server = CreffServer(cfg, algo, seed=7)
         x = rng.standard_normal((12, 4))
         y = rng.integers(0, 3, 12)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FltbenchError, match="^feature optimization diverged for class [0-2] at step "
+        ):
             server.server_round(params, [creff_client_head_grads(params, cfg, x, y)])
 
     def test_diverging_class_is_named(self, rng):
@@ -438,7 +440,7 @@ class TestCreffServer:
         grads = creff_client_head_grads(params, cfg, x, y)
         grads[2] = np.full_like(grads[2], 1e300)  # only class 2 can blow up
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            NonFiniteError, match="for class 2 at step"
+            FltbenchError, match="^feature optimization diverged for class 2 at step "
         ):
             server.server_round(params, [grads])
 
@@ -453,3 +455,13 @@ class TestAlgoConfig:
             AlgoConfig(algorithm="fedavg", rounds=1, participation_fraction=0.0)
         with pytest.raises(ValueError):
             AlgoConfig(algorithm="fedprox", rounds=1, mu=-0.1)
+
+    def test_zero_prototypes_per_class_rejected(self):
+        with pytest.raises(ValueError, match="^ff_per_class must be >= 1$"):
+            AlgoConfig(algorithm="creff", rounds=1, ff_per_class=0)
+
+    @pytest.mark.parametrize("key", ["ff_steps", "retrain_steps"])
+    def test_negative_step_count_rejected(self, key):
+        with pytest.raises(ValueError, match="^ff_steps and retrain_steps must be >= 0$"):
+            AlgoConfig(algorithm="creff", rounds=1, **{key: -1})
+        AlgoConfig(algorithm="creff", rounds=1, **{key: 0})

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, emitted files, determinism, config round-trip."""
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +233,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "lt_target_if 3 cannot be realized from 10 samples" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fault, message", [
+        ("supply", "config error: 100 samples cannot give 20 clients at least 10 each"),
+        ("short_file", "test_batch.bin: size 100 is not a positive multiple of 3073"),
+        ("label_byte", "data_batch_1.bin: record 0 has label byte 200 >= 10"),
+    ])
+    def test_cifar_input_fault_exits_2(self, tmp_path, capsys, fault, message):
+        root = Path(_tiny_cifar_dir(tmp_path))
+        doc = json.loads(json.dumps(QUICK_CONFIG))
+        doc["data"] = {"source": "cifar10", "data_dir": str(root)}
+        if fault == "supply":  # 100 train samples
+            doc["partition"] = {"kind": "iid", "num_clients": 20, "min_shard_size": 10}
+        elif fault == "short_file":
+            (root / "test_batch.bin").write_bytes(bytes(100))
+        else:
+            blob = bytearray((root / "data_batch_1.bin").read_bytes())
+            blob[0] = 200
+            (root / "data_batch_1.bin").write_bytes(bytes(blob))
+        code = main(["train", "--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("key, value", [
         ("test_per_class", 0), ("dim", 0), ("num_classes", 1), ("cluster_spread", -1.0),

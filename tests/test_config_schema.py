@@ -9,6 +9,7 @@ experiment_config_to_dict.
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,27 @@ class TestEveryField:
 def test_boolean_for_a_number_names_the_reason():
     with pytest.raises(ConfigError, match="^train.batch_size must be a number, not a boolean$"):
         parse_experiment_config(_doc(train={"batch_size": False}))
+
+
+@pytest.mark.parametrize("section,key,value,context", [
+    ("train", "learning_rate", math.nan, {}),
+    ("train", "learning_rate", 10**400, {}),  # beyond the float range
+    ("train", "weight_decay", math.nan, {}),
+    ("algo", "mu", math.nan, {}),
+    ("algo", "ff_lr", math.nan, {}),
+    ("partition", "alpha", math.nan, DIRICHLET),
+    ("partition", "alpha", math.inf, DIRICHLET),
+])
+def test_non_finite_float_exits_2_at_parse_time(section, key, value, context, tmp_path):
+    # json writes NaN and Infinity, and Python's json reads them back.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_doc(context, **{section: {key: value}})), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--dry-run"])
+    assert code == 2
+    assert err.getvalue() == f"config error: {section}.{key} must be finite\n"
 
 
 def test_sections_hold_exactly_the_schema_keys():

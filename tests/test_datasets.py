@@ -13,7 +13,7 @@ from fltbench.datasets import (
     load_cifar10,
     stratified_split_indices,
 )
-from fltbench.errors import CorruptRecordError, MalformedFileError
+from fltbench.errors import ConfigError
 from fltbench.nn import ModelConfig, TrainConfig, evaluate, init_model, sgd_epochs
 
 
@@ -58,7 +58,7 @@ class TestCifarLoader:
         p = tmp_path / "bad.bin"
         blob = _make_cifar_file(p, [1, 2])
         p.write_bytes(blob[:-1])
-        with pytest.raises(MalformedFileError):
+        with pytest.raises(ConfigError, match="size 6145 is not a positive multiple of 3073$"):
             load_cifar10([p], p)
 
     def test_label_byte_out_of_range_is_corrupt(self, tmp_path):
@@ -66,7 +66,7 @@ class TestCifarLoader:
         blob = bytearray(_make_cifar_file(p, [1]))
         blob[0] = 10
         p.write_bytes(bytes(blob))
-        with pytest.raises(CorruptRecordError):
+        with pytest.raises(ConfigError, match="record 0 has label byte 10 >= 10$"):
             load_cifar10([p], p)
 
     def test_train_statistics_standardize_train_set(self, tmp_path):

@@ -4,7 +4,8 @@ Each case runs one workload config of bench/workloads.py at seed 0 through
 ``fltbench.cli.main``, with its rounds cut to ROUNDS to keep the test short,
 and compares the sha256 digest of every output file with tests/golden.json.
 ``wall_clock_sec`` is masked out of reports first. ``table_sweep`` runs at
-``--workers`` 1 and 2 against the same digests.
+``--workers`` 1 and 2 against the same digests. The ``partition`` command's
+outputs for the three single-run workloads are pinned the same way.
 
 The digests hold for one numpy version, one BLAS build and one machine type,
 which golden.json records; anywhere else the test skips and names the
@@ -13,9 +14,11 @@ regenerating. A change that alters outputs by design regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
+import contextlib
 import functools
 import hashlib
 import importlib.util
+import io
 import json
 import platform
 import sys
@@ -25,6 +28,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fltbench import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 SEED = 0
@@ -32,6 +37,7 @@ SEED = 0
 ROUNDS = {"fedavg_iid": 4, "creff_lt": 2, "fedper_c100": 10, "table_sweep": 2}
 CASES = [("fedavg_iid", None), ("creff_lt", None), ("fedper_c100", None),
          ("table_sweep", 1), ("table_sweep", 2)]
+PARTITION_CASES = ["fedavg_iid", "creff_lt", "fedper_c100"]
 
 
 @functools.cache
@@ -71,15 +77,38 @@ def digests(name: str, workers: int | None, work: Path) -> dict[str, str]:
     return {path: hashlib.sha256(data).hexdigest() for path, data in outcome.files.items()}
 
 
-@pytest.mark.parametrize("name,workers", CASES)
-def test_outputs_match_golden_digests(name, workers, tmp_path):
+def partition_digests(name: str, work: Path) -> dict[str, str]:
+    """sha256 of every file the partition command writes for one workload."""
+    doc = _load_workloads().WORKLOADS[name].config_doc(SEED, tiny=False, setup=False)
+    config = work / "config.json"
+    config.write_text(json.dumps(doc))
+    out = work / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["partition", "--config", str(config), "--out", str(out)])
+    if code != 0:
+        raise RuntimeError(f"{name}: partition exited {code}")
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def _golden() -> dict:
+    """golden.json, or a skip when this run's environment differs from its."""
     golden = json.loads(GOLDEN.read_text())
     have = environment()
     for key, want in golden["environment"].items():
         if have.get(key) != want:
             pytest.skip(f"golden digests were made with {key} {want!r}, this run has "
                         f"{have.get(key)!r}")
-    assert digests(name, workers, tmp_path) == golden["digests"][name]
+    return golden
+
+
+@pytest.mark.parametrize("name,workers", CASES)
+def test_outputs_match_golden_digests(name, workers, tmp_path):
+    assert digests(name, workers, tmp_path) == _golden()["digests"][name]
+
+
+@pytest.mark.parametrize("name", PARTITION_CASES)
+def test_partition_outputs_match_golden_digests(name, tmp_path):
+    assert partition_digests(name, tmp_path) == _golden()["partition"][name]
 
 
 def regenerate() -> None:
@@ -89,8 +118,12 @@ def regenerate() -> None:
             found = digests(name, workers, Path(work))
         if table.setdefault(name, found) != found:
             raise RuntimeError(f"{name}: outputs differ between worker counts")
-    GOLDEN.write_text(json.dumps({"environment": environment(), "digests": table}, indent=1)
-                      + "\n")
+    partitions = {}
+    for name in PARTITION_CASES:
+        with tempfile.TemporaryDirectory() as work:
+            partitions[name] = partition_digests(name, Path(work))
+    doc = {"environment": environment(), "partition": partitions, "digests": table}
+    GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {GOLDEN}")
 
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from fltbench.datasets import Dataset, class_counts, generate_synthetic
-from fltbench.errors import CapacityError, ProfileTooSteepError
+from fltbench.errors import ConfigError
 from fltbench.lt_shaping import LtProfile, exponential_profile, shape_long_tailed
 from fltbench.partition import PartitionSpec, build_partition
 
@@ -50,7 +50,10 @@ class TestExponentialProfile:
     def test_unrealizable_ratio_is_too_steep(self):
         # round(10 / 1.05) = 10 collides with the head; integer resolution
         # cannot express a 5% tilt over 10 samples.
-        with pytest.raises(ProfileTooSteepError):
+        with pytest.raises(ConfigError, match=(
+            "^lt_target_if 1.05 cannot be realized from 10 samples per class: "
+            "profile counts must be non-increasing by class$"
+        )):
             exponential_profile(10, 10, 1.05)
 
 
@@ -116,5 +119,5 @@ class TestShapeLongTailed:
         labels = np.repeat([0, 1, 2], [30, 30, 5])
         ds = Dataset(np.zeros((labels.size, 1)), labels, num_classes=3)
         profile = LtProfile(target_if=2.0, counts=np.array([20, 15, 10]))
-        with pytest.raises(CapacityError, match="class 2"):
+        with pytest.raises(ConfigError, match="^class 2 has 5 samples, the profile needs 10$"):
             shape_long_tailed(ds, profile, seed=0)

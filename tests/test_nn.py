@@ -6,7 +6,7 @@ import pytest
 
 import fltbench.nn
 from fltbench.datasets import Dataset, generate_synthetic
-from fltbench.errors import EmptyShardError, MalformedFileError
+from fltbench.errors import ConfigError, FltbenchError
 from fltbench.nn import (
     Metrics,
     ModelConfig,
@@ -437,7 +437,7 @@ class TestSgd:
     def test_empty_shard_rejected(self):
         cfg = ModelConfig(arch="linear_softmax", input_dim=2, num_classes=2)
         tc = TrainConfig(learning_rate=0.1, batch_size=4)
-        with pytest.raises(EmptyShardError):
+        with pytest.raises(FltbenchError, match="^cannot train on an empty shard$"):
             sgd_epochs(init_model(cfg), cfg, tc, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
 
     @pytest.mark.parametrize("arch,hidden", BENCH_ARCHS)
@@ -644,5 +644,5 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
-        with pytest.raises(MalformedFileError):
+        with pytest.raises(ConfigError, match="junk.ckpt: missing checkpoint header$"):
             load_checkpoint(path)

@@ -6,7 +6,7 @@ import pytest
 
 import fltbench.partition
 from fltbench.datasets import class_counts, generate_synthetic
-from fltbench.errors import CapacityError, InfeasibleSpecError
+from fltbench.errors import ConfigError
 from fltbench.lt_shaping import exponential_profile, shape_long_tailed
 from fltbench.partition import (
     PartitionSpec,
@@ -76,7 +76,7 @@ class TestIid:
 
     def test_capacity(self):
         ds = generate_synthetic(2, 5, 2, 0.5, seed=0)
-        with pytest.raises(CapacityError):
+        with pytest.raises(ConfigError, match="^10 samples cannot give 2 clients at least 50 each$"):
             build_partition(ds, PartitionSpec(kind="iid", num_clients=2, min_shard_size=50))
 
     def test_determinism(self, balanced_ds):
@@ -138,7 +138,10 @@ class TestDirichlet:
         spec = PartitionSpec(
             kind="dirichlet", num_clients=10, seed=0, alpha=0.01, min_shard_size=100
         )
-        with pytest.raises(InfeasibleSpecError):
+        with pytest.raises(ConfigError, match=(
+            r"^no Dirichlet draw satisfied min_shard_size=100 within 100 attempts "
+            r"\(alpha=0.01, N=10\)$"
+        )):
             build_partition(ds, spec)
 
     def test_determinism(self, balanced_ds):
@@ -191,7 +194,9 @@ class TestRotatedLongtail:
     def test_unbalanced_source_rejected(self, cifar_scale_ds):
         lt = shape_long_tailed(cifar_scale_ds, exponential_profile(5000, 10, 10), seed=0)
         spec = PartitionSpec(kind="rotated_lt", num_clients=4, seed=0, local_if=10.0)
-        with pytest.raises(InfeasibleSpecError):
+        with pytest.raises(ConfigError, match=(
+            r"^rotated_lt needs a balanced source dataset \(IF <= 1\.05\)$"
+        )):
             build_partition(lt, spec)
 
     def test_infeasible_budget_rejected(self):
@@ -199,7 +204,9 @@ class TestRotatedLongtail:
         spec = PartitionSpec(
             kind="rotated_lt", num_clients=2, seed=0, local_if=100.0, min_shard_size=1
         )
-        with pytest.raises(InfeasibleSpecError):
+        with pytest.raises(ConfigError, match=(
+            r"^per-client budget 60 cannot hold a profile with IF 100\.0$"
+        )):
             build_partition(ds, spec)
 
     def test_determinism(self, balanced_ds):

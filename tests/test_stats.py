@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fltbench.datasets import Dataset, generate_synthetic
-from fltbench.errors import CapacityError
+from fltbench.errors import ConfigError
 from fltbench.lt_shaping import exponential_profile, shape_long_tailed
 from fltbench.partition import (
     PartitionSpec,
@@ -85,7 +85,7 @@ class TestGlobalDistribution:
     def test_all_empty_rejected(self):
         # No partition is drawn from a collection without samples.
         spec = PartitionSpec(kind="iid", num_clients=2, min_shard_size=1)
-        with pytest.raises(CapacityError):
+        with pytest.raises(ConfigError, match="^0 samples cannot give 2 clients at least 1 each$"):
             check_supply(spec, np.zeros(3, dtype=np.int64))
 
     @given(st.integers(min_value=0, max_value=2**31))
