@@ -321,10 +321,11 @@ class CreffServer:
             target = np.stack(targets)
             target_w = target[:, : m * f].reshape(len(classes), m, f)
             target_b = target[:, m * f :]
-            feats = self.features[labels]
+            feats = self.features[labels]  # a copy: fancy indexing
             for step in range(self.algo_config.ff_steps):
                 _, d_feats = matching_loss_and_grad(feats, labels, w, b, target_w, target_b)
-                feats = feats - self.algo_config.ff_lr * d_feats
+                d_feats *= self.algo_config.ff_lr
+                feats -= d_feats
                 finite = np.isfinite(feats).all(axis=(1, 2))
                 if not finite.all():
                     raise FltbenchError(
