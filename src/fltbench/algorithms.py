@@ -256,28 +256,36 @@ def retrain_head(
     features is (M, per_class, feature_dim), one slice per class; every
     prototype carries its class label, so the training set is balanced by
     construction. Each step is the linear-softmax cross-entropy gradient
-    step, computed in place on views of one head copy.
+    step, computed in place on views of one head copy, which is returned;
+    neither argument is modified.
+
+    The logits are kept class-major, as an (M, n) array over the n
+    prototypes, so the softmax max and sum reduce down contiguous rows; the
+    prototypes are transposed once per call for the forward product. The
+    result equals the row-major (n, M) loop up to rounding, not bit for bit,
+    so CReFF output bytes changed when this layout was adopted.
     """
     m, per_class, feat_dim = features.shape
     if not np.isfinite(features).all():
         raise FltbenchError("feature prototypes contain non-finite values")
     n = m * per_class
     x = features.reshape(n, feat_dim)
+    x_t = np.ascontiguousarray(x.T)
     y = np.repeat(np.arange(m, dtype=np.int64), per_class)
-    rows = np.arange(n)
+    cols = np.arange(n)
     head = head_block.copy()
     w = head[: m * feat_dim].reshape(m, feat_dim)
     b = head[m * feat_dim :]
     for _ in range(steps):
-        z = x @ w.T
-        z += b
-        z -= z.max(axis=1, keepdims=True)
+        z = w @ x_t
+        z += b[:, None]
+        z -= z.max(axis=0)
         np.exp(z, out=z)
-        z /= z.sum(axis=1, keepdims=True)
-        z[rows, y] -= 1.0
+        z /= z.sum(axis=0)
+        z[y, cols] -= 1.0
         z /= n
-        w -= learning_rate * (z.T @ x)
-        b -= learning_rate * z.sum(axis=0)
+        w -= learning_rate * (z @ x)
+        b -= learning_rate * z.sum(axis=1)
     return head
 
 

@@ -370,11 +370,26 @@ class TestCreffServer:
         assert evaluate(tuned, cfg, toy).accuracy == 1.0
 
     def test_retrain_equals_generic_kernel_loop(self, rng):
-        m, per_class, f = 10, 20, 30
-        head = rng.standard_normal(m * f + m) * 0.1
-        prototypes = rng.standard_normal((m, per_class, f))
-        new_head = retrain_head(head, prototypes, 0.1, 25)
-        np.testing.assert_array_equal(new_head, _retrain_reference(head, prototypes, 0.1, 25))
+        # retrain_head keeps its logits class-major, (M, n), while the
+        # reference goes through the row-major (n, M) kernel: the same
+        # arithmetic summed in another order, so equal up to rounding.
+        for m, per_class, f in [(10, 20, 30), (10, 20, 200), (10, 50, 200), (3, 1, 5)]:
+            head = rng.standard_normal(m * f + m) * 0.1
+            prototypes = rng.standard_normal((m, per_class, f))
+            new_head = retrain_head(head, prototypes, 0.1, 25)
+            np.testing.assert_allclose(
+                new_head, _retrain_reference(head, prototypes, 0.1, 25), rtol=1e-12
+            )
+
+    def test_retrain_returns_a_fresh_head_and_modifies_no_argument(self, rng):
+        head = rng.standard_normal(4 * 6 + 4)
+        prototypes = rng.standard_normal((4, 3, 6))
+        head_before, prototypes_before = head.copy(), prototypes.copy()
+        new_head = retrain_head(head, prototypes, 0.1, 5)
+        assert not np.shares_memory(new_head, head)
+        assert not np.shares_memory(new_head, prototypes)
+        np.testing.assert_array_equal(head, head_before)
+        np.testing.assert_array_equal(prototypes, prototypes_before)
 
     def test_retrain_rejects_non_finite_prototypes(self, rng):
         prototypes = rng.standard_normal((3, 2, 4))

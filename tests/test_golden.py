@@ -123,6 +123,13 @@ def regenerate() -> None:
         with tempfile.TemporaryDirectory() as work:
             partitions[name] = partition_digests(name, Path(work))
     doc = {"environment": environment(), "partition": partitions, "digests": table}
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for section in ("partition", "digests"):
+        for name, files in doc[section].items():
+            before = old.get(section, {}).get(name, {})
+            for path in sorted(files.keys() | before.keys()):
+                if files.get(path) != before.get(path):
+                    print(f"changed: {section} {name} {path}")
     GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {GOLDEN}")
 
