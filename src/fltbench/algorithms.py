@@ -256,26 +256,55 @@ def retrain_head(
     features is (M, per_class, feature_dim), one slice per class; every
     prototype carries its class label, so the training set is balanced by
     construction. Each step is the linear-softmax cross-entropy gradient
-    step, computed in place on views of one head copy, which is returned;
-    neither argument is modified.
+    step on the n = M*per_class prototypes X, with the logits kept
+    class-major, as an (M, n) array, so the softmax max and sum reduce down
+    contiguous rows. The result is a fresh head; neither argument is
+    modified. There are two evaluation orders:
 
-    The logits are kept class-major, as an (M, n) array over the n
-    prototypes, so the softmax max and sum reduce down contiguous rows; the
-    prototypes are transposed once per call for the forward product. The
-    result equals the row-major (n, M) loop up to rounding, not bit for bit,
-    so CReFF output bytes changed when this layout was adopted.
+    * loop order: each step computes the logits from the head and updates
+      the head from the softmax error E_t, 2*M*n*(F+1) flops a step;
+    * Gram order: since W -= (lr/n) E_t X and b -= (lr/n) E_t 1, the logits
+      move by -E_t K with the fixed (n, n) K = (lr/n)(X X^T + 1 1^T). Each
+      step's logits are the first ones minus S @ K, S being the sum of the
+      errors so far (M*n*n flops a step, plus n*n*(F+1) once for K), and
+      the head is recovered from S at the end.
+
+    The Gram order runs only when it needs fewer flops,
+    n*(F+1 + steps*M) < 2*steps*M*(F+1). That implies n < 2*(F+1), so K is
+    never more than twice the size of the prototypes. Both orders equal the
+    row-major (n, M) loop up to rounding, not bit for bit, so CReFF output
+    bytes changed when each was adopted.
     """
     m, per_class, feat_dim = features.shape
     if not np.isfinite(features).all():
         raise FltbenchError("feature prototypes contain non-finite values")
     n = m * per_class
     x = features.reshape(n, feat_dim)
-    x_t = np.ascontiguousarray(x.T)
     y = np.repeat(np.arange(m, dtype=np.int64), per_class)
     cols = np.arange(n)
     head = head_block.copy()
     w = head[: m * feat_dim].reshape(m, feat_dim)
     b = head[m * feat_dim :]
+    if n * (feat_dim + 1 + steps * m) < 2 * steps * m * (feat_dim + 1):
+        k = x @ x.T
+        k += 1.0
+        k *= learning_rate / n
+        z0 = w @ x.T
+        z0 += b[:, None]
+        s = np.zeros_like(z0)
+        z = np.empty_like(z0)
+        for _ in range(steps):
+            np.matmul(s, k, out=z)
+            np.subtract(z0, z, out=z)
+            z -= z.max(axis=0)
+            np.exp(z, out=z)
+            z /= z.sum(axis=0)
+            z[y, cols] -= 1.0
+            s += z
+        w -= learning_rate / n * (s @ x)
+        b -= learning_rate / n * s.sum(axis=1)
+        return head
+    x_t = np.ascontiguousarray(x.T)
     for _ in range(steps):
         z = w @ x_t
         z += b[:, None]

@@ -373,6 +373,9 @@ class TestCreffServer:
         # retrain_head keeps its logits class-major, (M, n), while the
         # reference goes through the row-major (n, M) kernel: the same
         # arithmetic summed in another order, so equal up to rounding.
+        # At 25 steps these shapes span both of retrain_head's evaluation
+        # orders: (10, 20, 200) and (3, 1, 5) take the Gram order, and
+        # (10, 20, 30) and (10, 50, 200) take the loop order.
         for m, per_class, f in [(10, 20, 30), (10, 20, 200), (10, 50, 200), (3, 1, 5)]:
             head = rng.standard_normal(m * f + m) * 0.1
             prototypes = rng.standard_normal((m, per_class, f))
@@ -381,15 +384,27 @@ class TestCreffServer:
                 new_head, _retrain_reference(head, prototypes, 0.1, 25), rtol=1e-12
             )
 
+    def test_retrain_equals_generic_kernel_loop_over_300_steps(self, rng):
+        # The Gram order at the benchmark's shape and step count. Compared
+        # normwise: elementwise, near-zero head entries exceed rtol=1e-12
+        # in either order.
+        head = rng.standard_normal(10 * 200 + 10) * 0.1
+        prototypes = rng.standard_normal((10, 20, 200))
+        new_head = retrain_head(head, prototypes, 0.1, 300)
+        ref = _retrain_reference(head, prototypes, 0.1, 300)
+        assert np.linalg.norm(new_head - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_retrain_returns_a_fresh_head_and_modifies_no_argument(self, rng):
-        head = rng.standard_normal(4 * 6 + 4)
-        prototypes = rng.standard_normal((4, 3, 6))
-        head_before, prototypes_before = head.copy(), prototypes.copy()
-        new_head = retrain_head(head, prototypes, 0.1, 5)
-        assert not np.shares_memory(new_head, head)
-        assert not np.shares_memory(new_head, prototypes)
-        np.testing.assert_array_equal(head, head_before)
-        np.testing.assert_array_equal(prototypes, prototypes_before)
+        # 5 steps take the loop order at this shape, 300 the Gram order.
+        for steps in (5, 300):
+            head = rng.standard_normal(4 * 6 + 4)
+            prototypes = rng.standard_normal((4, 3, 6))
+            head_before, prototypes_before = head.copy(), prototypes.copy()
+            new_head = retrain_head(head, prototypes, 0.1, steps)
+            assert not np.shares_memory(new_head, head)
+            assert not np.shares_memory(new_head, prototypes)
+            np.testing.assert_array_equal(head, head_before)
+            np.testing.assert_array_equal(prototypes, prototypes_before)
 
     def test_retrain_rejects_non_finite_prototypes(self, rng):
         prototypes = rng.standard_normal((3, 2, 4))
