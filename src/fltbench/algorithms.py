@@ -271,9 +271,13 @@ def retrain_head(
 
     The Gram order runs only when it needs fewer flops,
     n*(F+1 + steps*M) < 2*steps*M*(F+1). That implies n < 2*(F+1), so K is
-    never more than twice the size of the prototypes. Both orders equal the
-    row-major (n, M) loop up to rounding, not bit for bit, so CReFF output
-    bytes changed when each was adopted.
+    never more than twice the size of the prototypes. Timed on one BLAS
+    thread of a 2-vCPU VM, the rule picks the slower order only within
+    about 13% of the crossover in n, by up to 22%; at the default 100
+    prototypes for 10 classes and 200 features (n = 1000) the loop order
+    is 2.2x faster. Both orders equal the row-major (n, M) loop up to
+    rounding, not bit for bit, so CReFF output bytes changed when each was
+    adopted.
     """
     m, per_class, feat_dim = features.shape
     if not np.isfinite(features).all():
