@@ -6,13 +6,14 @@
             batch gradient.
 * fedper  - the representation block is shared and averaged; each client
             keeps its own classifier head across rounds.
-* creff   - clients additionally report per-class head gradients at the
-            frozen global model; the server maintains learnable per-class
-            feature prototypes whose induced head gradients are optimized to
-            match the averaged real ones, then re-trains the head on the
-            balanced union of prototypes. All reported classes are matched
-            together as one (C, P, F) batch, bit-identical to matching them
-            one class at a time.
+* creff   - clients also report an (M, head_size) array whose row c is
+            the mean head gradient of their class-c samples at the frozen
+            global model, read where their class count is positive. The
+            server maintains learnable per-class feature prototypes whose
+            induced head gradients are optimized to match the averaged real
+            ones, then re-trains the head on the balanced union of
+            prototypes. All reported classes are matched together as one
+            (C, P, F) batch, bit-identical to matching them one at a time.
 
 Unverified deviations of creff from the CReFF paper (Shang et al., IJCAI
 2022, arXiv:2204.13399), kept until they are checked against its text:
@@ -23,7 +24,6 @@ replaces the broadcast global head (the paper may use it for inference only).
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +34,7 @@ from .nn import (
     ModelParams,
     TrainConfig,
     forward,
+    head_views,
     sgd_epochs,
     softmax,
 )
@@ -42,8 +43,6 @@ from .nn import (
 # (fltbench.algorithms.loss_and_grad) and cannot install without it.
 from .nn import loss_and_grad  # noqa: F401
 from .seeding import rng_from
-
-logger = logging.getLogger(__name__)
 
 ALGO_FEDAVG = "fedavg"
 ALGO_FEDPROX = "fedprox"
@@ -85,8 +84,12 @@ class AlgoConfig:
 class ClientUpdate:
     client_id: int
     params: ModelParams
-    n_k: int
-    head_class_grads: dict[int, np.ndarray] | None = None
+    class_counts: np.ndarray  # (M,): the client's samples of each class
+    head_class_grads: np.ndarray | None = None  # CReFF: see creff_client_head_grads
+
+    @property
+    def n_k(self) -> int:
+        return int(self.class_counts.sum())
 
 
 def local_update_fedavg(
@@ -99,7 +102,7 @@ def local_update_fedavg(
 ) -> ClientUpdate:
     """Local epochs of SGD from the global model; returns full parameters."""
     trained = sgd_epochs(global_params, model_config, train_config, shard_x, shard_y)
-    return ClientUpdate(client_id=client_id, params=trained, n_k=shard_y.shape[0])
+    return ClientUpdate(client_id, trained, _class_counts(model_config, shard_y))
 
 
 def local_update_fedprox(
@@ -115,7 +118,7 @@ def local_update_fedprox(
     trained = sgd_epochs(
         global_params, model_config, train_config, shard_x, shard_y, prox_mu=mu
     )
-    return ClientUpdate(client_id=client_id, params=trained, n_k=shard_y.shape[0])
+    return ClientUpdate(client_id, trained, _class_counts(model_config, shard_y))
 
 
 def local_update_fedper(
@@ -134,7 +137,11 @@ def local_update_fedper(
     """
     start = ModelParams(global_params.rep_block, local_head)
     trained = sgd_epochs(start, model_config, train_config, shard_x, shard_y)
-    return ClientUpdate(client_id=client_id, params=trained, n_k=shard_y.shape[0])
+    return ClientUpdate(client_id, trained, _class_counts(model_config, shard_y))
+
+
+def _class_counts(model_config: ModelConfig, shard_y: np.ndarray) -> np.ndarray:
+    return np.bincount(shard_y, minlength=model_config.num_classes)
 
 
 def _weighted_mean(
@@ -145,13 +152,14 @@ def _weighted_mean(
     if not updates:
         raise ValueError("cannot aggregate an empty update list")
     ordered = sorted(updates, key=lambda u: u.client_id)
-    total = sum(u.n_k for u in ordered)
+    sizes = [u.n_k for u in ordered]
+    total = sum(sizes)
     if total <= 0:
         raise ValueError("total sample count is zero")
     rep = np.zeros_like(ordered[0].params.rep_block)
     head = np.zeros_like(ordered[0].params.head_block) if with_head else None
-    for u in ordered:
-        weight = u.n_k / total
+    for u, size in zip(ordered, sizes):
+        weight = size / total
         rep += weight * u.params.rep_block
         if with_head:
             head += weight * u.params.head_block
@@ -178,31 +186,25 @@ def creff_client_head_grads(
     model_config: ModelConfig,
     shard_x: np.ndarray,
     shard_y: np.ndarray,
-) -> dict[int, np.ndarray]:
+) -> np.ndarray:
     """Per-class gradients of the head at the frozen global model.
 
-    For every class present in the shard, the mean cross-entropy gradient of
-    the head block over that class's samples (no weight decay). Absent
-    classes are simply missing from the dict, never reported as zero. Only
-    the head gradient is formed; the representation block is not backpropagated.
+    Row c of the (M, head_size) result is the mean cross-entropy gradient of
+    the head block over the shard's class-c samples (no weight decay). Rows
+    of classes absent from the shard hold NaN, never zero. Only the head
+    gradient is formed; the representation block is not backpropagated.
     """
-    grads: dict[int, np.ndarray] = {}
+    m = model_config.num_classes
+    grads = np.full((m, model_config.head_size), np.nan)
+    grad_w, grad_b = head_views(grads, m)
     for cls in np.unique(shard_y):
         feats, logits = forward(global_params, model_config, shard_x[shard_y == cls])
-        g_w, g_b = head_gradient_from_logits(feats, logits, int(cls))
-        grads[int(cls)] = np.concatenate([g_w.ravel(), g_b])
+        delta = softmax(logits)
+        delta[:, cls] -= 1.0
+        delta /= feats.shape[0]
+        np.matmul(delta.T, feats, out=grad_w[cls])
+        delta.sum(axis=0, out=grad_b[cls])
     return grads
-
-
-def head_gradient_from_logits(
-    features: np.ndarray, logits: np.ndarray, label: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean head gradient (dW, db) of a batch of same-label samples, given
-    their penultimate features and the logits the head maps them to."""
-    delta = softmax(logits)
-    delta[:, label] -= 1.0
-    delta /= features.shape[0]
-    return delta.T @ features, delta.sum(axis=0)
 
 
 def matching_loss_and_grad(
@@ -287,8 +289,7 @@ def retrain_head(
     y = np.repeat(np.arange(m, dtype=np.int64), per_class)
     cols = np.arange(n)
     head = head_block.copy()
-    w = head[: m * feat_dim].reshape(m, feat_dim)
-    b = head[m * feat_dim :]
+    w, b = head_views(head, m)
     if n * (feat_dim + 1 + steps * m) < 2 * steps * m * (feat_dim + 1):
         k = x @ x.T
         k += 1.0
@@ -338,30 +339,25 @@ class CreffServer:
         )
 
     def server_round(
-        self, global_params: ModelParams, client_grads: list[dict[int, np.ndarray]]
+        self, global_params: ModelParams, updates: list[ClientUpdate]
     ) -> np.ndarray:
         """One aggregation step: match prototypes, then return a re-trained head.
 
-        All reported classes are matched together as one (C, P, F) batch;
-        prototypes of classes no client reported are kept as they are.
+        Class c's target is the mean of row c of head_class_grads over the
+        updates with class-c samples. All reported classes are matched
+        together as one (C, P, F) batch; the others keep their prototypes.
         """
-        cfg = self.model_config
-        m, f = cfg.num_classes, cfg.feature_dim
-        w = global_params.head_block[: m * f].reshape(m, f)
-        b = global_params.head_block[m * f :]
+        m = self.model_config.num_classes
+        w, b = head_views(global_params.head_block, m)
         classes, targets = [], []
         for cls in range(m):
-            reported = [g[cls] for g in client_grads if cls in g]
-            if not reported:
-                logger.debug("no client reported class %d this round; prototypes kept", cls)
-                continue
-            classes.append(cls)
-            targets.append(np.mean(reported, axis=0))
+            reported = [u.head_class_grads[cls] for u in updates if u.class_counts[cls] > 0]
+            if reported:
+                classes.append(cls)
+                targets.append(np.mean(reported, axis=0))
         if classes:
             labels = np.array(classes, dtype=np.int64)
-            target = np.stack(targets)
-            target_w = target[:, : m * f].reshape(len(classes), m, f)
-            target_b = target[:, m * f :]
+            target_w, target_b = head_views(np.stack(targets), m)
             feats = self.features[labels]  # a copy: fancy indexing
             for step in range(self.algo_config.ff_steps):
                 _, d_feats = matching_loss_and_grad(feats, labels, w, b, target_w, target_b)

@@ -18,6 +18,7 @@ from .config import (
     load_config_file,
     parse_experiment_config,
     parse_grid_config,
+    slug,
 )
 from .errors import ConfigError, FltbenchError
 from .nn import save_checkpoint
@@ -118,6 +119,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, not {args.workers}")
     raw = load_config_file(args.config)
     name, cells, rows, cols = parse_grid_config(
         raw, env_data_dir=os.environ.get(DATA_DIR_ENV)
@@ -149,9 +152,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cell_dir = out / "cells"
     cell_dir.mkdir(exist_ok=True)
     for cell, report in result.reports:
-        slug = f"{cell.row}__{_slug(cell.col)}__seed{cell.seed_index}"
+        stem = f"{cell.row}__{slug(cell.col)}__seed{cell.seed_index}"
         _write(
-            cell_dir / f"{slug}.report.json",
+            cell_dir / f"{stem}.report.json",
             json.dumps(report.to_json_dict(), indent=2) + "\n",
         )
     failures = [
@@ -163,10 +166,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"warning: {line}", end="", file=sys.stderr)
     print(f"sweep table written to {out / (name + '.csv')} ({len(result.errors)} warnings)")
     return EXIT_OK
-
-
-def _slug(label: str) -> str:
-    return "".join(ch if ch.isalnum() or ch in "-_." else "-" for ch in label)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -161,6 +161,11 @@ def deep_merge(base: dict, overrides: dict) -> dict:
 # Sweep grids
 # ---------------------------------------------------------------------------
 
+def slug(label: str) -> str:
+    """The part of a sweep cell's report file name that names its setting."""
+    return "".join(ch if ch.isalnum() or ch in "-_." else "-" for ch in label)
+
+
 def parse_grid_config(
     raw: dict, env_data_dir: str | None = None
 ) -> tuple[str, list[SweepCell], list[str], list[str]]:
@@ -173,6 +178,8 @@ def parse_grid_config(
     raw = _require_mapping(raw, "grid")
     _check_keys(raw, {"name", "base", "algorithms", "settings", "seeds"}, "grid")
     name = _get(raw, "name", str, "grid")
+    if name in ("", ".", "..") or Path(name).name != name:
+        raise ConfigError(f"grid.name {name!r} must be a file name, not a path")
     base = _require_mapping(raw.get("base"), "grid.base")
     algorithms = raw.get("algorithms")
     if not isinstance(algorithms, list) or not algorithms:
@@ -192,6 +199,7 @@ def parse_grid_config(
         raise ConfigError("grid.seeds must be a non-empty list of integers")
 
     cols: list[str] = []
+    slugs: dict[str, str] = {}
     cells: list[SweepCell] = []
     for setting in settings:
         setting = _require_mapping(setting, "grid.settings[]")
@@ -199,6 +207,12 @@ def parse_grid_config(
         label = _get(setting, "label", str, "grid.settings[]")
         if label in cols:
             raise ConfigError(f"duplicate setting label {label!r}")
+        if any(ch in label for ch in ',"\r\n'):
+            raise ConfigError(f"setting label {label!r} is a column of the sweep table "
+                              "and cannot hold a comma, a double quote or a line break")
+        if slugs.setdefault(slug(label), label) != label:
+            raise ConfigError(f"setting labels {slugs[slug(label)]!r} and {label!r} "
+                              "give their cells the same report file name")
         cols.append(label)
         overrides = setting.get("overrides", {})
         if overrides is None:

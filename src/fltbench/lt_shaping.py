@@ -73,15 +73,16 @@ def profile_counts(n_max: int, num_classes: int, target_if: float) -> np.ndarray
 def exponential_profile(n_max: int, num_classes: int, target_if: float) -> LtProfile:
     """Build a head-first profile.
 
-    Raises ConfigError when integer rounding cannot realize the target
-    ratio (tiny n_max relative to target_if).
+    Raises ConfigError when the tail class would get less than one sample,
+    or integer rounding cannot realize the target ratio.
     """
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
     if target_if < 1.0:
         raise ValueError("target_if must be >= 1")
     if n_max < target_if:
-        raise ValueError("n_max must be at least target_if")
+        raise ConfigError(f"the smallest class has {n_max} samples, below lt_target_if "
+                          f"{target_if:g}: the tail class would get less than one sample")
     return LtProfile(
         target_if=float(target_if),
         counts=profile_counts(n_max, num_classes, target_if),

@@ -170,14 +170,12 @@ def init_model(config: ModelConfig) -> ModelParams:
     return ModelParams(rep, head)
 
 
-def _head_views(params: ModelParams, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Head weights (..., M, F) and biases (..., M); a (G, head_size) head
-    block holds G heads, one per leading index."""
-    f, m = config.feature_dim, config.num_classes
-    head = params.head_block
-    w = head[..., : m * f].reshape(*head.shape[:-1], m, f)
-    b = head[..., m * f :]
-    return w, b
+def head_views(head: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weight (..., M, F) and bias (..., M) views of a (..., head_size) block,
+    which holds the row-major weights, then the biases; leading axes stack heads."""
+    split = head.shape[-1] - num_classes
+    w = head[..., :split].reshape(*head.shape[:-1], num_classes, split // num_classes)
+    return w, head[..., split:]
 
 
 def _rep_views(params: ModelParams, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +211,7 @@ def forward(
         feats = x @ w1.T
         feats += b1
         np.maximum(feats, 0.0, out=feats)
-    w2, b2 = _head_views(params, config)
+    w2, b2 = head_views(params.head_block, config.num_classes)
     logits = feats @ np.swapaxes(w2, -1, -2)
     logits += b2[..., None, :]
     return feats, logits
@@ -254,7 +252,7 @@ def loss_and_grad(
     y = np.asarray(batch_y, dtype=np.int64)
     n = y.shape[0]
     rows = np.arange(n)
-    w2, b2 = _head_views(params, config)
+    w2, b2 = head_views(params.head_block, config.num_classes)
     if config.arch == ARCH_LINEAR:
         feats = x
     else:
@@ -276,10 +274,10 @@ def loss_and_grad(
     delta[rows, y] -= 1.0
     delta /= n
 
-    m, f = w2.shape
     grad_rep, grad_head = out.rep_block, out.head_block
-    np.matmul(delta.T, feats, out=grad_head[: m * f].reshape(m, f))
-    delta.sum(axis=0, out=grad_head[m * f :])
+    grad_w2, grad_b2 = head_views(grad_head, config.num_classes)
+    np.matmul(delta.T, feats, out=grad_w2)
+    delta.sum(axis=0, out=grad_b2)
     if config.arch == ARCH_MLP1H:
         h, d = w1.shape
         dpre = delta @ w2

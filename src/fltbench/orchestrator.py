@@ -40,7 +40,7 @@ from .datasets import (
     stratified_split_indices,
 )
 from .errors import ConfigError, FltbenchError
-from .lt_shaping import LtProfile, exponential_profile, shape_long_tailed
+from .lt_shaping import exponential_profile, shape_long_tailed
 from .nn import (
     EVAL_BLOCK_ROWS,
     Metrics,
@@ -112,21 +112,7 @@ class DataConfig:
             return None
         if self.lt_target_if is None:
             return np.full(self.num_classes, self.per_class, dtype=np.int64)
-        return _long_tail_profile(self.per_class, self.num_classes, self.lt_target_if).counts
-
-
-def _long_tail_profile(n_max: int, num_classes: int, target_if: float) -> LtProfile:
-    """The lt_target_if profile over classes of at least n_max samples.
-
-    Raises ConfigError when no profile exists: the tail class would get less
-    than one sample, or integer rounding cannot realize the ratio.
-    """
-    if n_max < target_if:
-        raise ConfigError(
-            f"the smallest class has {n_max} samples, below lt_target_if {target_if:g}: "
-            "the tail class would get less than one sample"
-        )
-    return exponential_profile(n_max, num_classes, target_if)
+        return exponential_profile(self.per_class, self.num_classes, self.lt_target_if).counts
 
 
 @dataclass(frozen=True)
@@ -192,7 +178,7 @@ def build_data(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict]:
     info = {"train_size_before_shaping": len(train), "train_size": len(train)}
     if data.lt_target_if is not None:
         n_max = int(class_counts(train).min())
-        profile = _long_tail_profile(n_max, train.num_classes, data.lt_target_if)
+        profile = exponential_profile(n_max, train.num_classes, data.lt_target_if)
         train = shape_long_tailed(
             train, profile, seed=derive_seed(config.master_seed, "lt-shaping")
         )
@@ -426,8 +412,8 @@ def _algorithm(
             return update
 
         def average_and_retrain_head(w, updates):
-            rep = aggregate_weighted(updates).rep_block
-            return ModelParams(rep, creff.server_round(w, [u.head_class_grads for u in updates]))
+            rep = aggregate_rep_only(updates, w).rep_block
+            return ModelParams(rep, creff.server_round(w, updates))
 
         return _Algorithm(
             local_sgd_and_head_grads, average_and_retrain_head, features=creff.features

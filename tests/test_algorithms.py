@@ -10,7 +10,6 @@ from fltbench.algorithms import (
     aggregate_rep_only,
     aggregate_weighted,
     creff_client_head_grads,
-    head_gradient_from_logits,
     local_update_fedavg,
     local_update_fedper,
     local_update_fedprox,
@@ -24,6 +23,7 @@ from fltbench.nn import (
     ModelParams,
     TrainConfig,
     evaluate,
+    head_views,
     init_model,
     loss_and_grad,
     sgd_epochs,
@@ -37,7 +37,7 @@ def _update(client_id, rep, head, n_k):
     return ClientUpdate(
         client_id=client_id,
         params=ModelParams(np.asarray(rep, dtype=float), np.asarray(head, dtype=float)),
-        n_k=n_k,
+        class_counts=np.array([n_k]),
     )
 
 
@@ -99,6 +99,7 @@ class TestFedAvg:
         np.testing.assert_array_equal(update.params.rep_block, params.rep_block)
         np.testing.assert_array_equal(update.params.head_block, params.head_block)
         assert update.n_k == 40
+        np.testing.assert_array_equal(update.class_counts, np.bincount(y, minlength=3))
 
     def test_single_client_round_is_centralized_training(self, small_problem):
         cfg, params, x, y = small_problem
@@ -227,7 +228,9 @@ class TestCreffClientGrads:
         x = rng.standard_normal((6, 3))
         y = np.array([0, 0, 2, 2, 2, 0])
         grads = creff_client_head_grads(params, cfg, x, y)
-        assert set(grads) == {0, 2}
+        assert grads.shape == (4, cfg.head_size)
+        assert np.isfinite(grads[[0, 2]]).all()
+        assert np.isnan(grads[[1, 3]]).all()
 
     def test_single_sample_class(self, rng):
         cfg = ModelConfig(arch="linear_softmax", input_dim=3, num_classes=3, init_seed=2)
@@ -245,8 +248,8 @@ class TestCreffClientGrads:
         y = rng.integers(0, 4, 30)
         grads = creff_client_head_grads(params, cfg, x, y)
         total = np.zeros(cfg.head_size)
-        for cls, grad in grads.items():
-            total += (y == cls).sum() * grad
+        for cls in np.unique(y):
+            total += (y == cls).sum() * grads[cls]
         _, full = loss_and_grad(params, cfg, x, y)
         np.testing.assert_allclose(total, 30 * full.head_block, atol=1e-12)
 
@@ -260,7 +263,7 @@ class TestCreffClientGrads:
         grads = creff_client_head_grads(params, cfg, x, y)
         for cls in np.unique(y):
             _, full = loss_and_grad(params, cfg, x[y == cls], y[y == cls])
-            np.testing.assert_array_equal(grads[int(cls)], full.head_block)
+            np.testing.assert_array_equal(grads[cls], full.head_block)
 
 
 def _matching_reference(features, label, w, b, target_w, target_b):
@@ -320,7 +323,12 @@ class TestMatching:
         bias = np.zeros(m)
         feats = rng.standard_normal((1, b, f))
         real = rng.standard_normal((b, f)) + 2.0
-        target_w, target_b = head_gradient_from_logits(real, real @ w.T + bias, 1)
+        cfg = ModelConfig(arch="linear_softmax", input_dim=f, num_classes=m)
+        _, real_grad = loss_and_grad(
+            ModelParams(np.empty(0), np.concatenate([w.ravel(), bias])),
+            cfg, real, np.ones(b, dtype=np.int64),
+        )
+        target_w, target_b = head_views(real_grad.head_block, m)
         labels = np.array([1])
         losses = []
         for _ in range(100):
@@ -357,6 +365,12 @@ def _separable_toy(rng, m=4, dim=6, per_class=25, noise=0.02):
     )
     labels = np.repeat(np.arange(m), per_class)
     return Dataset(feats, labels, num_classes=m), means
+
+
+def _creff_update(params, cfg, x, y, client_id=0):
+    """A CReFF client's report: its class counts and per-class head gradients."""
+    return ClientUpdate(client_id, params, np.bincount(y, minlength=cfg.num_classes),
+                        creff_client_head_grads(params, cfg, x, y))
 
 
 class TestCreffServer:
@@ -422,8 +436,7 @@ class TestCreffServer:
         server = CreffServer(cfg, algo, seed=2)
         x = rng.standard_normal((20, 5))
         y = rng.integers(0, 3, 20)
-        grads = [creff_client_head_grads(params, cfg, x, y)]
-        new_head = server.server_round(params, grads)
+        new_head = server.server_round(params, [_creff_update(params, cfg, x, y)])
         assert new_head.shape == params.head_block.shape
         assert not np.array_equal(new_head, params.head_block)
 
@@ -438,7 +451,7 @@ class TestCreffServer:
         before = server.features[2].copy()
         x = rng.standard_normal((10, 4))
         y = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])  # class 2 never reported
-        server.server_round(params, [creff_client_head_grads(params, cfg, x, y)])
+        server.server_round(params, [_creff_update(params, cfg, x, y)])
         np.testing.assert_array_equal(server.features[2], before)
         assert not np.array_equal(server.features[0], before)
 
@@ -455,7 +468,7 @@ class TestCreffServer:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             FltbenchError, match="^feature optimization diverged for class [0-2] at step "
         ):
-            server.server_round(params, [creff_client_head_grads(params, cfg, x, y)])
+            server.server_round(params, [_creff_update(params, cfg, x, y)])
 
     def test_diverging_class_is_named(self, rng):
         cfg = ModelConfig(arch="linear_softmax", input_dim=4, num_classes=3, init_seed=5)
@@ -467,12 +480,34 @@ class TestCreffServer:
         server = CreffServer(cfg, algo, seed=7)
         x = rng.standard_normal((12, 4))
         y = np.repeat(np.arange(3), 4)
-        grads = creff_client_head_grads(params, cfg, x, y)
-        grads[2] = np.full_like(grads[2], 1e300)  # only class 2 can blow up
+        update = _creff_update(params, cfg, x, y)
+        update.head_class_grads[2] = 1e300  # only class 2 can blow up
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             FltbenchError, match="^feature optimization diverged for class 2 at step "
         ):
-            server.server_round(params, [grads])
+            server.server_round(params, [update])
+
+    def test_absent_class_row_is_never_read(self, rng):
+        # Client 0 holds no class-1 samples, so its row 1 holds NaN; the round
+        # must equal one in which that row is zero.
+        cfg = ModelConfig(arch="mlp1h", input_dim=4, num_classes=3, init_seed=5, hidden_units=6)
+        algo = AlgoConfig(
+            algorithm="creff", rounds=1, ff_per_class=3, ff_steps=5,
+            retrain_steps=5, ff_lr=0.5, retrain_lr=0.1,
+        )
+        params = init_model(cfg)
+        x = rng.standard_normal((16, 4))
+        y = np.repeat([0, 2, 0, 1], 4)
+        updates = [_creff_update(params, cfg, x[:8], y[:8], 0),
+                   _creff_update(params, cfg, x[8:], y[8:], 1)]
+        assert np.isnan(updates[0].head_class_grads[1]).all()
+        nan_server, zero_server = CreffServer(cfg, algo, seed=7), CreffServer(cfg, algo, seed=7)
+        nan_head = nan_server.server_round(params, updates)
+        updates[0].head_class_grads[1] = 0.0
+        zero_head = zero_server.server_round(params, updates)
+        np.testing.assert_array_equal(nan_head, zero_head)
+        np.testing.assert_array_equal(nan_server.features, zero_server.features)
+        assert np.isfinite(nan_head).all()
 
 
 class TestAlgoConfig:

@@ -148,6 +148,45 @@ class TestConfigSchema:
         assert all(c.config.partition.alpha == 0.5 for c in dir_cells)
         assert all(c.config.data.per_class == 60 for c in dir_cells)
 
+    @pytest.mark.parametrize("name", ["../escaped", "sub/dir", "", ".", ".."])
+    def test_grid_name_that_is_not_a_file_name_exits_2(self, tmp_path, capsys, name):
+        doc = _grid_doc(rounds=1)
+        doc["name"] = name
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", _write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 2
+        assert f"grid.name {name!r} must be a file name" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "escaped.csv").exists()
+
+    def test_labels_with_one_slug_exit_2(self, tmp_path, capsys):
+        # Both would write their reports to cells/fedavg__a-b__seed0.report.json.
+        doc = _grid_doc(rounds=1)
+        doc["settings"] = [{"label": "a/b"}, {"label": "a-b"}]
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", _write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 2
+        assert ("setting labels 'a/b' and 'a-b' give their cells the same report file name"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["a,b", 'say "b"', "a\nb"])
+    def test_label_that_breaks_the_table_csv_exits_2(self, tmp_path, capsys, label):
+        doc = _grid_doc(rounds=1)
+        doc["settings"][1]["label"] = label
+        code = main(["sweep", "--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"setting label {label!r} is a column" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", _write_config(tmp_path, _grid_doc(rounds=1)),
+                     "--out", str(out), "--workers", workers])
+        assert code == 2
+        assert f"must be at least 1, not {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_invalid_alpha_exits_2(self, tmp_path, capsys):

@@ -44,7 +44,8 @@ class TestExponentialProfile:
             exponential_profile(5000, 1, 10.0)
         with pytest.raises(ValueError):
             exponential_profile(5000, 10, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^the smallest class has 50 samples, below "
+                                              "lt_target_if 100: the tail class"):
             exponential_profile(50, 10, 100.0)
 
     def test_unrealizable_ratio_is_too_steep(self):
