@@ -12,8 +12,11 @@
             server maintains learnable per-class feature prototypes whose
             induced head gradients are optimized to match the averaged real
             ones, then re-trains the head on the balanced union of
-            prototypes. All reported classes are matched together as one
-            (C, P, F) batch, bit-identical to matching them one at a time.
+            prototypes. A client's gradients come from forward passes
+            over blocks of whole classes of its class-sorted shard. All
+            reported classes are matched together as one (C, P, F) batch,
+            bit-identical to matching them one at a time; a matching step
+            returns the feature step and computes no loss.
 
 Unverified deviations of creff from the CReFF paper (Shang et al., IJCAI
 2022, arXiv:2204.13399), kept until they are checked against its text:
@@ -30,6 +33,7 @@ import numpy as np
 
 from .errors import FltbenchError
 from .nn import (
+    EVAL_BLOCK_ROWS,
     ModelConfig,
     ModelParams,
     TrainConfig,
@@ -193,17 +197,37 @@ def creff_client_head_grads(
     the head block over the shard's class-c samples (no weight decay). Rows
     of classes absent from the shard hold NaN, never zero. Only the head
     gradient is formed; the representation block is not backpropagated.
+    The shard's rows are sorted by class, and consecutive classes go
+    through one forward pass together while their rows fit in
+    EVAL_BLOCK_ROWS; a larger class is a pass of its own. Each class's
+    softmax errors and features are then one contiguous slice of its pass,
+    and no temporary is larger than one class's or one evaluation block's.
     """
     m = model_config.num_classes
+    order = np.argsort(shard_y, kind="stable")
+    counts = np.bincount(shard_y, minlength=m)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    blocks: list[list[int]] = []
+    for cls in np.flatnonzero(counts):
+        if blocks and ends[cls] - starts[blocks[-1][0]] <= EVAL_BLOCK_ROWS:
+            blocks[-1].append(cls)
+        else:
+            blocks.append([cls])
     grads = np.full((m, model_config.head_size), np.nan)
     grad_w, grad_b = head_views(grads, m)
-    for cls in np.unique(shard_y):
-        feats, logits = forward(global_params, model_config, shard_x[shard_y == cls])
+    for block in blocks:
+        first = starts[block[0]]
+        rows = order[first:ends[block[-1]]]
+        feats, logits = forward(global_params, model_config, shard_x[rows])
         delta = softmax(logits)
-        delta[:, cls] -= 1.0
-        delta /= feats.shape[0]
-        np.matmul(delta.T, feats, out=grad_w[cls])
-        delta.sum(axis=0, out=grad_b[cls])
+        delta[np.arange(rows.shape[0]), shard_y[rows]] -= 1.0
+        for cls in block:
+            start, end = starts[cls] - first, ends[cls] - first
+            part = delta[start:end]
+            part /= counts[cls]
+            np.matmul(part.T, feats[start:end], out=grad_w[cls])
+            part.sum(axis=0, out=grad_b[cls])
     return grads
 
 
@@ -214,37 +238,57 @@ def matching_loss_and_grad(
     b: np.ndarray,
     target_w: np.ndarray,
     target_b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class squared distance of induced from target head gradients, with dF.
+    lr: float,
+) -> np.ndarray:
+    """One descent step of the prototypes: lr times the gradient of the
+    matching distance. No loss is computed or returned.
 
     features is a (C, P, F) stack of prototypes, one (P, F) slice per class
-    in labels (C,); target_w is (C, M, F) and target_b is (C, M). Each class
-    slice goes through the same float operations as a lone (P, F) call would,
-    so batching does not change a bit. Returns the (C,) losses and the
-    (C, P, F) feature gradients.
-
-    The induced gradient depends on the features both directly (outer
-    product with the softmax error) and through the logits, so the feature
-    gradient has two terms: U R / B plus the softmax backward of
-    (F R^T + 1 r^T) / B mapped through W.
+    in labels (C,); target_w is (C, M, F) and target_b is (C, M). D is the
+    squared distance between the head gradients (g_w, g_b) that a class's
+    prototypes induce and its targets. D enters only through R, with
+    dD/dg = r_scale * R; the rest is the backprop of g(F) and does not know
+    D. Its two terms, U R_w / P (U the softmax error) and the softmax
+    backward of (F R_w^T + 1 R_b^T) / P mapped through W, come from one
+    product [U * r_scale*lr/P | dlogits * lr] (C, P, 2M) times [R_w ; W]
+    (C, 2M, F), the constant factors going into the small array. Logits are
+    class-major, (C, M, P), so the softmax reduces down rows of P entries.
+    Products stay batched over classes, so a batched call is bit-equal to
+    lone per-class calls.
     """
-    n = features.shape[1]
-    logits = features @ w.T + b
-    probs = softmax(logits)
-    u = probs.copy()
-    u[np.arange(labels.shape[0]), :, labels] -= 1.0
-    g_w = u.transpose(0, 2, 1) @ features / n
-    g_b = u.sum(axis=1) / n
-    diff_w = g_w - target_w
-    diff_b = g_b - target_b
-    r_w = 2.0 * diff_w
-    r_b = 2.0 * diff_b
-    losses = (diff_w ** 2).sum(axis=(1, 2)) + (diff_b ** 2).sum(axis=1)
+    c, p, _ = features.shape
+    m = w.shape[0]
+    lhs_t = np.empty((c, 2 * m, p))  # the small array, transposed
+    rhs = np.empty((c, 2 * m, features.shape[2]))  # [R_w ; W]
+    rhs[:, m:] = w
+    x_t = features.transpose(0, 2, 1)
+    probs = w @ x_t
+    probs += b[:, None]
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    u = lhs_t[:, :m]
+    np.copyto(u, probs)
+    u[np.arange(c), labels] -= 1.0
+    u /= p
+    r_w = rhs[:, :m]
+    np.matmul(u, features, out=r_w)  # g_w
+    g_b = u.sum(axis=2)
 
-    direct = u @ r_w / n
-    d_probs = (features @ r_w.transpose(0, 2, 1) + r_b[:, None, :]) / n
-    d_logits = probs * (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True))
-    return losses, direct + d_logits @ w
+    # Squared L2 distance: D = |g_w - t_w|^2 + |g_b - t_b|^2, so
+    # dD/dg = r_scale * R with R = g - t.
+    r_w -= target_w
+    r_b = g_b - target_b
+    r_scale = 2.0
+
+    d_logits = lhs_t[:, m:]
+    np.matmul(r_w, x_t, out=d_logits)
+    d_logits += r_b[:, :, None]
+    d_logits *= r_scale * lr / p
+    d_logits -= (d_logits * probs).sum(axis=1, keepdims=True)
+    d_logits *= probs
+    u *= r_scale * lr
+    return lhs_t.transpose(0, 2, 1) @ rhs
 
 
 def retrain_head(
@@ -273,21 +317,14 @@ def retrain_head(
 
     The Gram order runs only when it needs fewer flops,
     n*(F+1 + steps*M) < 2*steps*M*(F+1). That implies n < 2*(F+1), so K is
-    never more than twice the size of the prototypes. Timed on one BLAS
-    thread of a 2-vCPU VM, the rule picks the slower order only within
-    about 13% of the crossover in n, by up to 22%; at the default 100
-    prototypes for 10 classes and 200 features (n = 1000) the loop order
-    is 2.2x faster. Both orders equal the row-major (n, M) loop up to
-    rounding, not bit for bit, so CReFF output bytes changed when each was
-    adopted.
+    never more than twice the size of the prototypes. Both orders equal the
+    row-major (n, M) loop up to rounding, not bit for bit.
     """
     m, per_class, feat_dim = features.shape
     if not np.isfinite(features).all():
         raise FltbenchError("feature prototypes contain non-finite values")
     n = m * per_class
     x = features.reshape(n, feat_dim)
-    y = np.repeat(np.arange(m, dtype=np.int64), per_class)
-    cols = np.arange(n)
     head = head_block.copy()
     w, b = head_views(head, m)
     if n * (feat_dim + 1 + steps * m) < 2 * steps * m * (feat_dim + 1):
@@ -298,18 +335,25 @@ def retrain_head(
         z0 += b[:, None]
         s = np.zeros_like(z0)
         z = np.empty_like(z0)
+        # Each prototype's own label entry: row c, columns c*P .. (c+1)*P - 1
+        # of the class-major logits, the block diagonal of an (M, M, P) view.
+        z_labels = np.lib.stride_tricks.as_strided(
+            z, (m, per_class), (z.strides[0] + per_class * z.strides[1], z.strides[1])
+        )
         for _ in range(steps):
             np.matmul(s, k, out=z)
             np.subtract(z0, z, out=z)
             z -= z.max(axis=0)
             np.exp(z, out=z)
             z /= z.sum(axis=0)
-            z[y, cols] -= 1.0
+            z_labels -= 1.0
             s += z
         w -= learning_rate / n * (s @ x)
         b -= learning_rate / n * s.sum(axis=1)
         return head
     x_t = np.ascontiguousarray(x.T)
+    y = np.repeat(np.arange(m, dtype=np.int64), per_class)
+    cols = np.arange(n)
     for _ in range(steps):
         z = w @ x_t
         z += b[:, None]
@@ -359,11 +403,11 @@ class CreffServer:
             labels = np.array(classes, dtype=np.int64)
             target_w, target_b = head_views(np.stack(targets), m)
             feats = self.features[labels]  # a copy: fancy indexing
+            lr = self.algo_config.ff_lr
             for step in range(self.algo_config.ff_steps):
-                _, d_feats = matching_loss_and_grad(feats, labels, w, b, target_w, target_b)
-                d_feats *= self.algo_config.ff_lr
-                feats -= d_feats
-                finite = np.isfinite(feats).all(axis=(1, 2))
+                feats -= matching_loss_and_grad(feats, labels, w, b, target_w, target_b, lr)
+                # A NaN or infinity in a class's prototypes makes its sum non-finite.
+                finite = np.isfinite(feats.sum(axis=(1, 2)))
                 if not finite.all():
                     raise FltbenchError(
                         f"feature optimization diverged for class "

@@ -22,7 +22,7 @@ from .config import (
 )
 from .errors import ConfigError, FltbenchError
 from .nn import save_checkpoint
-from .orchestrator import prepare_partition, run_experiment, run_sweep
+from .orchestrator import SweepCell, prepare_partition, run_experiment, run_sweep
 from .partition import partition_report
 
 DATA_DIR_ENV = "FLTB_DATA_DIR"
@@ -118,6 +118,26 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _cell_report_path(cell_dir: Path, cell: SweepCell) -> Path:
+    return cell_dir / f"{cell.row}__{slug(cell.col)}__seed{cell.seed_index}.report.json"
+
+
+def _check_creatable(directory: Path, paths: list[Path]) -> None:
+    """Fail before a sweep runs its cells if the file system refuses one of
+    its output names: create the directory, and create or open each file,
+    removing the files this made."""
+    path = directory
+    try:
+        directory.mkdir(exist_ok=True)
+        for path in paths:
+            existed = path.exists()
+            open(path, "a").close()
+            if not existed:
+                path.unlink()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot create sweep output {str(path)!r}: {exc}") from exc
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, not {args.workers}")
@@ -147,14 +167,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
     out = _prepare_out_dir(args.out)
+    cell_dir = out / "cells"
+    _check_creatable(
+        cell_dir,
+        [out / f"{name}.csv", out / "errors.txt"]
+        + [_cell_report_path(cell_dir, cell) for cell in cells],
+    )
     result = run_sweep(cells, rows, cols, workers=args.workers)
     _write(out / f"{name}.csv", result.table_csv())
-    cell_dir = out / "cells"
-    cell_dir.mkdir(exist_ok=True)
     for cell, report in result.reports:
-        stem = f"{cell.row}__{slug(cell.col)}__seed{cell.seed_index}"
         _write(
-            cell_dir / f"{stem}.report.json",
+            _cell_report_path(cell_dir, cell),
             json.dumps(report.to_json_dict(), indent=2) + "\n",
         )
     failures = [

@@ -602,9 +602,16 @@ class SweepResult:
 
 def _run_cell(cell: SweepCell) -> tuple[SweepCell, ExperimentReport | None, str | None]:
     """Run one cell; any exception becomes the cell's one-line error, so one
-    crashing cell never takes down the sweep."""
+    crashing cell never takes down the sweep.
+
+    A sweep writes only each cell's JSON report, so the report comes back
+    without the model arrays (final_params, federated_features): a CReFF
+    cell's prototypes alone are 320 KB at the table2 grid, pickled from its
+    worker and unpickled by the sweep for nothing.
+    """
     try:
-        return cell, run_experiment(cell.config), None
+        report = run_experiment(cell.config)
+        return cell, replace(report, final_params=None, federated_features=None), None
     except Exception as exc:
         return cell, None, " ".join(f"{type(exc).__name__}: {exc}".splitlines())
 
@@ -619,6 +626,7 @@ def run_sweep(
 
     Cell values are the best test accuracy averaged over the cell's seeds.
     Failed cells are recorded and rendered as ERROR; the sweep continues.
+    The reports carry no final_params or federated_features.
     """
     result = SweepResult(rows=rows, cols=cols)
     if workers > 1 and len(cells) > 1:

@@ -3,6 +3,7 @@ and the gradient-matched feature machinery."""
 import numpy as np
 import pytest
 
+import fltbench.algorithms
 from fltbench.algorithms import (
     AlgoConfig,
     ClientUpdate,
@@ -19,10 +20,12 @@ from fltbench.algorithms import (
 from fltbench.datasets import Dataset
 from fltbench.errors import FltbenchError
 from fltbench.nn import (
+    EVAL_BLOCK_ROWS,
     ModelConfig,
     ModelParams,
     TrainConfig,
     evaluate,
+    forward,
     head_views,
     init_model,
     loss_and_grad,
@@ -265,10 +268,51 @@ class TestCreffClientGrads:
             _, full = loss_and_grad(params, cfg, x[y == cls], y[y == cls])
             np.testing.assert_array_equal(grads[cls], full.head_block)
 
+    def test_shard_longer_than_an_eval_block(self, rng):
+        # One forward pass over a 600-row shard: its products may take
+        # another BLAS kernel than a pass over one class's rows, so equal up
+        # to rounding.
+        cfg = ModelConfig(arch="mlp1h", input_dim=5, num_classes=6, init_seed=4,
+                          hidden_units=20)
+        params = init_model(cfg)
+        n = 600
+        assert n > EVAL_BLOCK_ROWS
+        x = rng.standard_normal((n, 5))
+        y = rng.choice([0, 1, 2, 4, 5], n)  # class 3 absent
+        grads = creff_client_head_grads(params, cfg, x, y)
+        assert np.isnan(grads[3]).all()
+        for cls in (0, 1, 2, 4, 5):
+            _, full = loss_and_grad(params, cfg, x[y == cls], y[y == cls])
+            np.testing.assert_allclose(grads[cls], full.head_block, rtol=1e-12)
+
+    def test_forward_passes_hold_whole_classes_of_at_most_a_block(self, rng, monkeypatch):
+        # Classes 0 and 1 share a pass; class 2 would overflow it and starts
+        # the next; class 3 alone is longer than a block and is a pass of its
+        # own. Class 4 is absent.
+        assert 200 <= EVAL_BLOCK_ROWS < 300
+        cfg = ModelConfig(arch="mlp1h", input_dim=5, num_classes=5, init_seed=6,
+                          hidden_units=20)
+        params = init_model(cfg)
+        y = rng.permutation(np.repeat([0, 1, 2, 3], [100, 100, 100, EVAL_BLOCK_ROWS + 44]))
+        x = rng.standard_normal((y.size, 5))
+        passes = []
+
+        def recording_forward(p, c, batch):
+            passes.append(batch.shape[0])
+            return forward(p, c, batch)
+
+        monkeypatch.setattr(fltbench.algorithms, "forward", recording_forward)
+        grads = creff_client_head_grads(params, cfg, x, y)
+        assert passes == [200, 100, EVAL_BLOCK_ROWS + 44]
+        assert np.isnan(grads[4]).all()
+        for cls in range(4):
+            _, full = loss_and_grad(params, cfg, x[y == cls], y[y == cls])
+            np.testing.assert_allclose(grads[cls], full.head_block, rtol=1e-12)
+
 
 def _matching_reference(features, label, w, b, target_w, target_b):
-    """The per-class matching kernel that the batched one replaced; each class
-    slice of the batched call must reproduce it bit for bit."""
+    """One class's squared-distance matching loss and its feature gradient,
+    computed unfused: the oracle for the shipped kernel's step."""
     n = features.shape[0]
     logits = features @ w.T + b
     probs = softmax(logits)
@@ -298,6 +342,49 @@ def _retrain_reference(head_block, features, learning_rate, steps):
     return head.head_block
 
 
+def _retrain_fancy_index(head_block, features, learning_rate, steps):
+    """retrain_head as it was before its Gram order subtracted the labels'
+    ones through a view: both orders, labels through fancy indexing."""
+    m, per_class, feat_dim = features.shape
+    n = m * per_class
+    x = features.reshape(n, feat_dim)
+    y = np.repeat(np.arange(m, dtype=np.int64), per_class)
+    cols = np.arange(n)
+    head = head_block.copy()
+    w, b = head_views(head, m)
+    if n * (feat_dim + 1 + steps * m) < 2 * steps * m * (feat_dim + 1):
+        k = x @ x.T
+        k += 1.0
+        k *= learning_rate / n
+        z0 = w @ x.T
+        z0 += b[:, None]
+        s = np.zeros_like(z0)
+        z = np.empty_like(z0)
+        for _ in range(steps):
+            np.matmul(s, k, out=z)
+            np.subtract(z0, z, out=z)
+            z -= z.max(axis=0)
+            np.exp(z, out=z)
+            z /= z.sum(axis=0)
+            z[y, cols] -= 1.0
+            s += z
+        w -= learning_rate / n * (s @ x)
+        b -= learning_rate / n * s.sum(axis=1)
+        return head
+    x_t = np.ascontiguousarray(x.T)
+    for _ in range(steps):
+        z = w @ x_t
+        z += b[:, None]
+        z -= z.max(axis=0)
+        np.exp(z, out=z)
+        z /= z.sum(axis=0)
+        z[y, cols] -= 1.0
+        z /= n
+        w -= learning_rate * (z @ x)
+        b -= learning_rate * z.sum(axis=1)
+    return head
+
+
 class TestMatching:
     def test_gradient_matches_finite_differences(self, rng):
         m, f, b = 4, 6, 5
@@ -307,15 +394,15 @@ class TestMatching:
         tw = rng.standard_normal((1, m, f)) * 0.05
         tb = rng.standard_normal((1, m)) * 0.05
         labels = np.array([2])
-        _, grad = matching_loss_and_grad(feats, labels, w, bias, tw, tb)
+        step = matching_loss_and_grad(feats, labels, w, bias, tw, tb, 1.0)
         eps = 1e-6
         for i, j in [(0, 0), (2, 3), (4, 5)]:
-            plus, minus = feats.copy(), feats.copy()
-            plus[0, i, j] += eps
-            minus[0, i, j] -= eps
-            lp, _ = matching_loss_and_grad(plus, labels, w, bias, tw, tb)
-            lm, _ = matching_loss_and_grad(minus, labels, w, bias, tw, tb)
-            assert grad[0, i, j] == pytest.approx((lp[0] - lm[0]) / (2 * eps), abs=1e-7)
+            plus, minus = feats[0].copy(), feats[0].copy()
+            plus[i, j] += eps
+            minus[i, j] -= eps
+            lp, _ = _matching_reference(plus, 2, w, bias, tw[0], tb[0])
+            lm, _ = _matching_reference(minus, 2, w, bias, tw[0], tb[0])
+            assert step[0, i, j] == pytest.approx((lp - lm) / (2 * eps), abs=1e-7)
 
     def test_loss_non_increasing_under_descent(self, rng):
         m, f, b = 3, 5, 8
@@ -332,11 +419,11 @@ class TestMatching:
         labels = np.array([1])
         losses = []
         for _ in range(100):
-            loss, grad = matching_loss_and_grad(
-                feats, labels, w, bias, target_w[None], target_b[None]
+            loss, _ = _matching_reference(feats[0], 1, w, bias, target_w, target_b)
+            losses.append(loss)
+            feats = feats - matching_loss_and_grad(
+                feats, labels, w, bias, target_w[None], target_b[None], 1e-2
             )
-            losses.append(loss[0])
-            feats = feats - 1e-2 * grad
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
 
@@ -349,12 +436,19 @@ class TestMatching:
         tw = rng.standard_normal((labels.size, m, f)) * 0.01
         tb = rng.standard_normal((labels.size, m)) * 0.01
         for _ in range(3):  # a few descent steps, as the server runs them
-            losses, grads = matching_loss_and_grad(feats, labels, w, bias, tw, tb)
+            steps = matching_loss_and_grad(feats, labels, w, bias, tw, tb, 5.0)
             for i, cls in enumerate(labels):
-                loss, grad = _matching_reference(feats[i], cls, w, bias, tw[i], tb[i])
-                np.testing.assert_array_equal(grads[i], grad)
-                np.testing.assert_array_equal(losses[i], loss)
-            feats = feats - 5.0 * grads
+                lone = matching_loss_and_grad(
+                    feats[i : i + 1], labels[i : i + 1], w, bias, tw[i : i + 1], tb[i : i + 1], 5.0
+                )
+                np.testing.assert_array_equal(steps[i], lone[0])
+                # Compared normwise: the direct and softmax terms of the
+                # gradient cancel to 1e-4 of their size in some entries, so
+                # any two summation orders differ there beyond rtol=1e-12.
+                _, grad = _matching_reference(feats[i], cls, w, bias, tw[i], tb[i])
+                ref = 5.0 * grad
+                assert np.linalg.norm(steps[i] - ref) <= 1e-12 * np.linalg.norm(ref)
+            feats = feats - steps
 
 
 def _separable_toy(rng, m=4, dim=6, per_class=25, noise=0.02):
@@ -407,6 +501,17 @@ class TestCreffServer:
         new_head = retrain_head(head, prototypes, 0.1, 300)
         ref = _retrain_reference(head, prototypes, 0.1, 300)
         assert np.linalg.norm(new_head - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_retrain_equals_fancy_index_labels_bit_for_bit(self, rng):
+        # (10, 20, 200) over 300 steps takes the Gram order, (10, 50, 200)
+        # over 25 steps the loop order.
+        for (m, per_class, f), steps in [((10, 20, 200), 300), ((10, 50, 200), 25)]:
+            head = rng.standard_normal(m * f + m) * 0.1
+            prototypes = rng.standard_normal((m, per_class, f))
+            np.testing.assert_array_equal(
+                retrain_head(head, prototypes, 0.1, steps),
+                _retrain_fancy_index(head, prototypes, 0.1, steps),
+            )
 
     def test_retrain_returns_a_fresh_head_and_modifies_no_argument(self, rng):
         # 5 steps take the loop order at this shape, 300 the Gram order.

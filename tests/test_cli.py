@@ -414,6 +414,29 @@ class TestSweepCommand:
         rows = [line.split(",") for line in (out / "smoke_table.csv").read_text().split()]
         assert rows[1][1] != "ERROR" and rows[1][2] == "ERROR"
 
+    @pytest.mark.parametrize("where,bad", [
+        ("name", "smoke\0table"),
+        ("name", "t" * 300),
+        ("label", "l" * 300),
+    ])
+    def test_uncreatable_output_name_exits_2_before_any_cell(
+        self, tmp_path, monkeypatch, capsys, where, bad
+    ):
+        calls = []
+        monkeypatch.setattr("fltbench.orchestrator.run_experiment", calls.append)
+        doc = _grid_doc(rounds=1)
+        if where == "name":
+            doc["name"] = bad
+        else:
+            doc["settings"][1]["label"] = bad
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", _write_config(tmp_path, doc), "--out", str(out)])
+        assert code == 2
+        assert calls == []
+        assert "cannot create sweep output" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["cells"]
+        assert list((out / "cells").iterdir()) == []
+
     def test_rerun_identical_csv(self, tmp_path):
         config = _write_config(tmp_path, _grid_doc())
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -414,6 +414,21 @@ class TestSweep:
         lines = result.table_csv().strip().split("\n")
         assert lines[1] != "fedavg,ERROR" and lines[2] == "fedprox,ERROR"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reports_come_back_without_model_arrays(self, workers):
+        cells = [
+            SweepCell(row=a, col="s", seed_index=0, config=_quick_config(algorithm=a, rounds=1))
+            for a in ("fedavg", "creff")
+        ]
+        result = run_sweep(cells, rows=["fedavg", "creff"], cols=["s"], workers=workers)
+        assert [cell.row for cell, _ in result.reports] == ["fedavg", "creff"]
+        for cell, report in result.reports:
+            assert report.final_params is None and report.federated_features is None
+            direct = run_experiment(cell.config)
+            assert report.to_json_dict() | {"wall_clock_sec": 0} == (
+                direct.to_json_dict() | {"wall_clock_sec": 0}
+            )
+
     def test_table_csv_layout(self):
         config = _quick_config(rounds=1)
         cells = [
