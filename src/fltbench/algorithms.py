@@ -219,8 +219,8 @@ def creff_client_head_grads(
     for block in blocks:
         first = starts[block[0]]
         rows = order[first:ends[block[-1]]]
-        feats, logits = forward(global_params, model_config, shard_x[rows])
-        delta = softmax(logits)
+        feats, delta = forward(global_params, model_config, shard_x[rows])
+        softmax(delta)
         delta[np.arange(rows.shape[0]), shard_y[rows]] -= 1.0
         for cls in block:
             start, end = starts[cls] - first, ends[cls] - first
@@ -264,9 +264,7 @@ def matching_loss_and_grad(
     x_t = features.transpose(0, 2, 1)
     probs = w @ x_t
     probs += b[:, None]
-    probs -= probs.max(axis=1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
+    softmax(probs, axis=1)
     u = lhs_t[:, :m]
     np.copyto(u, probs)
     u[np.arange(c), labels] -= 1.0
@@ -343,9 +341,7 @@ def retrain_head(
         for _ in range(steps):
             np.matmul(s, k, out=z)
             np.subtract(z0, z, out=z)
-            z -= z.max(axis=0)
-            np.exp(z, out=z)
-            z /= z.sum(axis=0)
+            softmax(z, axis=0)
             z_labels -= 1.0
             s += z
         w -= learning_rate / n * (s @ x)
@@ -357,9 +353,7 @@ def retrain_head(
     for _ in range(steps):
         z = w @ x_t
         z += b[:, None]
-        z -= z.max(axis=0)
-        np.exp(z, out=z)
-        z /= z.sum(axis=0)
+        softmax(z, axis=0)
         z[y, cols] -= 1.0
         z /= n
         w -= learning_rate * (z @ x)

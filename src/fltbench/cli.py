@@ -8,10 +8,12 @@ CLI injects no entropy of its own).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .config import (
     experiment_config_to_dict,
@@ -69,8 +71,16 @@ def _prepare_out_dir(out: str) -> Path:
     return path
 
 
+@contextlib.contextmanager
+def _writing(path: Path) -> Iterator[None]:
+    try:
+        yield
+    except OSError as exc:  # such as an output directory removed meanwhile
+        raise FltbenchError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
@@ -105,12 +115,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     report = run_experiment(config)
     _write(out / "report.json", json.dumps(report.to_json_dict(), indent=2) + "\n")
     _write(out / "metrics.csv", report.metrics_csv())
-    save_checkpoint(
-        out / "model.ckpt",
-        report.model_config,
-        report.final_params,
-        federated_features=report.federated_features,
-    )
+    with _writing(out / "model.ckpt"):
+        save_checkpoint(
+            out / "model.ckpt",
+            report.model_config,
+            report.final_params,
+            federated_features=report.federated_features,
+        )
     print(
         f"final accuracy {report.final_accuracy:.4f}, "
         f"best {report.best_accuracy:.4f}; report written to {out}"
@@ -209,6 +220,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except FltbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -83,7 +83,10 @@ def subset(dataset: Dataset, indices: np.ndarray | Sequence[int], name: str | No
 # ---------------------------------------------------------------------------
 
 def _read_cifar_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    blob = Path(path).read_bytes()
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
     if len(blob) == 0 or len(blob) % CIFAR_RECORD_BYTES != 0:
         raise ConfigError(
             f"{path}: size {len(blob)} is not a positive multiple of {CIFAR_RECORD_BYTES}"

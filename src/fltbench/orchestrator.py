@@ -631,9 +631,10 @@ def run_sweep(
     result = SweepResult(rows=rows, cols=cols)
     if workers > 1 and len(cells) > 1:
         # Forked workers inherit the one BLAS thread, so run_experiment never
-        # has to set it there.
-        with one_blas_thread(), \
-                concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # has to set it there. The pool forks all its workers at once, so it
+        # gets no more workers than cells.
+        with one_blas_thread(), concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(workers, len(cells))) as pool:
             outcomes = list(pool.map(_run_cell, cells))
     else:
         outcomes = [_run_cell(c) for c in cells]

@@ -285,6 +285,19 @@ class TestCreffClientGrads:
             _, full = loss_and_grad(params, cfg, x[y == cls], y[y == cls])
             np.testing.assert_allclose(grads[cls], full.head_block, rtol=1e-12)
 
+    @pytest.mark.parametrize("arch,hidden", [("linear_softmax", None), ("mlp1h", 200)])
+    def test_equals_allocating_softmax_version_bit_for_bit(self, rng, arch, hidden):
+        cfg = ModelConfig(arch=arch, input_dim=5, num_classes=10, init_seed=7,
+                          hidden_units=hidden)
+        params = init_model(cfg)
+        x = 3.0 * rng.standard_normal((600, 5))
+        y = rng.choice([c for c in range(10) if c != 6], 600)  # class 6 absent
+        grads = creff_client_head_grads(params, cfg, x, y)
+        assert np.isnan(grads[6]).all()
+        np.testing.assert_array_equal(
+            grads, _creff_client_head_grads_allocating(params, cfg, x, y)
+        )
+
     def test_forward_passes_hold_whole_classes_of_at_most_a_block(self, rng, monkeypatch):
         # Classes 0 and 1 share a pass; class 2 would overflow it and starts
         # the next; class 3 alone is longer than a block and is a pass of its
@@ -308,6 +321,39 @@ class TestCreffClientGrads:
         for cls in range(4):
             _, full = loss_and_grad(params, cfg, x[y == cls], y[y == cls])
             np.testing.assert_allclose(grads[cls], full.head_block, rtol=1e-12)
+
+
+def _creff_client_head_grads_allocating(global_params, model_config, shard_x, shard_y):
+    """creff_client_head_grads as written before the softmax worked in place:
+    the exactness reference, with its own allocating softmax."""
+    m = model_config.num_classes
+    order = np.argsort(shard_y, kind="stable")
+    counts = np.bincount(shard_y, minlength=m)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    blocks = []
+    for cls in np.flatnonzero(counts):
+        if blocks and ends[cls] - starts[blocks[-1][0]] <= EVAL_BLOCK_ROWS:
+            blocks[-1].append(cls)
+        else:
+            blocks.append([cls])
+    grads = np.full((m, model_config.head_size), np.nan)
+    grad_w, grad_b = head_views(grads, m)
+    for block in blocks:
+        first = starts[block[0]]
+        rows = order[first:ends[block[-1]]]
+        feats, logits = forward(global_params, model_config, shard_x[rows])
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        delta = e / e.sum(axis=-1, keepdims=True)
+        delta[np.arange(rows.shape[0]), shard_y[rows]] -= 1.0
+        for cls in block:
+            start, end = starts[cls] - first, ends[cls] - first
+            part = delta[start:end]
+            part /= counts[cls]
+            np.matmul(part.T, feats[start:end], out=grad_w[cls])
+            part.sum(axis=0, out=grad_b[cls])
+    return grads
 
 
 def _matching_reference(features, label, w, b, target_w, target_b):

@@ -1,11 +1,13 @@
 """CLI contract: exit codes, emitted files, determinism, config round-trip."""
 import json
+import shutil
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fltbench.cli
 from fltbench.cli import main
 from fltbench.config import (
     experiment_config_to_dict,
@@ -277,6 +279,7 @@ class TestExitCodes:
         ("supply", "config error: 100 samples cannot give 20 clients at least 10 each"),
         ("short_file", "test_batch.bin: size 100 is not a positive multiple of 3073"),
         ("label_byte", "data_batch_1.bin: record 0 has label byte 200 >= 10"),
+        ("directory", "test_batch.bin: cannot read: Is a directory"),
     ])
     def test_cifar_input_fault_exits_2(self, tmp_path, capsys, fault, message):
         root = Path(_tiny_cifar_dir(tmp_path))
@@ -286,6 +289,9 @@ class TestExitCodes:
             doc["partition"] = {"kind": "iid", "num_clients": 20, "min_shard_size": 10}
         elif fault == "short_file":
             (root / "test_batch.bin").write_bytes(bytes(100))
+        elif fault == "directory":
+            (root / "test_batch.bin").unlink()
+            (root / "test_batch.bin").mkdir()
         else:
             blob = bytearray((root / "data_batch_1.bin").read_bytes())
             blob[0] = 200
@@ -318,6 +324,18 @@ class TestExitCodes:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert "cluster_spread 1e+308" in capsys.readouterr().err
+
+    def test_allocation_beyond_the_address_space_exits_1(self, tmp_path, capsys):
+        # 10**13 rows of 8 float64s are 582 TiB, more than the 128 TiB of a
+        # user address space, so the allocation fails at once.
+        doc = json.loads(json.dumps(QUICK_CONFIG))
+        doc["data"]["per_class"] = 10**12
+        code = main(["train", "--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and "TiB" in err
+        assert err.count("\n") == 1
 
     def test_dry_run_validates_and_exits_0(self, tmp_path, capsys):
         code = main(["train", "--config", _write_config(tmp_path, QUICK_CONFIG),
@@ -380,6 +398,50 @@ class TestTrainCommand:
         report_a.pop("wall_clock_sec")
         report_b.pop("wall_clock_sec")
         assert report_a == report_b
+
+
+class TestWriteFaults:
+    """A write that fails after the run, such as into an output directory
+    removed meanwhile, exits 1 with one line that names the file."""
+
+    def _remove_out_after(self, monkeypatch, name, out):
+        original = getattr(fltbench.cli, name)
+
+        def run_then_remove(*args, **kwargs):
+            result = original(*args, **kwargs)
+            shutil.rmtree(out)
+            return result
+
+        monkeypatch.setattr(fltbench.cli, name, run_then_remove)
+
+    def _assert_fails_naming(self, capsys, code, path):
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+
+    def test_train_output_directory_removed(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        self._remove_out_after(monkeypatch, "run_experiment", out)
+        code = main(["train", "--config", _write_config(tmp_path, QUICK_CONFIG),
+                     "--out", str(out)])
+        self._assert_fails_naming(capsys, code, out / "report.json")
+
+    def test_checkpoint_write_fails(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "model.ckpt").mkdir(parents=True)
+        code = main(["train", "--config", _write_config(tmp_path, QUICK_CONFIG),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out / 'model.ckpt'}: Is a directory\n"
+        )
+
+    def test_sweep_output_directory_removed(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        self._remove_out_after(monkeypatch, "run_sweep", out)
+        doc = _grid_doc(rounds=1)
+        code = main(["sweep", "--config", _write_config(tmp_path, doc), "--out", str(out)])
+        self._assert_fails_naming(capsys, code, out / "smoke_table.csv")
 
 
 class TestSweepCommand:

@@ -184,11 +184,22 @@ class TestForward:
         np.testing.assert_allclose(feats, [[1.5], [0.0]])
         np.testing.assert_allclose(logits, [[4.0, -1.5], [1.0, 0.0]])
 
-    def test_non_finite_input_rejected(self):
-        cfg = ModelConfig(arch="linear_softmax", input_dim=2, num_classes=2)
-        params = init_model(cfg)
-        with pytest.raises(ValueError):
-            forward(params, cfg, np.array([[1.0, np.nan]]))
+
+class TestSoftmax:
+    # The shapes and axes of its callers: local SGD batches and CReFF client
+    # passes (last axis), class-major matching logits (axis 1) and head
+    # re-training logits in both orders (axis 0).
+    @pytest.mark.parametrize("shape, axis", [
+        ((64, 10), -1), ((247, 10), -1), ((10, 10, 20), 1), ((10, 200), 0), ((10, 1000), 0),
+    ])
+    def test_in_place_equals_allocating_bit_for_bit(self, rng, shape, axis):
+        z = 5.0 * rng.standard_normal(shape)
+        shifted = z - z.max(axis=axis, keepdims=True)
+        e = np.exp(shifted)
+        expected = e / e.sum(axis=axis, keepdims=True)
+        out = softmax(z, axis)
+        assert out is z
+        np.testing.assert_array_equal(out, expected)
 
 
 def _stack_case(arch, g, n, heads, num_classes=10, seed=0):
@@ -645,4 +656,30 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
         with pytest.raises(ConfigError, match="junk.ckpt: missing checkpoint header$"):
+            load_checkpoint(path)
+
+    # Byte offsets in a checkpoint of the model below: an 8-byte magic, a
+    # 40-byte header, 16 rep and 20 head float64s, then "FF", a 12-byte
+    # shape and 4*2*4 float64s.
+    @pytest.mark.parametrize("section, cut", [
+        ("header", 20), ("rep block", 48 + 50), ("head block", 48 + 128 + 50),
+        ("feature shape", 48 + 288 + 2 + 6), ("feature values", 48 + 288 + 14 + 100),
+    ])
+    def test_truncated_file_is_a_config_error(self, tmp_path, rng, section, cut):
+        cfg = ModelConfig(arch="mlp1h", input_dim=3, num_classes=4, init_seed=1, hidden_units=4)
+        path = tmp_path / "cut.ckpt"
+        save_checkpoint(path, cfg, init_model(cfg), federated_features=rng.random((4, 2, 4)))
+        blob = path.read_bytes()
+        assert len(blob) == 48 + 288 + 14 + 256
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ConfigError, match="cut.ckpt: truncated or malformed checkpoint"):
+            load_checkpoint(path)
+
+    def test_header_that_no_model_fits_is_a_config_error(self, tmp_path):
+        # A linear model with one class, and the 4 head floats it would have.
+        path = tmp_path / "one_class.ckpt"
+        path.write_bytes(fltbench.nn.CHECKPOINT_MAGIC
+                         + fltbench.nn._CKPT_HEADER.pack(0, 0, 3, 1, 0, 0, 4) + bytes(32))
+        with pytest.raises(ConfigError, match="one_class.ckpt: truncated or malformed checkpoint: "
+                                              "input_dim must be >= 1 and num_classes >= 2"):
             load_checkpoint(path)

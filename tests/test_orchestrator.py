@@ -429,6 +429,42 @@ class TestSweep:
                 direct.to_json_dict() | {"wall_clock_sec": 0}
             )
 
+    @pytest.mark.parametrize("workers, num_cells, pool_size", [
+        (500, 8, 8), (2, 8, 2), (3, 2, 2),
+    ])
+    def test_pool_has_at_most_one_worker_per_cell(
+        self, monkeypatch, workers, num_cells, pool_size
+    ):
+        sizes = []
+
+        class SerialPool:
+            """Records its size and maps in this process: no worker starts."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(
+            fltbench.orchestrator.concurrent.futures, "ProcessPoolExecutor", SerialPool
+        )
+        monkeypatch.setattr(
+            fltbench.orchestrator, "_run_cell", lambda cell: (cell, None, "not run")
+        )
+        cells = [SweepCell(row="fedavg", col=f"s{i}", seed_index=0, config=_quick_config())
+                 for i in range(num_cells)]
+        result = run_sweep(cells, rows=["fedavg"], cols=[c.col for c in cells],
+                           workers=workers)
+        assert sizes == [pool_size]
+        assert len(result.errors) == num_cells
+
     def test_table_csv_layout(self):
         config = _quick_config(rounds=1)
         cells = [
