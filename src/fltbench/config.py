@@ -132,13 +132,15 @@ def experiment_config_to_dict(config: ExperimentConfig) -> dict:
 
 def load_config_file(path: str | Path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        return json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path} nests too deeply to parse: {exc}") from exc
 
 
 def deep_merge(base: dict, overrides: dict) -> dict:

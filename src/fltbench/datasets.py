@@ -124,12 +124,16 @@ def load_cifar10(
     train_pixels = np.concatenate([p[1] for p in parts])
     test_labels, test_pixels = _read_cifar_file(test_path)
 
-    planes = train_pixels.astype(np.float64).reshape(-1, 3, CIFAR_PIXELS // 3) / 255.0
+    # _standardize's float operations, in place in the copy the statistics use.
+    planes = train_pixels.astype(np.float64).reshape(-1, 3, CIFAR_PIXELS // 3)
+    planes /= 255.0
     mean = planes.mean(axis=(0, 2))
     std = np.maximum(planes.std(axis=(0, 2)), 1e-8)
+    planes -= mean[None, :, None]
+    planes /= std[None, :, None]
 
     train = Dataset(
-        features=_standardize(train_pixels, mean, std),
+        features=planes.reshape(-1, CIFAR_PIXELS),
         labels=train_labels,
         num_classes=CIFAR_CLASSES,
         name="cifar10-train",

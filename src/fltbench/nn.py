@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,10 +29,12 @@ ARCH_LINEAR = "linear_softmax"
 ARCH_MLP1H = "mlp1h"
 ARCHITECTURES = (ARCH_LINEAR, ARCH_MLP1H)
 
-CHECKPOINT_MAGIC = b"FLTCKPT1"
-_CKPT_HEADER = struct.Struct("<IIIIqQQ")
-_FF_MAGIC = b"FF"
-_FF_HEADER = struct.Struct("<III")
+# A checkpoint is this magic, then one header: the index of the arch in
+# ARCHITECTURES, hidden units (0 for linear_softmax), input dim, class count,
+# init seed and the (M, per_class, feature_dim) shape of the feature
+# prototypes, (0, 0, 0) for none. The rep, head and prototype float64s follow.
+CHECKPOINT_MAGIC = b"FLTCKPT2"
+_CKPT_HEADER = struct.Struct("<IIIIqIII")
 
 # Most rows per forward pass in predict, and per stack of client holdouts
 # classified together. Runs use one BLAS thread (see one_blas_thread), and
@@ -425,80 +428,50 @@ def evaluate(
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-_ARCH_CODES = {ARCH_LINEAR: 0, ARCH_MLP1H: 1}
-_ARCH_NAMES = {v: k for k, v in _ARCH_CODES.items()}
-
-
 def save_checkpoint(
     path: str | Path,
     config: ModelConfig,
     params: ModelParams,
     federated_features: np.ndarray | None = None,
 ) -> None:
-    """Binary model checkpoint, optionally with a federated-features section."""
+    """Write the model, and the federated feature prototypes if given, as
+    one checkpoint header followed by the rep, head and prototype floats."""
+    ff = np.empty((0, 0, 0)) if federated_features is None else np.asarray(federated_features)
+    if ff.ndim != 3:
+        raise ValueError("federated features must be (M, per_class, feature_dim)")
+    header = _CKPT_HEADER.pack(ARCHITECTURES.index(config.arch), config.hidden_units or 0,
+                               config.input_dim, config.num_classes, config.init_seed, *ff.shape)
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(
-            _CKPT_HEADER.pack(
-                _ARCH_CODES[config.arch],
-                config.hidden_units or 0,
-                config.input_dim,
-                config.num_classes,
-                config.init_seed,
-                params.rep_block.shape[0],
-                params.head_block.shape[0],
-            )
-        )
-        fh.write(params.rep_block.astype("<f8").tobytes())
-        fh.write(params.head_block.astype("<f8").tobytes())
-        if federated_features is not None:
-            ff = np.asarray(federated_features, dtype=np.float64)
-            if ff.ndim != 3:
-                raise ValueError("federated features must be (M, per_class, feature_dim)")
-            fh.write(_FF_MAGIC)
-            fh.write(_FF_HEADER.pack(*ff.shape))
-            fh.write(ff.astype("<f8").tobytes())
+        fh.write(CHECKPOINT_MAGIC + header)
+        for block in (params.rep_block, params.head_block, ff):
+            fh.write(block.astype("<f8").tobytes())
 
 
 def load_checkpoint(
     path: str | Path,
 ) -> tuple[ModelConfig, ModelParams, np.ndarray | None]:
     """Config, parameters and federated features (or None) of a checkpoint
-    file. A malformed or truncated file raises ConfigError."""
+    file. A file without the magic, with a header that no model fits, or
+    whose length is not exactly what its header implies raises ConfigError."""
     blob = Path(path).read_bytes()
-    pos = len(CHECKPOINT_MAGIC)
-    if blob[:pos] != CHECKPOINT_MAGIC:
+    start = len(CHECKPOINT_MAGIC)
+    if blob[:start] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: missing checkpoint header")
     try:
-        arch_code, hidden, input_dim, m, init_seed, rep_len, head_len = (
-            _CKPT_HEADER.unpack_from(blob, pos)
-        )
-        if arch_code not in _ARCH_NAMES:
-            raise ConfigError(f"{path}: unknown architecture code {arch_code}")
-        config = ModelConfig(
-            arch=_ARCH_NAMES[arch_code],
-            input_dim=input_dim,
-            num_classes=m,
-            init_seed=init_seed,
-            hidden_units=hidden if arch_code == 1 else None,
-        )
-        pos += _CKPT_HEADER.size
-        rep = np.frombuffer(blob, dtype="<f8", count=rep_len, offset=pos).copy()
-        pos += rep_len * 8
-        head = np.frombuffer(blob, dtype="<f8", count=head_len, offset=pos).copy()
-        pos += head_len * 8
-        ff = None
-        if pos < len(blob):
-            if blob[pos : pos + len(_FF_MAGIC)] != _FF_MAGIC:
-                raise ConfigError(f"{path}: trailing bytes are not a feature section")
-            pos += len(_FF_MAGIC)
-            shape = _FF_HEADER.unpack_from(blob, pos)
-            pos += _FF_HEADER.size
-            count = shape[0] * shape[1] * shape[2]
-            ff = np.frombuffer(blob, dtype="<f8", count=count, offset=pos).reshape(shape).copy()
+        code, hidden, input_dim, m, init_seed, *ff_shape = _CKPT_HEADER.unpack_from(blob, start)
+        if code >= len(ARCHITECTURES):
+            raise ValueError(f"unknown architecture code {code}")
+        arch = ARCHITECTURES[code]
+        config = ModelConfig(arch=arch, input_dim=input_dim, num_classes=m, init_seed=init_seed,
+                             hidden_units=hidden if arch == ARCH_MLP1H else None)
     except (struct.error, ValueError) as exc:
-        # How struct, np.frombuffer and ModelConfig report a cut or bad file.
+        # How struct and ModelConfig report a cut header or one no model fits.
         raise ConfigError(f"{path}: truncated or malformed checkpoint: {exc}") from exc
-    if (rep.shape[0], head.shape[0]) != (config.rep_size, config.head_size):
-        raise ConfigError(f"{path}: block lengths do not match the architecture")
-    return config, ModelParams(rep, head), ff
+    offset = start + _CKPT_HEADER.size
+    counts = (config.rep_size, config.head_size, math.prod(ff_shape))
+    if len(blob) != offset + 8 * sum(counts):
+        raise ConfigError(f"{path}: truncated or malformed checkpoint: {len(blob)} bytes, "
+                          f"not the {offset + 8 * sum(counts)} its header implies")
+    floats = np.frombuffer(blob, dtype="<f8", offset=offset).copy()
+    rep, head, ff = np.split(floats, np.cumsum(counts[:2]))
+    return config, ModelParams(rep, head), ff.reshape(ff_shape) if any(ff_shape) else None

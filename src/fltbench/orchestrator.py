@@ -33,6 +33,8 @@ from .algorithms import (
     local_update_fedprox,
 )
 from .datasets import (
+    CIFAR_CLASSES,
+    CIFAR_PIXELS,
     Dataset,
     class_counts,
     generate_synthetic,
@@ -75,6 +77,13 @@ GROUP_LO_REFERENCE = 200.0
 GROUP_REFERENCE_MAX = 5000.0
 
 
+def _check_floats(what: str, count: int) -> None:
+    # numpy raises ValueError, not MemoryError, for arrays of 2**63 bytes or
+    # more, so sizes that ask for one are config faults found at parse time.
+    if count >= 2**60:
+        raise ValueError(f"{what} would be {count} float64s, more than numpy can hold")
+
+
 @dataclass(frozen=True)
 class DataConfig:
     source: str
@@ -99,6 +108,9 @@ class DataConfig:
             raise ValueError("cluster_spread must be positive and finite")
         if self.lt_target_if is not None and not self.lt_target_if >= 1.0:
             raise ValueError("lt_target_if must be >= 1")
+        if self.source == SOURCE_SYNTHETIC:
+            _check_floats("num_classes * max(per_class, test_per_class) * dim",
+                          self.num_classes * max(self.per_class, self.test_per_class) * self.dim)
         self.synthetic_train_counts()  # rejects an unrealizable long-tail profile
 
     def synthetic_train_counts(self) -> np.ndarray | None:
@@ -142,6 +154,14 @@ class ExperimentConfig:
             raise ValueError("eval_every must be >= 1")
         if not 0.0 <= self.client_holdout_fraction < 1.0:
             raise ValueError("client_holdout_fraction must lie in [0, 1)")
+        cifar = self.data.source == SOURCE_CIFAR10
+        classes = CIFAR_CLASSES if cifar else self.data.num_classes
+        dim = CIFAR_PIXELS if cifar else self.data.dim
+        hidden = self.model.hidden_units
+        _check_floats("model.hidden_units weights", (hidden or 0) * max(dim, classes))
+        if self.algo.algorithm == ALGO_CREFF:
+            _check_floats("algo.ff_per_class prototypes",
+                          classes * self.algo.ff_per_class * max(hidden or dim, classes))
 
 
 def build_data(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict]:

@@ -205,6 +205,45 @@ class TestExitCodes:
         code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
 
+    @pytest.mark.parametrize("name, text", [
+        ("utf16.json", b"\xff\xfe{}"),
+        ("deep.json", b"[" * 100_000),
+    ])
+    def test_undecodable_config_file_exits_2_in_one_line(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_bytes(text)
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path} ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    # numpy raises ValueError, not MemoryError, for arrays of 2**63 bytes or
+    # more, so sizes that ask for one are config errors at parse time.
+    @pytest.mark.parametrize("value", [10**29, 2**62])
+    @pytest.mark.parametrize("section, key", [
+        ("data", "per_class"), ("model", "hidden_units"), ("algo", "ff_per_class"),
+    ])
+    def test_size_beyond_numpy_exits_2_in_one_line(self, tmp_path, capsys, section, key, value):
+        doc = json.loads(json.dumps(QUICK_CONFIG))
+        doc["model"] = {"arch": "mlp1h", "hidden_units": 4}
+        doc["algo"].update(algorithm="creff", rounds=1, ff_per_class=2)
+        doc[section][key] = value
+        code = main(["train", "--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "more than numpy can hold" in err
+
+    @pytest.mark.parametrize("seed", [2**63, 2**64 - 1])
+    def test_master_seed_up_to_64_bits_is_valid(self, tmp_path, seed):
+        doc = json.loads(json.dumps(QUICK_CONFIG))
+        doc["run"]["master_seed"] = seed
+        code = main(["train", "--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out"), "--dry-run"])
+        assert code == 0
+
     def test_missing_dataset_file_exits_2_with_path(self, tmp_path, capsys):
         doc = json.loads(json.dumps(QUICK_CONFIG))
         doc["data"] = {"source": "cifar10", "data_dir": str(tmp_path / "nowhere")}

@@ -8,6 +8,7 @@ import pytest
 from fltbench.datasets import (
     CIFAR_RECORD_BYTES,
     Dataset,
+    _standardize,
     class_counts,
     generate_synthetic,
     load_cifar10,
@@ -40,6 +41,21 @@ class TestCifarLoader:
         assert len(train) == 200 and len(test) == 20
         assert class_counts(train).tolist() == [20] * 10
         assert train.num_classes == 10
+
+    def test_train_features_are_bit_equal_to_standardizing_a_fresh_copy(self, tmp_path):
+        # The train set is standardized in place in the float64 copy its
+        # statistics come from; a separate pass over a fresh copy, as the
+        # test set gets, must give the same bytes.
+        paths = [tmp_path / f"data_batch_{i + 1}.bin" for i in range(2)]
+        for i, p in enumerate(paths):
+            _make_cifar_file(p, list(range(10)) * 3, seed=i)
+        train, _ = load_cifar10(paths, paths[0])
+        pixels = np.concatenate([np.frombuffer(p.read_bytes(), dtype=np.uint8)
+                                 .reshape(-1, CIFAR_RECORD_BYTES)[:, 1:] for p in paths])
+        planes = pixels.astype(np.float64).reshape(-1, 3, 1024) / 255.0
+        mean, std = planes.mean(axis=(0, 2)), np.maximum(planes.std(axis=(0, 2)), 1e-8)
+        expected = _standardize(pixels, mean, std)
+        assert train.features.tobytes() == expected.tobytes()
 
     def test_single_record_label_three(self, tmp_path):
         p = tmp_path / "one.bin"

@@ -658,28 +658,45 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="junk.ckpt: missing checkpoint header$"):
             load_checkpoint(path)
 
-    # Byte offsets in a checkpoint of the model below: an 8-byte magic, a
-    # 40-byte header, 16 rep and 20 head float64s, then "FF", a 12-byte
-    # shape and 4*2*4 float64s.
-    @pytest.mark.parametrize("section, cut", [
-        ("header", 20), ("rep block", 48 + 50), ("head block", 48 + 128 + 50),
-        ("feature shape", 48 + 288 + 2 + 6), ("feature values", 48 + 288 + 14 + 100),
-    ])
-    def test_truncated_file_is_a_config_error(self, tmp_path, rng, section, cut):
+    # A checkpoint of this model is an 8-byte magic, a 36-byte header and 16
+    # rep and 20 head float64s, 332 bytes; 4*2*4 prototype float64s make 588.
+    @pytest.mark.parametrize("ff_shape, size", [(None, 332), ((4, 2, 4), 588)],
+                             ids=["no-prototypes", "prototypes"])
+    def test_truncated_file_is_a_config_error(self, tmp_path, rng, ff_shape, size):
         cfg = ModelConfig(arch="mlp1h", input_dim=3, num_classes=4, init_seed=1, hidden_units=4)
+        ff = None if ff_shape is None else rng.random(ff_shape)
         path = tmp_path / "cut.ckpt"
-        save_checkpoint(path, cfg, init_model(cfg), federated_features=rng.random((4, 2, 4)))
+        save_checkpoint(path, cfg, init_model(cfg), federated_features=ff)
         blob = path.read_bytes()
-        assert len(blob) == 48 + 288 + 14 + 256
-        path.write_bytes(blob[:cut])
-        with pytest.raises(ConfigError, match="cut.ckpt: truncated or malformed checkpoint"):
+        assert len(blob) == size
+        for cut in range(size):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ConfigError, match="cut.ckpt: (truncated or malformed checkpoint"
+                                                  "|missing checkpoint header)"):
+                load_checkpoint(path)
+
+    def test_trailing_bytes_are_a_config_error(self, tmp_path):
+        cfg = ModelConfig(arch="linear_softmax", input_dim=5, num_classes=3)
+        path = tmp_path / "long.ckpt"
+        save_checkpoint(path, cfg, init_model(cfg))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ConfigError, match="long.ckpt: truncated or malformed checkpoint: "
+                                              "196 bytes, not the 188 its header implies"):
+            load_checkpoint(path)
+
+    def test_unknown_architecture_code_is_a_config_error(self, tmp_path):
+        path = tmp_path / "arch.ckpt"
+        path.write_bytes(fltbench.nn.CHECKPOINT_MAGIC
+                         + fltbench.nn._CKPT_HEADER.pack(2, 0, 3, 2, 0, 0, 0, 0) + bytes(64))
+        with pytest.raises(ConfigError, match="arch.ckpt: truncated or malformed checkpoint: "
+                                              "unknown architecture code 2$"):
             load_checkpoint(path)
 
     def test_header_that_no_model_fits_is_a_config_error(self, tmp_path):
         # A linear model with one class, and the 4 head floats it would have.
         path = tmp_path / "one_class.ckpt"
         path.write_bytes(fltbench.nn.CHECKPOINT_MAGIC
-                         + fltbench.nn._CKPT_HEADER.pack(0, 0, 3, 1, 0, 0, 4) + bytes(32))
+                         + fltbench.nn._CKPT_HEADER.pack(0, 0, 3, 1, 0, 0, 0, 0) + bytes(32))
         with pytest.raises(ConfigError, match="one_class.ckpt: truncated or malformed checkpoint: "
                                               "input_dim must be >= 1 and num_classes >= 2"):
             load_checkpoint(path)
