@@ -660,9 +660,26 @@ class TestCheckpoint:
 
     # A checkpoint of this model is an 8-byte magic, a 36-byte header and 16
     # rep and 20 head float64s, 332 bytes; 4*2*4 prototype float64s make 588.
+    # The prototype shape now lives in the header, so the "feature shape" and
+    # "feature values" cuts (named for the sections they fell in when the
+    # prototypes had a section of their own) both land in the prototype block.
+    @pytest.mark.parametrize("section, cut", [
+        ("header", 20), ("rep block", 44 + 54), ("head block", 44 + 128 + 54),
+        ("feature shape", 44 + 288 + 12), ("feature values", 44 + 288 + 118),
+    ])
+    def test_truncated_file_is_a_config_error(self, tmp_path, rng, section, cut):
+        cfg = ModelConfig(arch="mlp1h", input_dim=3, num_classes=4, init_seed=1, hidden_units=4)
+        path = tmp_path / "cut.ckpt"
+        save_checkpoint(path, cfg, init_model(cfg), federated_features=rng.random((4, 2, 4)))
+        blob = path.read_bytes()
+        assert len(blob) == 44 + 288 + 256
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ConfigError, match="cut.ckpt: truncated or malformed checkpoint"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("ff_shape, size", [(None, 332), ((4, 2, 4), 588)],
                              ids=["no-prototypes", "prototypes"])
-    def test_truncated_file_is_a_config_error(self, tmp_path, rng, ff_shape, size):
+    def test_every_truncation_is_a_config_error(self, tmp_path, rng, ff_shape, size):
         cfg = ModelConfig(arch="mlp1h", input_dim=3, num_classes=4, init_seed=1, hidden_units=4)
         ff = None if ff_shape is None else rng.random(ff_shape)
         path = tmp_path / "cut.ckpt"
