@@ -53,6 +53,7 @@ from .orchestrator import (
     head_tail_groups,
     run_experiment,
     run_sweep,
+    sweep_table,
 )
 from .partition import (
     Partition,

@@ -24,7 +24,8 @@ from .config import (
 )
 from .errors import ConfigError, FltbenchError
 from .nn import save_checkpoint
-from .orchestrator import SweepCell, prepare_partition, run_experiment, run_sweep
+from .orchestrator import (ExperimentConfig, SweepCell, prepare_partition, run_experiment,
+                           run_sweep, sweep_table)
 from .partition import partition_report
 
 DATA_DIR_ENV = "FLTB_DATA_DIR"
@@ -84,14 +85,23 @@ def _write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _cmd_partition(args: argparse.Namespace) -> int:
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig | None:
+    """The parsed config of a partition or train command, or None once
+    --dry-run has printed it resolved."""
     raw = load_config_file(args.config)
     config = parse_experiment_config(raw, env_data_dir=os.environ.get(DATA_DIR_ENV))
     if args.dry_run:
         print(json.dumps(experiment_config_to_dict(config), indent=2))
+        return None
+    return config
+
+
+def _cmd_partition(args: argparse.Namespace) -> int:
+    config = _experiment_config(args)
+    if config is None:
         return EXIT_OK
     out = _prepare_out_dir(args.out)
-    train, partition = prepare_partition(config)
+    train, _, _, partition = prepare_partition(config)
     report = partition_report(partition)
     _write(out / "partition.csv", report.to_csv())
     _write(out / "partition.json", report.to_json() + "\n")
@@ -106,10 +116,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    raw = load_config_file(args.config)
-    config = parse_experiment_config(raw, env_data_dir=os.environ.get(DATA_DIR_ENV))
-    if args.dry_run:
-        print(json.dumps(experiment_config_to_dict(config), indent=2))
+    config = _experiment_config(args)
+    if config is None:
         return EXIT_OK
     out = _prepare_out_dir(args.out)
     report = run_experiment(config)
@@ -184,21 +192,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         [out / f"{name}.csv", out / "errors.txt"]
         + [_cell_report_path(cell_dir, cell) for cell in cells],
     )
-    result = run_sweep(cells, rows, cols, workers=args.workers)
-    _write(out / f"{name}.csv", result.table_csv())
-    for cell, report in result.reports:
-        _write(
-            _cell_report_path(cell_dir, cell),
-            json.dumps(report.to_json_dict(), indent=2) + "\n",
-        )
-    failures = [
-        f"cell ({cell.row}, {cell.col}) seed {cell.seed_index} failed: {message}\n"
-        for cell, message in result.errors
-    ]
+    outcomes = run_sweep(cells, workers=args.workers)
+    _write(out / f"{name}.csv", sweep_table(rows, cols, outcomes))
+    failures = []
+    for cell, report, error in outcomes:
+        if report is None:
+            where = f"cell ({cell.row}, {cell.col}) seed {cell.seed_index}"
+            failures.append(f"{where} failed: {error}\n")
+        else:
+            report_json = json.dumps(report.to_json_dict(), indent=2) + "\n"
+            _write(_cell_report_path(cell_dir, cell), report_json)
     _write(out / "errors.txt", "".join(failures))
     for line in failures:
         print(f"warning: {line}", end="", file=sys.stderr)
-    print(f"sweep table written to {out / (name + '.csv')} ({len(result.errors)} warnings)")
+    print(f"sweep table written to {out / (name + '.csv')} ({len(failures)} warnings)")
     return EXIT_OK
 
 

@@ -130,9 +130,13 @@ def experiment_config_to_dict(config: ExperimentConfig) -> dict:
     return doc
 
 
+# Arrays and objects a config document may nest; a grid's settings nest 5.
+MAX_CONFIG_DEPTH = 32
+
+
 def load_config_file(path: str | Path) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -141,6 +145,15 @@ def load_config_file(path: str | Path) -> dict:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"{path} nests too deeply to parse: {exc}") from exc
+    pending = [(doc, 1)]  # walked without recursion, so any depth is safe
+    while pending:
+        value, depth = pending.pop()
+        if isinstance(value, (dict, list)):
+            if depth > MAX_CONFIG_DEPTH:
+                raise ConfigError(f"{path} nests more than {MAX_CONFIG_DEPTH} levels deep")
+            children = value.values() if isinstance(value, dict) else value
+            pending += [(child, depth + 1) for child in children]
+    return doc
 
 
 def deep_merge(base: dict, overrides: dict) -> dict:

@@ -101,11 +101,21 @@ def _read_cifar_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return labels.astype(np.int64), records[:, 1:]
 
 
-def _standardize(pixels: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    # pixels (n, 3072) uint8, channel planes of 1024; scale to [0,1] first.
-    scaled = pixels.astype(np.float64).reshape(-1, 3, CIFAR_PIXELS // 3) / 255.0
-    out = (scaled - mean[None, :, None]) / std[None, :, None]
-    return out.reshape(-1, CIFAR_PIXELS)
+def _standardize(
+    pixels: np.ndarray, mean: np.ndarray, std: np.ndarray, fit: bool = False
+) -> np.ndarray:
+    """Scale uint8 pixels (n, 3072), channel planes of 1024, to [0, 1] and
+    standardize each channel, in place in one float64 copy. With fit, mean
+    and std (shape (3,)) are first set to the pixels' own statistics; else
+    they are taken as given."""
+    planes = pixels.astype(np.float64).reshape(-1, 3, CIFAR_PIXELS // 3)
+    planes /= 255.0
+    if fit:
+        mean[:] = planes.mean(axis=(0, 2))
+        std[:] = np.maximum(planes.std(axis=(0, 2)), 1e-8)
+    planes -= mean[None, :, None]
+    planes /= std[None, :, None]
+    return planes.reshape(-1, CIFAR_PIXELS)
 
 
 def load_cifar10(
@@ -124,16 +134,9 @@ def load_cifar10(
     train_pixels = np.concatenate([p[1] for p in parts])
     test_labels, test_pixels = _read_cifar_file(test_path)
 
-    # _standardize's float operations, in place in the copy the statistics use.
-    planes = train_pixels.astype(np.float64).reshape(-1, 3, CIFAR_PIXELS // 3)
-    planes /= 255.0
-    mean = planes.mean(axis=(0, 2))
-    std = np.maximum(planes.std(axis=(0, 2)), 1e-8)
-    planes -= mean[None, :, None]
-    planes /= std[None, :, None]
-
+    mean, std = np.empty(3), np.empty(3)
     train = Dataset(
-        features=planes.reshape(-1, CIFAR_PIXELS),
+        features=_standardize(train_pixels, mean, std, fit=True),
         labels=train_labels,
         num_classes=CIFAR_CLASSES,
         name="cifar10-train",

@@ -505,9 +505,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     warnings on the way there are silenced, since that error reports them.
     """
     start = time.perf_counter()
-    train, test, data_info = build_data(config)
-    spec = replace(config.partition, seed=derive_seed(config.master_seed, "partition"))
-    partition = build_partition(train, spec)
+    train, test, data_info, partition = prepare_partition(config)
     train_shards, client_test_shards = _split_client_shards(
         train, partition, config.client_holdout_fraction, config.master_seed
     )
@@ -534,7 +532,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         for round_idx in range(1, algo.rounds + 1):
             try:
                 sampled = sample_clients(
-                    spec.num_clients,
+                    config.partition.num_clients,
                     algo.participation_fraction,
                     derive_seed(config.master_seed, "client-sampling", round_idx),
                 )
@@ -581,11 +579,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def prepare_partition(config: ExperimentConfig) -> tuple[Dataset, Partition]:
-    """Build the train dataset and its partition without training anything."""
-    train, _, _ = build_data(config)
+def prepare_partition(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict, Partition]:
+    """build_data's train set, test set and data info, and the train set's
+    partition under the seed derived for it: a run's data, before training."""
+    train, test, data_info = build_data(config)
     spec = replace(config.partition, seed=derive_seed(config.master_seed, "partition"))
-    return train, build_partition(train, spec)
+    return train, test, data_info, build_partition(train, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -600,27 +599,10 @@ class SweepCell:
     config: ExperimentConfig
 
 
-@dataclass
-class SweepResult:
-    rows: list[str]
-    cols: list[str]
-    values: dict[tuple[str, str], float] = field(default_factory=dict)
-    reports: list[tuple[SweepCell, ExperimentReport]] = field(default_factory=list)
-    errors: list[tuple[SweepCell, str]] = field(default_factory=list)
-
-    def table_csv(self) -> str:
-        out = io.StringIO()
-        out.write("algorithm," + ",".join(self.cols) + "\n")
-        for row in self.rows:
-            cells = []
-            for col in self.cols:
-                v = self.values.get((row, col))
-                cells.append("ERROR" if v is None else f"{v:.4f}")
-            out.write(row + "," + ",".join(cells) + "\n")
-        return out.getvalue()
+SweepOutcome = tuple[SweepCell, ExperimentReport | None, str | None]
 
 
-def _run_cell(cell: SweepCell) -> tuple[SweepCell, ExperimentReport | None, str | None]:
+def _run_cell(cell: SweepCell) -> SweepOutcome:
     """Run one cell; any exception becomes the cell's one-line error, so one
     crashing cell never takes down the sweep.
 
@@ -636,40 +618,31 @@ def _run_cell(cell: SweepCell) -> tuple[SweepCell, ExperimentReport | None, str 
         return cell, None, " ".join(f"{type(exc).__name__}: {exc}".splitlines())
 
 
-def run_sweep(
-    cells: list[SweepCell],
-    rows: list[str],
-    cols: list[str],
-    workers: int = 1,
-) -> SweepResult:
-    """Run every cell (optionally on a process pool) and tabulate best accuracy.
-
-    Cell values are the best test accuracy averaged over the cell's seeds.
-    Failed cells are recorded and rendered as ERROR; the sweep continues.
-    The reports carry no final_params or federated_features.
-    """
-    result = SweepResult(rows=rows, cols=cols)
+def run_sweep(cells: list[SweepCell], workers: int = 1) -> list[SweepOutcome]:
+    """Run every cell, optionally on a process pool, and return each cell's
+    (cell, report, None), or (cell, None, one-line error) if it failed, in
+    cell order. A failed cell does not stop the others. The reports carry no
+    final_params or federated_features."""
     if workers > 1 and len(cells) > 1:
         # Forked workers inherit the one BLAS thread, so run_experiment never
         # has to set it there. The pool forks all its workers at once, so it
         # gets no more workers than cells.
         with one_blas_thread(), concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(workers, len(cells))) as pool:
-            outcomes = list(pool.map(_run_cell, cells))
-    else:
-        outcomes = [_run_cell(c) for c in cells]
+            return list(pool.map(_run_cell, cells))
+    return [_run_cell(c) for c in cells]
 
-    by_pos: dict[tuple[str, str], list[float]] = {}
-    failed: set[tuple[str, str]] = set()
-    for cell, report, error in outcomes:
-        key = (cell.row, cell.col)
-        if report is None:
-            result.errors.append((cell, error or "unknown error"))
-            failed.add(key)
-        else:
-            result.reports.append((cell, report))
-            by_pos.setdefault(key, []).append(report.best_accuracy)
-    for key, accs in by_pos.items():
-        if key not in failed:
-            result.values[key] = float(np.mean(accs))
-    return result
+
+def sweep_table(rows: list[str], cols: list[str], outcomes: list[SweepOutcome]) -> str:
+    """The sweep table as CSV, a line per row (algorithm) and a column per
+    setting. A cell is its seeds' mean best accuracy, or ERROR if any failed."""
+    accs: dict[tuple[str, str], list[float | None]] = {}
+    for cell, report, _ in outcomes:
+        acc = None if report is None else report.best_accuracy
+        accs.setdefault((cell.row, cell.col), []).append(acc)
+    lines = ["algorithm," + ",".join(cols)]
+    for row in rows:
+        seeds = [accs.get((row, col), [None]) for col in cols]
+        values = ["ERROR" if None in s else f"{np.mean(s):.4f}" for s in seeds]
+        lines.append(",".join([row, *values]))
+    return "".join(line + "\n" for line in lines)

@@ -218,6 +218,20 @@ class TestExitCodes:
         assert err.startswith(f"config error: {path} ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("levels", [500, 900])
+    def test_deeply_nested_grid_exits_2_in_one_line(self, tmp_path, capsys, levels):
+        # json.loads parses these lists; copying the grid's base used to
+        # recurse past Python's limit.
+        doc = _grid_doc()
+        doc["base"]["data"]["deep"] = "DEEP"
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc).replace('"DEEP"', "[" * levels + "]" * levels))
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "out"),
+                     "--dry-run"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {path} nests more than 32 levels deep\n"
+
     # numpy raises ValueError, not MemoryError, for arrays of 2**63 bytes or
     # more, so sizes that ask for one are config errors at parse time.
     @pytest.mark.parametrize("value", [10**29, 2**62])

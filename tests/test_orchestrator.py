@@ -1,4 +1,6 @@
 """Round loop, evaluation schedule, grouping, determinism, and sweeps."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from fltbench.orchestrator import (
     run_experiment,
     run_sweep,
     sample_clients,
+    sweep_table,
 )
 from fltbench.partition import PartitionSpec
 from fltbench.seeding import derive_seed
@@ -68,7 +71,7 @@ class TestRunExperiment:
         )
         report = run_experiment(config)
         train, _, _ = build_data(config)
-        _, partition = prepare_partition(config)
+        _, _, _, partition = prepare_partition(config)
         x, y = train.features[partition.shards[0]], train.labels[partition.shards[0]]
         from fltbench.nn import ModelConfig, init_model
 
@@ -208,7 +211,7 @@ class TestClientSampling:
 
     def test_holdout_shards_are_disjoint_from_training(self):
         config = _quick_config(rounds=1, client_holdout_fraction=0.25)
-        train, partition = prepare_partition(config)
+        train, _, _, partition = prepare_partition(config)
         train_shards, test_shards = _split_client_shards(
             train, partition, 0.25, config.master_seed
         )
@@ -255,7 +258,7 @@ class TestClientHoldoutEvaluation:
                                     min_shard_size=min_shard_size),
             model=ModelSpec(arch="mlp1h", hidden_units=16),
         )
-        train, partition = prepare_partition(config)
+        train, _, _, partition = prepare_partition(config)
         _, holdouts = _split_client_shards(train, partition, 0.2, config.master_seed)
         client_tests = [
             (k, subset(train, s) if len(s) else None) for k, s in enumerate(holdouts)
@@ -367,13 +370,20 @@ class TestHeadTailGroups:
         assert [groups[c] for c in range(5)] == ["head", "head", "medium", "medium", "tail"]
 
 
+def _errors(outcomes):
+    return [(cell, error) for cell, report, error in outcomes if report is None]
+
+
 class TestSweep:
     def test_one_by_one_grid_matches_run_experiment(self):
         config = _quick_config(rounds=3)
         cell = SweepCell(row="fedavg", col="base", seed_index=0, config=config)
-        result = run_sweep([cell], rows=["fedavg"], cols=["base"])
+        [(_, report, error)] = run_sweep([cell])
         direct = run_experiment(config)
-        assert result.values[("fedavg", "base")] == direct.best_accuracy
+        assert error is None and report.best_accuracy == direct.best_accuracy
+        assert sweep_table(["fedavg"], ["base"], [(cell, report, error)]) == (
+            f"algorithm,base\nfedavg,{direct.best_accuracy:.4f}\n"
+        )
 
     def test_failed_cell_marked_error_and_sweep_continues(self):
         good = _quick_config(rounds=2)
@@ -385,12 +395,11 @@ class TestSweep:
             SweepCell(row="fedavg", col="good", seed_index=0, config=good),
             SweepCell(row="fedavg", col="bad", seed_index=0, config=bad),
         ]
-        result = run_sweep(cells, rows=["fedavg"], cols=["good", "bad"])
-        assert ("fedavg", "good") in result.values
-        assert ("fedavg", "bad") not in result.values
-        assert len(result.errors) == 1
-        csv = result.table_csv()
-        assert "ERROR" in csv
+        outcomes = run_sweep(cells)
+        assert outcomes[0][1] is not None and outcomes[0][2] is None
+        assert [cell.col for cell, _ in _errors(outcomes)] == ["bad"]
+        csv = sweep_table(["fedavg"], ["good", "bad"], outcomes)
+        assert csv.split("\n")[1] == f"fedavg,{outcomes[0][1].best_accuracy:.4f},ERROR"
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_crashing_cell_is_error_and_sweep_continues(self, monkeypatch, workers):
@@ -407,11 +416,11 @@ class TestSweep:
             SweepCell(row=a, col="s", seed_index=0, config=_quick_config(algorithm=a, rounds=1))
             for a in ("fedavg", "fedprox")
         ]
-        result = run_sweep(cells, rows=["fedavg", "fedprox"], cols=["s"], workers=workers)
-        assert [(c.row, msg) for c, msg in result.errors] == [
+        outcomes = run_sweep(cells, workers=workers)
+        assert [(c.row, msg) for c, msg in _errors(outcomes)] == [
             ("fedprox", "ValueError: injected crash")
         ]
-        lines = result.table_csv().strip().split("\n")
+        lines = sweep_table(["fedavg", "fedprox"], ["s"], outcomes).strip().split("\n")
         assert lines[1] != "fedavg,ERROR" and lines[2] == "fedprox,ERROR"
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -420,9 +429,11 @@ class TestSweep:
             SweepCell(row=a, col="s", seed_index=0, config=_quick_config(algorithm=a, rounds=1))
             for a in ("fedavg", "creff")
         ]
-        result = run_sweep(cells, rows=["fedavg", "creff"], cols=["s"], workers=workers)
-        assert [cell.row for cell, _ in result.reports] == ["fedavg", "creff"]
-        for cell, report in result.reports:
+        outcomes = run_sweep(cells, workers=workers)
+        assert [(cell.row, error) for cell, _, error in outcomes] == [
+            ("fedavg", None), ("creff", None)
+        ]
+        for cell, report, _ in outcomes:
             assert report.final_params is None and report.federated_features is None
             direct = run_experiment(cell.config)
             assert report.to_json_dict() | {"wall_clock_sec": 0} == (
@@ -460,10 +471,9 @@ class TestSweep:
         )
         cells = [SweepCell(row="fedavg", col=f"s{i}", seed_index=0, config=_quick_config())
                  for i in range(num_cells)]
-        result = run_sweep(cells, rows=["fedavg"], cols=[c.col for c in cells],
-                           workers=workers)
+        outcomes = run_sweep(cells, workers=workers)
         assert sizes == [pool_size]
-        assert len(result.errors) == num_cells
+        assert _errors(outcomes) == [(cell, "not run") for cell in cells]
 
     def test_table_csv_layout(self):
         config = _quick_config(rounds=1)
@@ -472,8 +482,8 @@ class TestSweep:
             for a in ("fedavg", "fedprox")
             for c in ("s1", "s2")
         ]
-        result = run_sweep(cells, rows=["fedavg", "fedprox"], cols=["s1", "s2"])
-        lines = result.table_csv().strip().split("\n")
+        outcomes = run_sweep(cells)
+        lines = sweep_table(["fedavg", "fedprox"], ["s1", "s2"], outcomes).strip().split("\n")
         assert lines[0] == "algorithm,s1,s2"
         assert len(lines) == 3
         assert lines[1].startswith("fedavg,")
@@ -483,6 +493,24 @@ class TestSweep:
             SweepCell(row="fedavg", col="s", seed_index=i, config=_quick_config(rounds=2, seed=i))
             for i in range(2)
         ]
-        result = run_sweep(cells, rows=["fedavg"], cols=["s"])
+        outcomes = run_sweep(cells)
         individual = [run_experiment(_quick_config(rounds=2, seed=i)).best_accuracy for i in range(2)]
-        assert result.values[("fedavg", "s")] == pytest.approx(np.mean(individual))
+        assert [report.best_accuracy for _, report, _ in outcomes] == individual
+        assert sweep_table(["fedavg"], ["s"], outcomes) == (
+            f"algorithm,s\nfedavg,{np.mean(individual):.4f}\n"
+        )
+
+    def test_cell_with_one_failed_seed_of_two_reads_error(self):
+        # No run: the outcomes are built by hand.
+        cells = [SweepCell(row="fedavg", col=c, seed_index=i, config=None)
+                 for c in ("a", "b") for i in range(2)]
+        reports = [SimpleNamespace(best_accuracy=acc) for acc in (0.5, 0.25, 0.75)]
+        outcomes = [
+            (cells[0], reports[0], None),
+            (cells[1], None, "ValueError: seed 1 failed"),
+            (cells[2], reports[1], None),
+            (cells[3], reports[2], None),
+        ]
+        assert sweep_table(["fedavg", "fedprox"], ["a", "b"], outcomes) == (
+            "algorithm,a,b\nfedavg,ERROR,0.5000\nfedprox,ERROR,ERROR\n"
+        )
