@@ -200,8 +200,9 @@ def creff_client_head_grads(
     The shard's rows are sorted by class, and consecutive classes go
     through one forward pass together while their rows fit in
     EVAL_BLOCK_ROWS; a larger class is a pass of its own. Each class's
-    softmax errors and features are then one contiguous slice of its pass,
-    and no temporary is larger than one class's or one evaluation block's.
+    softmax errors are then a column slice of its pass's class-major
+    (M, B) logits and its features a row slice, and no temporary is larger
+    than one class's or one evaluation block's.
     """
     m = model_config.num_classes
     order = np.argsort(shard_y, kind="stable")
@@ -221,13 +222,13 @@ def creff_client_head_grads(
         rows = order[first:ends[block[-1]]]
         feats, delta = forward(global_params, model_config, shard_x[rows])
         softmax(delta)
-        delta[np.arange(rows.shape[0]), shard_y[rows]] -= 1.0
+        delta[shard_y[rows], np.arange(rows.shape[0])] -= 1.0
         for cls in block:
             start, end = starts[cls] - first, ends[cls] - first
-            part = delta[start:end]
+            part = delta[:, start:end]
             part /= counts[cls]
-            np.matmul(part.T, feats[start:end], out=grad_w[cls])
-            part.sum(axis=0, out=grad_b[cls])
+            np.matmul(part, feats[start:end], out=grad_w[cls])
+            part.sum(axis=1, out=grad_b[cls])
     return grads
 
 
@@ -264,7 +265,7 @@ def matching_loss_and_grad(
     x_t = features.transpose(0, 2, 1)
     probs = w @ x_t
     probs += b[:, None]
-    softmax(probs, axis=1)
+    softmax(probs)
     u = lhs_t[:, :m]
     np.copyto(u, probs)
     u[np.arange(c), labels] -= 1.0
@@ -341,7 +342,7 @@ def retrain_head(
         for _ in range(steps):
             np.matmul(s, k, out=z)
             np.subtract(z0, z, out=z)
-            softmax(z, axis=0)
+            softmax(z)
             z_labels -= 1.0
             s += z
         w -= learning_rate / n * (s @ x)
@@ -353,7 +354,7 @@ def retrain_head(
     for _ in range(steps):
         z = w @ x_t
         z += b[:, None]
-        softmax(z, axis=0)
+        softmax(z)
         z[y, cols] -= 1.0
         z /= n
         w -= learning_rate * (z @ x)

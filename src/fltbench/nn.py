@@ -6,7 +6,13 @@ final affine map). Keeping the split explicit is what lets the federated
 algorithms share, freeze, or replace the head independently of the body.
 
 Two architectures are enough for the benchmark: a plain softmax classifier
-(empty representation block) and a one-hidden-layer ReLU network.
+(empty representation block) and a one-hidden-layer ReLU network. The
+mlp1h representation block is the row-major (input_dim + 1, H) matrix
+[W1^T; b1]: input-major weights, then the bias as the last row, so rows
+that carry a trailing ones column get their pre-activations, and the rep
+gradient, from one product each. A head block holds the row-major (M, F)
+weights, then the M biases. forward returns class-major (M, B) logits, so
+softmax and argmax reduce along contiguous rows.
 """
 from __future__ import annotations
 
@@ -33,18 +39,22 @@ ARCHITECTURES = (ARCH_LINEAR, ARCH_MLP1H)
 # ARCHITECTURES, hidden units (0 for linear_softmax), input dim, class count,
 # init seed and the (M, per_class, feature_dim) shape of the feature
 # prototypes, (0, 0, 0) for none. The rep, head and prototype float64s follow.
-CHECKPOINT_MAGIC = b"FLTCKPT2"
+# FLTCKPT2 files stored the mlp1h rep block as row-major (H, input_dim)
+# weights, so they fail to load, as FLTCKPT1 files do.
+CHECKPOINT_MAGIC = b"FLTCKPT3"
 _CKPT_HEADER = struct.Struct("<IIIIqIII")
 
 # Most rows per forward pass in predict, and per stack of client holdouts
 # classified together. Runs use one BLAS thread (see one_blas_thread), and
 # blocks are still faster than one long pass: on a 2-vCPU VM (numpy 2.4.6,
-# OpenBLAS 0.3.31, one thread) 2,000 rows of the (2000x5)@(5x200) model took
-# 1.45 ms in 256-row blocks against 1.77 ms in one pass, with bit-equal
-# logits. Equal blocks keep each block of a longer dataset above 128 rows:
-# with 10 classes, blocks of 121 rows or more gave logits bit-equal to the
-# single pass, while shorter ones (such as the tail of fixed 256-row blocks)
-# take OpenBLAS's small-matrix kernel and differ in the last bits.
+# OpenBLAS 0.3.31, one thread) predicting 2,000 rows of the 5-200-10 model
+# took 1.08 ms in 256-row blocks against 1.30 ms in one pass, with bit-equal
+# class-major logits. Equal blocks keep each block of a longer dataset above
+# 128 rows: with 10 or 11 classes, blocks of 121 rows or more gave logits
+# bit-equal to the single pass, while shorter ones (such as the tail of fixed
+# 256-row blocks) take OpenBLAS's small-matrix kernel and differ in the last
+# bits. With 16 to 100 classes, blocks of 193 rows or more whose length is
+# not a multiple of 8 differ too.
 EVAL_BLOCK_ROWS = 256
 
 # Thread-count entry points of numpy's bundled OpenBLAS, by build: the
@@ -158,7 +168,8 @@ class ModelParams:
 
 
 def init_model(config: ModelConfig) -> ModelParams:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases."""
+    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weights, zero biases. W1 is
+    drawn (H, input_dim) and stored transposed, as the rep block's rows."""
     rng = rng_from(config.init_seed)
     d, m = config.input_dim, config.num_classes
     if config.arch == ARCH_LINEAR:
@@ -167,7 +178,7 @@ def init_model(config: ModelConfig) -> ModelParams:
     else:
         h = config.hidden_units
         w1 = rng.uniform(-1.0, 1.0, size=(h, d)) / np.sqrt(d)
-        rep = np.concatenate([w1.ravel(), np.zeros(h)])
+        rep = np.concatenate([w1.T.ravel(), np.zeros(h)])
         w2 = rng.uniform(-1.0, 1.0, size=(m, h)) / np.sqrt(h)
     head = np.concatenate([w2.ravel(), np.zeros(m)])
     return ModelParams(rep, head)
@@ -176,16 +187,20 @@ def init_model(config: ModelConfig) -> ModelParams:
 def head_views(head: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """Weight (..., M, F) and bias (..., M) views of a (..., head_size) block,
     which holds the row-major weights, then the biases; leading axes stack heads."""
-    split = head.shape[-1] - num_classes
-    w = head[..., :split].reshape(*head.shape[:-1], num_classes, split // num_classes)
-    return w, head[..., split:]
+    w = head[..., :-num_classes].reshape(*head.shape[:-1], num_classes, -1)
+    return w, head[..., -num_classes:]
 
 
 def forward(
     params: ModelParams, config: ModelConfig, batch: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Penultimate activations and logits for a (..., B, input_dim) batch of
-    finite float64 rows, which are not checked here: callers pass Dataset rows.
+    """Penultimate activations (..., B, F) and class-major logits (..., M, B)
+    for a (..., B, input_dim) batch of finite float64 rows, which are not
+    checked here: callers pass Dataset rows.
+
+    For mlp1h the rows may also carry a trailing ones column, as local SGD
+    passes them; without it the bias row is added after the product, which
+    gives the same values up to the last bits.
 
     Leading axes stack independent batches. With a stacked (G, head_size)
     head block, batch g of a (G, B, input_dim) stack is classified by head g
@@ -199,21 +214,28 @@ def forward(
     if config.arch == ARCH_LINEAR:
         feats = batch
     else:
-        h, d = config.hidden_units, config.input_dim
-        feats = batch @ params.rep_block[: h * d].reshape(h, d).T
-        feats += params.rep_block[h * d :]
+        d = config.input_dim
+        rep = params.rep_block.reshape(d + 1, config.hidden_units)
+        if batch.shape[-1] == d:
+            feats = batch @ rep[:d]
+            feats += rep[d]
+        else:
+            feats = batch @ rep
         np.maximum(feats, 0.0, out=feats)
     w2, b2 = head_views(params.head_block, config.num_classes)
-    logits = feats @ w2.swapaxes(-1, -2)
-    logits += b2[..., None, :]
+    logits = w2 @ feats.swapaxes(-1, -2)
+    logits += b2[..., None]
     return feats, logits
 
 
-def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
+def softmax(z: np.ndarray, axis: int = -2) -> np.ndarray:
     """Softmax of z along axis, computed in place in z, which is returned.
 
-    The package's one softmax: row-major (B, M) logits normalize along the
-    last axis, class-major (C, M, P) and (M, n) ones along axes 1 and 0.
+    The package's one softmax. Its callers keep their logits class-major,
+    (..., M, B) from forward, (C, M, P) in matching and (M, n) in head
+    re-training, so the class axis is -2 and each reduction runs across
+    contiguous rows: numpy reduces along a last axis of only M = 10 entries
+    more slowly.
     """
     z -= z.max(axis, keepdims=True)
     np.exp(z, out=z)
@@ -234,9 +256,11 @@ def loss_and_grad(
 
     Gradients come from explicit backprop through the affine/ReLU stack and
     are deterministic for fixed inputs. batch_x must hold finite float64
-    (B, input_dim) rows: callers validate them once per dataset or shard, not
-    once per batch. The function calls forward, then softmax on the logits
-    in place, and the backward pass works in the buffers of the products.
+    (B, input_dim) rows, or for mlp1h (B, input_dim + 1) rows whose last
+    column is 1 (see forward): callers validate them once per dataset or
+    shard, not once per batch. The function calls forward, then softmax on
+    the class-major logits in place, and the backward pass works in the
+    buffers of the products.
 
     Without ``out`` the gradient goes to two fresh blocks. With ``out``,
     whose blocks must be C-contiguous float64 arrays of the block sizes, the
@@ -246,28 +270,32 @@ def loss_and_grad(
     """
     y = np.asarray(batch_y, dtype=np.int64)
     n = y.shape[0]
-    rows = np.arange(n)
+    cols = np.arange(n)
     feats, probs = forward(params, config, batch_x)
     softmax(probs)
     loss = None
     if out is None:
-        loss = float(-np.mean(np.log(np.maximum(probs[rows, y], 1e-300))))
+        loss = float(-np.mean(np.log(np.maximum(probs[y, cols], 1e-300))))
         out = ModelParams(np.empty(config.rep_size), np.empty(config.head_size))
 
     delta = probs
-    delta[rows, y] -= 1.0
+    delta[y, cols] -= 1.0
     delta /= n
 
     grad_rep, grad_head = out.rep_block, out.head_block
     grad_w2, grad_b2 = head_views(grad_head, config.num_classes)
-    np.matmul(delta.T, feats, out=grad_w2)
-    delta.sum(axis=0, out=grad_b2)
+    np.matmul(delta, feats, out=grad_w2)
+    delta.sum(axis=1, out=grad_b2)
     if config.arch == ARCH_MLP1H:
-        h, d = config.hidden_units, config.input_dim
-        dpre = delta @ head_views(params.head_block, config.num_classes)[0]
+        d = config.input_dim
+        dpre = delta.T @ head_views(params.head_block, config.num_classes)[0]
         dpre *= feats > 0.0
-        np.matmul(dpre.T, batch_x, out=grad_rep[: h * d].reshape(h, d))
-        dpre.sum(axis=0, out=grad_rep[h * d :])
+        grad_w1 = grad_rep.reshape(d + 1, config.hidden_units)
+        if batch_x.shape[-1] == d:
+            np.matmul(batch_x.T, dpre, out=grad_w1[:d])
+            dpre.sum(axis=0, out=grad_w1[d])
+        else:
+            np.matmul(batch_x.T, dpre, out=grad_w1)
 
     if weight_decay != 0.0:
         if loss is not None:
@@ -309,18 +337,17 @@ def sgd_epochs(
     """Run local_epochs of mini-batch SGD and return the updated copy.
 
     Each epoch reshuffles under shuffle_seed's stream; the final short batch
-    is kept. A non-zero prox_mu adds FedProx's proximal pull
-    prox_mu * (w - params) to every batch gradient, toward the params the
-    call started from.
+    is kept. Every batch gradient gets weight_decay * w, and with a non-zero
+    prox_mu FedProx's proximal pull prox_mu * (w - params) toward the params
+    the call started from.
 
     Training runs in one contiguous float64 buffer that starts as a copy of
     params, so the caller's arrays are never written; the returned blocks
-    are views into it. Each batch has loss_and_grad write its gradient,
-    weight decay included, into views of one gradient buffer, with no loss
-    computed, and then adds the proximal pull, scales by the learning rate
-    and steps, each once over the whole buffer. The float operations per
-    element are those of the per-block update, so the result is bit-equal
-    to it.
+    are views into it. Each epoch writes its shuffled rows once into one
+    buffer, with a ones column for mlp1h. Each batch has loss_and_grad
+    write its gradient into views of one gradient buffer, with no loss
+    computed, and then adds weight decay and the proximal pull, scales by
+    the learning rate and steps, each once over the whole buffer.
     """
     n = shard_y.shape[0]
     if n == 0:
@@ -329,23 +356,28 @@ def sgd_epochs(
         raise ValueError("shard contains non-finite features")
     split = params.rep_block.shape[0]
     flat = np.concatenate([params.rep_block, params.head_block])
-    grad = np.empty_like(flat)
+    grad, scratch = np.empty_like(flat), np.empty_like(flat)
     if prox_mu:
-        anchor, scratch = flat.copy(), np.empty_like(flat)
+        anchor = flat.copy()
     w = ModelParams(flat[:split], flat[split:])
     out = ModelParams(grad[:split], grad[split:])
+    d = config.input_dim
+    xs = np.ones((n, d + (config.arch == ARCH_MLP1H)))
     rng = rng_from(train_config.shuffle_seed)
     lr = train_config.learning_rate
     bs = train_config.batch_size
     weight_decay = train_config.weight_decay
     for _ in range(train_config.local_epochs):
         order = rng.permutation(n)
-        xs, ys = shard_x[order], shard_y[order]
+        xs[:, :d] = shard_x[order]
+        ys = shard_y[order]
         for start in range(0, n, bs):
             # Config and labels stay positional: bench/tracer.py reads
             # args[1] and args[3] of this call.
-            loss_and_grad(w, config, xs[start : start + bs], ys[start : start + bs],
-                          weight_decay, out=out)
+            loss_and_grad(w, config, xs[start : start + bs], ys[start : start + bs], out=out)
+            if weight_decay:
+                np.multiply(flat, weight_decay, out=scratch)
+                grad += scratch
             if prox_mu:
                 np.subtract(flat, anchor, out=scratch)
                 scratch *= prox_mu
@@ -380,13 +412,13 @@ def predict(params: ModelParams, config: ModelConfig, features: np.ndarray) -> n
 
     Ties break toward the lower class index. The rows run through forward in
     ceil(n / EVAL_BLOCK_ROWS) equal blocks of at most 256 rows, which is
-    faster than one long pass. On the OpenBLAS build measured, with 10 or
-    more classes, the logits are bit-equal to one pass over all n rows; with
-    fewer they can differ in the last bits. Either way they are
-    deterministic.
+    faster than one long pass. On the OpenBLAS build measured, with 10 or 11
+    classes, the logits are bit-equal to one pass over all n rows; with
+    other class counts they can differ in the last bits (see
+    EVAL_BLOCK_ROWS). Either way they are deterministic.
     """
     blocks = np.array_split(features, -(-features.shape[-2] // EVAL_BLOCK_ROWS), axis=-2)
-    preds = [np.argmax(forward(params, config, block)[1], axis=-1) for block in blocks]
+    preds = [np.argmax(forward(params, config, block)[1], axis=-2) for block in blocks]
     return np.concatenate(preds, axis=-1)
 
 

@@ -8,8 +8,12 @@ many workers execute the sweep cells.
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
 import io
 import math
+import os
+import signal
+import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -618,6 +622,22 @@ def _run_cell(cell: SweepCell) -> SweepOutcome:
         return cell, None, " ".join(f"{type(exc).__name__}: {exc}".splitlines())
 
 
+def _die_with_parent(parent: int) -> None:
+    """Pool worker initializer: on Linux, have the kernel SIGKILL this worker
+    when the thread that forked it, the sweep's, ends, as it does when the
+    sweep process is killed; and exit at once if the sweep is gone already.
+    Without it a killed sweep leaves its workers running, busy on a cell or
+    waiting on a queue that their siblings keep open. SIGKILL, because
+    forked workers inherit the sweep's signal handlers. Elsewhere this does
+    nothing."""
+    if sys.platform.startswith("linux"):
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+        if os.getppid() != parent:
+            os._exit(1)
+
+
 def run_sweep(cells: list[SweepCell], workers: int = 1) -> list[SweepOutcome]:
     """Run every cell, optionally on a process pool, and return each cell's
     (cell, report, None), or (cell, None, one-line error) if it failed, in
@@ -628,7 +648,8 @@ def run_sweep(cells: list[SweepCell], workers: int = 1) -> list[SweepOutcome]:
         # has to set it there. The pool forks all its workers at once, so it
         # gets no more workers than cells.
         with one_blas_thread(), concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers, len(cells))) as pool:
+                max_workers=min(workers, len(cells)), initializer=_die_with_parent,
+                initargs=(os.getpid(),)) as pool:
             return list(pool.map(_run_cell, cells))
     return [_run_cell(c) for c in cells]
 

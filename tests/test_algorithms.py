@@ -343,16 +343,16 @@ def _creff_client_head_grads_allocating(global_params, model_config, shard_x, sh
         first = starts[block[0]]
         rows = order[first:ends[block[-1]]]
         feats, logits = forward(global_params, model_config, shard_x[rows])
-        shifted = logits - logits.max(axis=-1, keepdims=True)
+        shifted = logits - logits.max(axis=0, keepdims=True)
         e = np.exp(shifted)
-        delta = e / e.sum(axis=-1, keepdims=True)
-        delta[np.arange(rows.shape[0]), shard_y[rows]] -= 1.0
+        delta = e / e.sum(axis=0, keepdims=True)
+        delta[shard_y[rows], np.arange(rows.shape[0])] -= 1.0
         for cls in block:
             start, end = starts[cls] - first, ends[cls] - first
-            part = delta[start:end]
+            part = delta[:, start:end]
             part /= counts[cls]
-            np.matmul(part.T, feats[start:end], out=grad_w[cls])
-            part.sum(axis=0, out=grad_b[cls])
+            np.matmul(part, feats[start:end], out=grad_w[cls])
+            part.sum(axis=1, out=grad_b[cls])
     return grads
 
 
@@ -361,7 +361,7 @@ def _matching_reference(features, label, w, b, target_w, target_b):
     computed unfused: the oracle for the shipped kernel's step."""
     n = features.shape[0]
     logits = features @ w.T + b
-    probs = softmax(logits)
+    probs = softmax(logits, -1)
     u = probs.copy()
     u[:, label] -= 1.0
     g_w = u.T @ features / n

@@ -91,3 +91,29 @@ def test_setup_of_a_long_tail_run_records_its_spans():
         "partition.report", "datasets.split",
     }
     assert expected <= recorded, f"no spans of {sorted(expected - recorded)}"
+
+
+@pytest.mark.parametrize("algorithm", ["fedavg", "fedprox", "fedper"])
+def test_sgd_spans_count_every_batch_and_row(algorithm):
+    # samples_per_s is the tracer's SGD rows over run_s: every batch of
+    # sgd_epochs must go through the fltbench.nn.loss_and_grad binding with
+    # its labels fourth, or the benchmark reads 0 samples per second.
+    rounds, epochs, batch = 2, 2, 7
+    config = ExperimentConfig(
+        data=DataConfig(source="synthetic", num_classes=3, per_class=20, test_per_class=4, dim=2),
+        partition=PartitionSpec(kind="dirichlet", num_clients=3, alpha=0.5, min_shard_size=1),
+        model=ModelSpec(arch="mlp1h", hidden_units=4),
+        train=TrainConfig(learning_rate=0.1, batch_size=batch, local_epochs=epochs),
+        algo=AlgoConfig(algorithm=algorithm, rounds=rounds),
+    )
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        report = fltbench.orchestrator.run_experiment(config)
+    finally:
+        tracer.uninstall()
+    sizes = [int(n) for n in report.partition.client_sizes]
+    assert len(set(sizes)) > 1  # unequal shards, so short batches differ by client
+    batches = sum(name == "nn.loss_and_grad" for name, *_ in tracer.spans)
+    assert batches == rounds * epochs * sum(-(-n // batch) for n in sizes)
+    assert tracer.sgd_rows() == rounds * epochs * sum(sizes)

@@ -1,6 +1,11 @@
 """CLI contract: exit codes, emitted files, determinism, config round-trip."""
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -598,3 +603,57 @@ class TestSweepCommand:
         assert [row[2] for row in rows[1:]] == ["ERROR", "ERROR"]
         assert "ERROR" not in [row[1] for row in rows[1:]]
         assert "cluster_spread" in capsys.readouterr().err
+
+
+def _children(pid):
+    """Ids of the live processes that pid's main thread forked; none once pid
+    is gone."""
+    try:
+        kids = Path(f"/proc/{pid}/task/{pid}/children").read_text().split()
+    except OSError:
+        return []
+    return [int(kid) for kid in kids]
+
+
+def _alive(pid):
+    """Whether pid runs: it exists and is not a zombie waiting to be reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+class TestSweepKilled:
+    def test_sigterm_ends_the_pool_workers(self, tmp_path):
+        # Cells far too long to finish: the workers are busy when the sweep
+        # process is killed, and must not outlive it.
+        doc = _grid_doc(rounds=1_000_000)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(fltbench.cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+        sweep = subprocess.Popen(
+            [sys.executable, "-m", "fltbench.cli", "sweep", "--config",
+             _write_config(tmp_path, doc), "--out", str(tmp_path / "out"), "--workers", "2"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        workers = []
+        try:
+            deadline = time.monotonic() + 30.0
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = _children(sweep.pid)
+            assert len(workers) == 2
+            time.sleep(0.5)  # let both workers start on a cell
+            sweep.send_signal(signal.SIGTERM)
+            assert sweep.wait(timeout=10) == -signal.SIGTERM
+            deadline = time.monotonic() + 5.0
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            if sweep.poll() is None:
+                sweep.kill()
+                sweep.wait()
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)

@@ -52,43 +52,54 @@ def fd_safe_batch(params, cfg, rng, n, margin=1e-3):
         y = rng.integers(0, cfg.num_classes, n)
         if cfg.hidden_units is None:
             return x, y
-        h, d = cfg.hidden_units, cfg.input_dim
-        pre = x @ params.rep_block[: h * d].reshape(h, d).T + params.rep_block[h * d :]
+        w1 = params.rep_block.reshape(cfg.input_dim + 1, cfg.hidden_units)
+        pre = x @ w1[:-1] + w1[-1]
         if np.min(np.abs(pre)) > margin:
             return x, y
     raise AssertionError("could not find a kink-free batch")
 
 
+def _softmax_reference(z):
+    """Softmax down the class axis of class-major (M, B) logits, into fresh
+    arrays."""
+    e = np.exp(z - z.max(axis=0, keepdims=True))
+    return e / e.sum(axis=0, keepdims=True)
+
+
 def _loss_and_grad_reference(params, cfg, batch_x, batch_y, weight_decay=0.0):
-    """loss_and_grad as written before it worked in place: fresh arrays for
-    every intermediate and np.concatenate for the gradient blocks. The
-    exactness reference."""
+    """loss_and_grad written with fresh arrays for every intermediate and
+    np.concatenate for the gradient blocks: the rep block is the (d+1, h)
+    matrix [W1^T; b1], the logits are class-major (M, B), and rows with a
+    trailing ones column take the bias through the products. The exactness
+    reference."""
     x = np.asarray(batch_x, dtype=np.float64)
     y = np.asarray(batch_y, dtype=np.int64)
     f, m = cfg.feature_dim, cfg.num_classes
     w2 = params.head_block[: m * f].reshape(m, f)
     b2 = params.head_block[m * f :]
+    ones = False
     if cfg.hidden_units is None:
         pre, feats = None, x
     else:
-        h, d = cfg.hidden_units, cfg.input_dim
-        w1 = params.rep_block[: h * d].reshape(h, d)
-        b1 = params.rep_block[h * d :]
-        pre = x @ w1.T + b1
+        d = cfg.input_dim
+        w1 = params.rep_block.reshape(d + 1, cfg.hidden_units)
+        ones = x.shape[1] == d + 1
+        pre = x @ w1 if ones else x @ w1[:d] + w1[d]
         feats = np.maximum(pre, 0.0)
-    logits = feats @ w2.T + b2
+    logits = w2 @ feats.T + b2[:, None]
     n = y.shape[0]
-    probs = softmax(logits)
-    loss = float(-np.mean(np.log(np.maximum(probs[np.arange(n), y], 1e-300))))
-    delta = probs
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
-    grad_head = np.concatenate([(delta.T @ feats).ravel(), delta.sum(axis=0)])
+    probs = _softmax_reference(logits)
+    loss = float(-np.mean(np.log(np.maximum(probs[y, np.arange(n)], 1e-300))))
+    delta = probs.copy()
+    delta[y, np.arange(n)] -= 1.0
+    delta = delta / n
+    grad_head = np.concatenate([(delta @ feats).ravel(), delta.sum(axis=1)])
     if pre is None:
         grad_rep = np.empty(0, dtype=np.float64)
     else:
-        dpre = (delta @ w2) * (pre > 0.0)
-        grad_rep = np.concatenate([(dpre.T @ x).ravel(), dpre.sum(axis=0)])
+        dpre = (delta.T @ w2) * (pre > 0.0)
+        grad_w1 = (x.T @ dpre).ravel()
+        grad_rep = grad_w1 if ones else np.concatenate([grad_w1, dpre.sum(axis=0)])
     if weight_decay != 0.0:
         loss += 0.5 * weight_decay * (
             float(params.rep_block @ params.rep_block)
@@ -100,15 +111,20 @@ def _loss_and_grad_reference(params, cfg, batch_x, batch_y, weight_decay=0.0):
 
 
 def _sgd_reference(params, cfg, tc, shard_x, shard_y, prox_mu=0.0):
-    """The sgd_epochs loop as written before it gathered each epoch once."""
+    """The sgd_epochs loop with fresh arrays: each epoch's shuffled rows get
+    a ones column for mlp1h, and each step updates the blocks one by one."""
     w = params.copy()
     rng = rng_from(tc.shuffle_seed)
+    n = shard_y.shape[0]
     for _ in range(tc.local_epochs):
-        order = rng.permutation(shard_y.shape[0])
-        for start in range(0, shard_y.shape[0], tc.batch_size):
-            sel = order[start : start + tc.batch_size]
+        order = rng.permutation(n)
+        xs = shard_x[order]
+        if cfg.hidden_units is not None:
+            xs = np.hstack([xs, np.ones((n, 1))])
+        for start in range(0, n, tc.batch_size):
+            batch = slice(start, start + tc.batch_size)
             _, grad = _loss_and_grad_reference(
-                w, cfg, shard_x[sel], shard_y[sel], tc.weight_decay
+                w, cfg, xs[batch], shard_y[order][batch], tc.weight_decay
             )
             if prox_mu:
                 grad.rep_block = grad.rep_block + prox_mu * (w.rep_block - params.rep_block)
@@ -147,6 +163,15 @@ class TestInit:
         assert (params.rep_block[5 * 6 :] == 0).all()
         assert (params.head_block[4 * 6 :] == 0).all()
 
+    def test_rep_block_is_the_drawn_w1_transposed_then_the_bias(self):
+        # init_model draws W1 as (h, d) and stores [W1^T; b1]: the draws are
+        # the ones a row-major (h, d) layout stored, element for element.
+        cfg = ModelConfig(arch="mlp1h", input_dim=5, num_classes=4, init_seed=3, hidden_units=6)
+        w1 = rng_from(3).uniform(-1.0, 1.0, size=(6, 5)) / np.sqrt(5)
+        rep = init_model(cfg).rep_block.reshape(5 + 1, 6)
+        np.testing.assert_array_equal(rep[:5], w1.T)
+        np.testing.assert_array_equal(rep[5], np.zeros(6))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ModelConfig(arch="cnn", input_dim=4, num_classes=3)
@@ -162,7 +187,7 @@ class TestForward:
         params = init_model(cfg)
         params.head_block[:] = 0.0
         _, logits = forward(params, cfg, np.random.default_rng(0).standard_normal((5, 3)))
-        np.testing.assert_array_equal(logits, np.zeros((5, 4)))
+        np.testing.assert_array_equal(logits, np.zeros((4, 5)))
 
     def test_linear_features_are_inputs(self, rng):
         cfg = ModelConfig(arch="linear_softmax", input_dim=3, num_classes=2)
@@ -173,7 +198,7 @@ class TestForward:
 
     def test_hand_computed_single_hidden_unit(self):
         # One hidden unit, 2 inputs, 2 classes, all weights written by hand:
-        # h = relu(1*x0 - 1*x1 + 0.5); logits = [2h + 1, -h].
+        # h = relu(1*x0 - 1*x1 + 0.5); logits = [2h + 1, -h], one column per row.
         cfg = ModelConfig(arch="mlp1h", input_dim=2, num_classes=2, hidden_units=1)
         params = ModelParams(
             rep_block=np.array([1.0, -1.0, 0.5]),
@@ -182,22 +207,36 @@ class TestForward:
         x = np.array([[1.0, 0.0], [0.0, 2.0]])
         feats, logits = forward(params, cfg, x)
         np.testing.assert_allclose(feats, [[1.5], [0.0]])
-        np.testing.assert_allclose(logits, [[4.0, -1.5], [1.0, 0.0]])
+        np.testing.assert_allclose(logits, [[4.0, 1.0], [-1.5, 0.0]])
+
+    def test_ones_column_carries_the_bias(self, rng):
+        cfg = ModelConfig(arch="mlp1h", input_dim=5, num_classes=10, init_seed=2,
+                          hidden_units=200)
+        params = init_model(cfg)
+        params.rep_block += 0.1 * rng.standard_normal(params.rep_block.shape)
+        x = 3.0 * rng.standard_normal((64, 5))
+        feats, logits = forward(params, cfg, x)
+        ones_feats, ones_logits = forward(params, cfg, np.hstack([x, np.ones((64, 1))]))
+        np.testing.assert_allclose(ones_feats, feats, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ones_logits, logits, rtol=1e-12, atol=1e-12)
 
 
 class TestSoftmax:
-    # The shapes and axes of its callers: local SGD batches and CReFF client
-    # passes (last axis), class-major matching logits (axis 1) and head
-    # re-training logits in both orders (axis 0).
+    # Row-major batches along the last axis, as the tests' references pass
+    # them; the class axis of class-major matching logits (axis 1) and head
+    # re-training logits (axis 0); and the default axis -2, the class axis
+    # of forward's (M, B) SGD and CReFF client logits and (G, M, B) stacks.
     @pytest.mark.parametrize("shape, axis", [
         ((64, 10), -1), ((247, 10), -1), ((10, 10, 20), 1), ((10, 200), 0), ((10, 1000), 0),
+        ((10, 64), None), ((10, 247), None), ((3, 10, 256), None),
     ])
     def test_in_place_equals_allocating_bit_for_bit(self, rng, shape, axis):
         z = 5.0 * rng.standard_normal(shape)
-        shifted = z - z.max(axis=axis, keepdims=True)
+        ax = -2 if axis is None else axis
+        shifted = z - z.max(axis=ax, keepdims=True)
         e = np.exp(shifted)
-        expected = e / e.sum(axis=axis, keepdims=True)
-        out = softmax(z, axis)
+        expected = e / e.sum(axis=ax, keepdims=True)
+        out = softmax(z) if axis is None else softmax(z, axis)
         assert out is z
         np.testing.assert_array_equal(out, expected)
 
@@ -221,7 +260,7 @@ def _stack_case(arch, g, n, heads, num_classes=10, seed=0):
 def _predict_reference(params, cfg, x):
     """The per-dataset blocked argmax that evaluate ran before predict existed."""
     blocks = np.array_split(x, -(-len(x) // fltbench.nn.EVAL_BLOCK_ROWS))
-    return np.concatenate([np.argmax(forward(params, cfg, b)[1], axis=1) for b in blocks])
+    return np.concatenate([np.argmax(forward(params, cfg, b)[1], axis=0) for b in blocks])
 
 
 class TestStackedForward:
@@ -232,7 +271,7 @@ class TestStackedForward:
     def test_each_slice_equals_a_lone_forward(self, arch, heads, g, n):
         cfg, _, x, stacked_params, per_slice = _stack_case(arch, g, n, heads)
         feats, logits = forward(stacked_params, cfg, x)
-        assert logits.shape == (g, n, 10)
+        assert logits.shape == (g, 10, n)
         for i in range(g):
             lone_feats, lone_logits = forward(per_slice[i], cfg, x[i])
             np.testing.assert_array_equal(feats[i], lone_feats)
@@ -278,10 +317,10 @@ class TestPredict:
 
         monkeypatch.setattr(fltbench.nn, "forward", recording)
         predict(stacked_params, cfg, x)
-        assert max(b.shape[-2] for b in blocks) <= fltbench.nn.EVAL_BLOCK_ROWS
+        assert max(b.shape[-1] for b in blocks) <= fltbench.nn.EVAL_BLOCK_ROWS
         assert len(blocks) == -(-n // fltbench.nn.EVAL_BLOCK_ROWS)
         # With 10 classes, equal blocks give the bits of one pass per slice.
-        logits = np.concatenate(blocks, axis=-2)
+        logits = np.concatenate(blocks, axis=-1)
         for i in range(2):
             np.testing.assert_array_equal(logits[i], forward(per_slice[i], cfg, x[i])[1])
 
@@ -340,12 +379,24 @@ class TestLossAndGrad:
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
     @pytest.mark.parametrize("n", [64, 23])
     def test_bitwise_equal_to_reference(self, rng, arch, hidden, weight_decay, n):
+        self._check_bitwise(rng, arch, hidden, weight_decay, n, ones=False)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    @pytest.mark.parametrize("n", [64, 23])
+    def test_ones_column_bitwise_equal_to_reference(self, rng, weight_decay, n):
+        # The rows local SGD passes: the bias comes through the products.
+        self._check_bitwise(rng, "mlp1h", 200, weight_decay, n, ones=True)
+
+    @staticmethod
+    def _check_bitwise(rng, arch, hidden, weight_decay, n, ones):
         cfg = ModelConfig(arch=arch, input_dim=5, num_classes=10, init_seed=3,
                           hidden_units=hidden)
         params = init_model(cfg)
         params.rep_block += 0.01 * rng.standard_normal(params.rep_block.shape)
         params.head_block += 0.01 * rng.standard_normal(params.head_block.shape)
         x = 3.0 * rng.standard_normal((n, 5))
+        if ones:
+            x = np.hstack([x, np.ones((n, 1))])
         y = rng.integers(0, 10, n)
         loss, grad = loss_and_grad(params, cfg, x, y, weight_decay)
         ref_loss, ref = _loss_and_grad_reference(params, cfg, x, y, weight_decay)
@@ -582,10 +633,10 @@ class TestEvaluate:
 
         monkeypatch.setattr(fltbench.nn, "forward", recording)
         # Labelled with the unblocked argmax, every blocked prediction is a hit.
-        metrics = evaluate(params, cfg, Dataset(x, np.argmax(logits, axis=1), num_classes=10))
+        metrics = evaluate(params, cfg, Dataset(x, np.argmax(logits, axis=0), num_classes=10))
         assert metrics.accuracy == 1.0
-        np.testing.assert_array_equal(np.concatenate(blocks), logits)
-        assert max(len(b) for b in blocks) <= fltbench.nn.EVAL_BLOCK_ROWS
+        np.testing.assert_array_equal(np.concatenate(blocks, axis=1), logits)
+        assert max(b.shape[1] for b in blocks) <= fltbench.nn.EVAL_BLOCK_ROWS
 
     def test_empty_dataset_rejected(self):
         cfg = ModelConfig(arch="linear_softmax", input_dim=2, num_classes=2)
@@ -653,10 +704,13 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back_ff, ff)
 
     def test_bad_magic(self, tmp_path):
+        # FLTCKPT1 and FLTCKPT2 files hold older layouts: (h, d) rows of W1
+        # in both, and several headers in the first.
         path = tmp_path / "junk.ckpt"
-        path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
-        with pytest.raises(ConfigError, match="junk.ckpt: missing checkpoint header$"):
-            load_checkpoint(path)
+        for magic in (b"NOTACKPT", b"FLTCKPT1", b"FLTCKPT2"):
+            path.write_bytes(magic + b"\x00" * 64)
+            with pytest.raises(ConfigError, match="junk.ckpt: missing checkpoint header$"):
+                load_checkpoint(path)
 
     # A checkpoint of this model is an 8-byte magic, a 36-byte header and 16
     # rep and 20 head float64s, 332 bytes; 4*2*4 prototype float64s make 588.

@@ -451,7 +451,7 @@ class TestSweep:
         class SerialPool:
             """Records its size and maps in this process: no worker starts."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None, initargs=()):
                 sizes.append(max_workers)
 
             def __enter__(self):
