@@ -148,11 +148,9 @@ def _class_counts(model_config: ModelConfig, shard_y: np.ndarray) -> np.ndarray:
     return np.bincount(shard_y, minlength=model_config.num_classes)
 
 
-def _weighted_mean(
-    updates: list[ClientUpdate], with_head: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Sample-count-weighted mean of the rep blocks and, with_head set, of the
-    head blocks, accumulated in client-id order."""
+def aggregate_weighted(updates: list[ClientUpdate]) -> ModelParams:
+    """Sample-count-weighted mean of client parameters, accumulated in
+    client-id order. The package's one weighted mean."""
     if not updates:
         raise ValueError("cannot aggregate an empty update list")
     ordered = sorted(updates, key=lambda u: u.client_id)
@@ -161,24 +159,18 @@ def _weighted_mean(
     if total <= 0:
         raise ValueError("total sample count is zero")
     rep = np.zeros_like(ordered[0].params.rep_block)
-    head = np.zeros_like(ordered[0].params.head_block) if with_head else None
+    head = np.zeros_like(ordered[0].params.head_block)
     for u, size in zip(ordered, sizes):
         weight = size / total
         rep += weight * u.params.rep_block
-        if with_head:
-            head += weight * u.params.head_block
-    return rep, head
-
-
-def aggregate_weighted(updates: list[ClientUpdate]) -> ModelParams:
-    """Sample-count-weighted mean of client parameters, in client-id order."""
-    return ModelParams(*_weighted_mean(updates, with_head=True))
+        head += weight * u.params.head_block
+    return ModelParams(rep, head)
 
 
 def aggregate_rep_only(updates: list[ClientUpdate], server_params: ModelParams) -> ModelParams:
-    """Weighted mean of representation blocks; the server head is untouched."""
-    rep, _ = _weighted_mean(updates, with_head=False)
-    return ModelParams(rep, server_params.head_block.copy())
+    """The rep block of aggregate_weighted's mean, next to a copy of the
+    server head; the clients' heads are averaged and dropped."""
+    return ModelParams(aggregate_weighted(updates).rep_block, server_params.head_block.copy())
 
 
 # ---------------------------------------------------------------------------

@@ -61,15 +61,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _prepare_out_dir(out: str) -> Path:
-    path = Path(out)
+def _prepare_outputs(command: str, out: str, names: list[str]) -> Path:
+    """Fail before a command does its work if the file system refuses one of
+    its outputs: create the output directory and the directories of the
+    named files in it, then create or open each file, removing the files
+    this made. Raises ConfigError; returns the output directory."""
+    root = Path(out)
+    paths = [root / name for name in names]
     try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    if not os.access(path, os.W_OK):
-        raise ConfigError(f"output directory {out} is not writable")
-    return path
+        for path in dict.fromkeys(p.parent for p in paths):
+            path.mkdir(parents=True, exist_ok=True)
+        for path in paths:
+            existed = path.exists()
+            open(path, "a").close()
+            if not existed:
+                path.unlink()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot create {command} output {str(path)!r}: {exc}") from exc
+    return root
 
 
 @contextlib.contextmanager
@@ -100,7 +109,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
     if config is None:
         return EXIT_OK
-    out = _prepare_out_dir(args.out)
+    out = _prepare_outputs("partition", args.out,
+                           ["partition.csv", "partition.json", "shards.json"])
     train, _, _, partition = prepare_partition(config)
     report = partition_report(partition)
     _write(out / "partition.csv", report.to_csv())
@@ -119,7 +129,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
     if config is None:
         return EXIT_OK
-    out = _prepare_out_dir(args.out)
+    out = _prepare_outputs("train", args.out, ["report.json", "metrics.csv", "model.ckpt"])
     report = run_experiment(config)
     _write(out / "report.json", json.dumps(report.to_json_dict(), indent=2) + "\n")
     _write(out / "metrics.csv", report.metrics_csv())
@@ -137,24 +147,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cell_report_path(cell_dir: Path, cell: SweepCell) -> Path:
-    return cell_dir / f"{cell.row}__{slug(cell.col)}__seed{cell.seed_index}.report.json"
-
-
-def _check_creatable(directory: Path, paths: list[Path]) -> None:
-    """Fail before a sweep runs its cells if the file system refuses one of
-    its output names: create the directory, and create or open each file,
-    removing the files this made."""
-    path = directory
-    try:
-        directory.mkdir(exist_ok=True)
-        for path in paths:
-            existed = path.exists()
-            open(path, "a").close()
-            if not existed:
-                path.unlink()
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot create sweep output {str(path)!r}: {exc}") from exc
+def _cell_report_name(cell: SweepCell) -> str:
+    return f"cells/{cell.row}__{slug(cell.col)}__seed{cell.seed_index}.report.json"
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -185,13 +179,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         )
         return EXIT_OK
-    out = _prepare_out_dir(args.out)
-    cell_dir = out / "cells"
-    _check_creatable(
-        cell_dir,
-        [out / f"{name}.csv", out / "errors.txt"]
-        + [_cell_report_path(cell_dir, cell) for cell in cells],
-    )
+    out = _prepare_outputs("sweep", args.out, [f"{name}.csv", "errors.txt"]
+                           + [_cell_report_name(cell) for cell in cells])
     outcomes = run_sweep(cells, workers=args.workers)
     _write(out / f"{name}.csv", sweep_table(rows, cols, outcomes))
     failures = []
@@ -201,7 +190,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             failures.append(f"{where} failed: {error}\n")
         else:
             report_json = json.dumps(report.to_json_dict(), indent=2) + "\n"
-            _write(_cell_report_path(cell_dir, cell), report_json)
+            _write(out / _cell_report_name(cell), report_json)
     _write(out / "errors.txt", "".join(failures))
     for line in failures:
         print(f"warning: {line}", end="", file=sys.stderr)

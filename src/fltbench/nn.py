@@ -266,7 +266,9 @@ def loss_and_grad(
     whose blocks must be C-contiguous float64 arrays of the block sizes, the
     gradient (weight decay included) is written into them with the same
     float operations, the loss is not computed, and (None, out) is returned.
-    Training reads only the gradient, so sgd_epochs passes ``out``.
+    Training reads only the gradient, so sgd_epochs passes ``out``, and its
+    weight decay: this is the only code that applies the decay's gradient,
+    weight_decay * params.
     """
     y = np.asarray(batch_y, dtype=np.int64)
     n = y.shape[0]
@@ -337,17 +339,17 @@ def sgd_epochs(
     """Run local_epochs of mini-batch SGD and return the updated copy.
 
     Each epoch reshuffles under shuffle_seed's stream; the final short batch
-    is kept. Every batch gradient gets weight_decay * w, and with a non-zero
-    prox_mu FedProx's proximal pull prox_mu * (w - params) toward the params
-    the call started from.
+    is kept. Every batch gradient gets weight_decay * w, which loss_and_grad
+    adds, and with a non-zero prox_mu FedProx's proximal pull
+    prox_mu * (w - params) toward the params the call started from.
 
     Training runs in one contiguous float64 buffer that starts as a copy of
     params, so the caller's arrays are never written; the returned blocks
     are views into it. Each epoch writes its shuffled rows once into one
     buffer, with a ones column for mlp1h. Each batch has loss_and_grad
-    write its gradient into views of one gradient buffer, with no loss
-    computed, and then adds weight decay and the proximal pull, scales by
-    the learning rate and steps, each once over the whole buffer.
+    write its gradient, weight decay included, into views of one gradient
+    buffer, with no loss computed, and then adds the proximal pull, scales
+    by the learning rate and steps, each once over the whole buffer.
     """
     n = shard_y.shape[0]
     if n == 0:
@@ -356,9 +358,9 @@ def sgd_epochs(
         raise ValueError("shard contains non-finite features")
     split = params.rep_block.shape[0]
     flat = np.concatenate([params.rep_block, params.head_block])
-    grad, scratch = np.empty_like(flat), np.empty_like(flat)
+    grad = np.empty_like(flat)
     if prox_mu:
-        anchor = flat.copy()
+        anchor, scratch = flat.copy(), np.empty_like(flat)
     w = ModelParams(flat[:split], flat[split:])
     out = ModelParams(grad[:split], grad[split:])
     d = config.input_dim
@@ -366,7 +368,6 @@ def sgd_epochs(
     rng = rng_from(train_config.shuffle_seed)
     lr = train_config.learning_rate
     bs = train_config.batch_size
-    weight_decay = train_config.weight_decay
     for _ in range(train_config.local_epochs):
         order = rng.permutation(n)
         xs[:, :d] = shard_x[order]
@@ -374,10 +375,8 @@ def sgd_epochs(
         for start in range(0, n, bs):
             # Config and labels stay positional: bench/tracer.py reads
             # args[1] and args[3] of this call.
-            loss_and_grad(w, config, xs[start : start + bs], ys[start : start + bs], out=out)
-            if weight_decay:
-                np.multiply(flat, weight_decay, out=scratch)
-                grad += scratch
+            loss_and_grad(w, config, xs[start : start + bs], ys[start : start + bs],
+                          train_config.weight_decay, out=out)
             if prox_mu:
                 np.subtract(flat, anchor, out=scratch)
                 scratch *= prox_mu

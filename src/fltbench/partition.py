@@ -22,12 +22,13 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .datasets import Dataset, class_counts
 from .errors import ConfigError
-from .lt_shaping import exponential_profile, profile_counts
+from .lt_shaping import LtProfile, exponential_profile, profile_counts
 from .seeding import derive_rng, rng_from
 
 KIND_IID = "iid"
@@ -140,9 +141,8 @@ def check_supply(spec: PartitionSpec, counts: np.ndarray) -> np.ndarray | None:
             f"per-client budget {n // num_clients} is below "
             f"min_shard_size {spec.min_shard_size}"
         )
-    n_max = _solve_profile_budget(m, local_if, n // num_clients)
+    base = _solve_profile_budget(m, local_if, n // num_clients)
     # Client k's head class is k mod M: it holds base.counts[(c - k) mod M] of class c.
-    base = exponential_profile(n_max, m, local_if)
     demand = base.counts[(np.arange(m) - np.arange(num_clients)[:, None]) % m]
 
     # Scale any oversubscribed class down to its supply, preserving totals.
@@ -180,32 +180,31 @@ def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
-def _solve_profile_budget(num_classes: int, local_if: float, budget: int) -> int:
-    """Largest n_max whose profile fits the per-client budget and is valid.
+def _solve_profile_budget(num_classes: int, local_if: float, budget: int) -> LtProfile:
+    """The profile of the largest n_max that fits the per-client budget and
+    is valid.
 
     The raw count sum is monotone in n_max, so binary search finds the
     budget boundary; from there we walk down (bounded) to the nearest n_max
     whose rounded profile realizes the target ratio.
     """
-    lo = max(int(np.ceil(local_if)), 1)
-    if int(profile_counts(lo, num_classes, local_if).sum()) > budget:
+    floor_n = max(int(np.ceil(local_if)), 1)
+    if int(profile_counts(floor_n, num_classes, local_if).sum()) > budget:
         raise ConfigError(
             f"per-client budget {budget} cannot hold a profile with IF {local_if}"
         )
-    hi = budget
+    lo, hi = floor_n, budget
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if int(profile_counts(mid, num_classes, local_if).sum()) <= budget:
             lo = mid
         else:
             hi = mid - 1
-    floor_n = max(int(np.ceil(local_if)), 1)
     for n_max in range(lo, floor_n - 1, -1):
         try:
-            exponential_profile(n_max, num_classes, local_if)
+            return exponential_profile(n_max, num_classes, local_if)
         except ConfigError:
             continue
-        return n_max
     raise ConfigError(
         f"no integer profile realizes IF {local_if} within the budget {budget}"
     )
@@ -217,9 +216,25 @@ def _draw_iid(n: int, spec: PartitionSpec) -> list[np.ndarray]:
     return [perm[k :: spec.num_clients] for k in range(spec.num_clients)]
 
 
-def _draw_dirichlet(
-    labels: np.ndarray, counts: np.ndarray, spec: PartitionSpec
-) -> list[np.ndarray]:
+def _deal(labels: np.ndarray, num_classes: int, num_clients: int, rng: np.random.Generator,
+          shares_of: Callable[[int, int], Sequence[int]]) -> list[np.ndarray]:
+    """Per class, shuffle its indices under rng, then give client k the k-th
+    of the runs whose lengths shares_of(cls, class size) returns; it may
+    draw from rng after the shuffle. Samples past the runs go to no client,
+    and a class without samples draws nothing."""
+    lists: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
+    for cls in range(num_classes):
+        pool = np.flatnonzero(labels == cls)
+        if pool.size == 0:
+            continue
+        pool = rng.permutation(pool)
+        ends = np.cumsum(shares_of(cls, pool.size)).tolist()
+        for parts, start, end in zip(lists, [0] + ends, ends):
+            parts.append(pool[start:end])
+    return [np.concatenate(parts) for parts in lists]
+
+
+def _draw_dirichlet(labels: np.ndarray, num_classes: int, spec: PartitionSpec) -> list[np.ndarray]:
     """Per class, split its samples across clients by Dirichlet(alpha) shares.
 
     Shares are drawn independently per class from a symmetric Dirichlet and
@@ -230,41 +245,20 @@ def _draw_dirichlet(
     num_clients = spec.num_clients
     for attempt in range(DIRICHLET_RETRY_BUDGET):
         rng = derive_rng(spec.seed, "dirichlet-attempt", attempt)
-        lists: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
-        sizes = np.zeros(num_clients, dtype=np.int64)
-        for cls in range(counts.shape[0]):
-            n_cls = int(counts[cls])
-            if n_cls == 0:
-                continue
-            pool = rng.permutation(np.nonzero(labels == cls)[0])
+
+        def shares(cls: int, size: int) -> Sequence[int]:
             if num_clients == 1:
-                shares = np.asarray([n_cls], dtype=np.int64)
-            else:
-                props = rng.dirichlet(np.full(num_clients, spec.alpha))
-                shares = _largest_remainder(props * n_cls, n_cls)
-            offsets = np.concatenate([[0], np.cumsum(shares)])
-            for k in range(num_clients):
-                lists[k].append(pool[offsets[k] : offsets[k + 1]])
-            sizes += shares
-        if sizes.min() >= spec.min_shard_size:
-            return [np.concatenate(parts) if parts else np.empty(0, np.int64) for parts in lists]
+                return [size]
+            props = rng.dirichlet(np.full(num_clients, spec.alpha))
+            return _largest_remainder(props * size, size)
+
+        lists = _deal(labels, num_classes, num_clients, rng, shares)
+        if min(part.size for part in lists) >= spec.min_shard_size:
+            return lists
     raise ConfigError(
         f"no Dirichlet draw satisfied min_shard_size={spec.min_shard_size} "
         f"within {DIRICHLET_RETRY_BUDGET} attempts (alpha={spec.alpha}, N={num_clients})"
     )
-
-
-def _draw_rotated(labels: np.ndarray, demand: np.ndarray, spec: PartitionSpec) -> list[np.ndarray]:
-    """Deal each class's shuffled samples to the clients by check_supply's
-    demand matrix: client k's head class is (k mod M)."""
-    rng = rng_from(spec.seed)
-    lists: list[list[np.ndarray]] = [[] for _ in range(spec.num_clients)]
-    for cls in range(demand.shape[1]):
-        pool = rng.permutation(np.nonzero(labels == cls)[0])
-        offsets = np.concatenate([[0], np.cumsum(demand[:, cls])])
-        for k in range(spec.num_clients):
-            lists[k].append(pool[offsets[k] : offsets[k + 1]])
-    return [np.concatenate(parts) for parts in lists]
 
 
 def build_partition(dataset: Dataset, spec: PartitionSpec) -> Partition:
@@ -278,9 +272,10 @@ def build_partition(dataset: Dataset, spec: PartitionSpec) -> Partition:
     if spec.kind == KIND_IID:
         lists = _draw_iid(len(dataset), spec)
     elif spec.kind == KIND_DIRICHLET:
-        lists = _draw_dirichlet(dataset.labels, counts, spec)
+        lists = _draw_dirichlet(dataset.labels, len(counts), spec)
     else:
-        lists = _draw_rotated(dataset.labels, demand, spec)
+        lists = _deal(dataset.labels, len(counts), spec.num_clients, rng_from(spec.seed),
+                      lambda cls, _: demand[:, cls])
     return _finish(dataset, spec, lists)
 
 

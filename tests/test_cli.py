@@ -484,15 +484,38 @@ class TestWriteFaults:
                      "--out", str(out)])
         self._assert_fails_naming(capsys, code, out / "report.json")
 
-    def test_checkpoint_write_fails(self, tmp_path, capsys):
+    def test_checkpoint_write_fails(self, tmp_path, monkeypatch, capsys):
+        # An output the file system refuses is found before the run.
+        calls = []
+        monkeypatch.setattr(fltbench.cli, "run_experiment", calls.append)
         out = tmp_path / "out"
         (out / "model.ckpt").mkdir(parents=True)
         code = main(["train", "--config", _write_config(tmp_path, QUICK_CONFIG),
                      "--out", str(out)])
-        assert code == 1
+        assert code == 2
+        assert calls == []
+        path = out / "model.ckpt"
         assert capsys.readouterr().err == (
-            f"error: cannot write {out / 'model.ckpt'}: Is a directory\n"
+            f"config error: cannot create train output {str(path)!r}: "
+            f"[Errno 21] Is a directory: {str(path)!r}\n"
         )
+        assert sorted(p.name for p in out.iterdir()) == ["model.ckpt"]
+
+    def test_partition_output_refused_before_the_partition(self, tmp_path, monkeypatch,
+                                                           capsys):
+        calls = []
+        monkeypatch.setattr(fltbench.cli, "prepare_partition", calls.append)
+        out = tmp_path / "out"
+        (out / "shards.json").mkdir(parents=True)
+        code = main(["partition", "--config", _write_config(tmp_path, QUICK_CONFIG),
+                     "--out", str(out)])
+        assert code == 2
+        assert calls == []
+        path = out / "shards.json"
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot create partition output {str(path)!r}: "
+        )
+        assert sorted(p.name for p in out.iterdir()) == ["shards.json"]
 
     def test_sweep_output_directory_removed(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
-"""Property: `fltbench train` on any small config document exits 0, 1 or 2.
+"""Property: `fltbench train` and `partition` on any small config document,
+and `sweep --dry-run` on any small grid document, exit 0, 1 or 2.
 
 Documents are drawn around the valid region, with values on and past each
 bound, and training is kept to at most one round on a few dozen samples so
@@ -52,16 +53,20 @@ EMPTY_CLIENTS_ALLOWED = _doc(
 )
 
 
-def _train(doc, *flags):
-    """Exit code and stderr of `fltbench train` on the document."""
+def _main(command, text, *flags):
+    """Exit code and stderr of `fltbench <command>` on the document text."""
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
-        config.write_text(json.dumps(doc), encoding="utf-8")
+        config.write_text(text, encoding="utf-8")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["train", "--config", str(config), "--out", str(Path(tmp) / "out"),
+            code = main([command, "--config", str(config), "--out", str(Path(tmp) / "out"),
                          *flags])
     return code, err.getvalue()
+
+
+def _train(doc, *flags):
+    return _main("train", json.dumps(doc), *flags)
 
 
 # Values past or on a bound. A drawn document sets at most one of them, so
@@ -164,3 +169,77 @@ def test_partition_conflicts_exit_2_at_parse_time(doc, message):
     code, err = _train(doc, "--dry-run")
     assert code == 2
     assert message in err
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents())
+def test_partition_always_exits_with_a_code(doc):
+    code, _ = _main("partition", json.dumps(doc))
+    assert code in (0, 1, 2)
+
+
+LABELS = ["iid", "dir", "a/b", "a-b", "l" * 300]
+# Values of one grid key past or on a bound, as EDGES are for a document.
+GRID_EDGES = [
+    ("name", ""), ("name", ".."), ("name", "a/b"), ("name", "t" * 300), ("name", "t\0"),
+    ("name", 1), ("base", []), ("algorithms", []), ("algorithms", "fedavg"),
+    ("algorithms", ["fedavg", "fedavg"]), ("algorithms", ["sgd"]), ("settings", []),
+    ("settings", {}), ("settings", [None]), ("settings", [{"label": "a", "extra": 1}]),
+    ("settings", [{"label": ""}]), ("settings", [{"label": "a,b"}]),
+    ("settings", [{"label": 'a"b'}]), ("settings", [{"label": "a\nb"}]),
+    ("settings", [{"label": "a"}, {"label": "a"}]), ("settings", [{"label": 1}]),
+    ("seeds", []), ("seeds", [True]), ("seeds", [-1]), ("seeds", [2**64]), ("seeds", ["0"]),
+    ("extra", 1),
+]
+
+
+@st.composite
+def overrides(draw):
+    choice = draw(st.sampled_from(["none", "empty", "list", "dirichlet", "clear", "edge"]))
+    if choice == "edge":
+        section, key, value = draw(st.sampled_from(EDGES))
+        return {section: {key: value}}
+    return {
+        "none": None, "empty": {}, "list": [],
+        "dirichlet": {"partition": {"kind": "dirichlet", "alpha": 0.5}},
+        "clear": {"data": {"lt_target_if": None}},
+    }[choice]
+
+
+@st.composite
+def grids(draw):
+    settings = draw(st.lists(
+        st.fixed_dictionaries({"label": st.sampled_from(LABELS)},
+                              optional={"overrides": overrides()}),
+        min_size=1, max_size=3, unique_by=lambda setting: setting["label"],
+    ))
+    grid = {
+        "name": "t",
+        "base": draw(documents()),
+        "algorithms": draw(st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=2,
+                                    unique=True)),
+        "settings": settings,
+    }
+    seeds = draw(st.none() | st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    if seeds is not None:
+        grid["seeds"] = seeds
+    edge = draw(st.none() | st.sampled_from(GRID_EDGES))
+    if edge is not None:
+        grid[edge[0]] = edge[1]
+    return grid
+
+
+# Ended in a RecursionError traceback from copying the grid's base. Given as
+# text, since hypothesis cannot print a list nested 500 levels deep.
+NESTED_GRID = json.dumps(
+    {"name": "t", "base": _doc(deep="DEEP"), "algorithms": ["fedavg"],
+     "settings": [{"label": "iid"}]}
+).replace('"DEEP"', "[" * 500 + "]" * 500)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grids().map(json.dumps))
+@example(NESTED_GRID)
+def test_sweep_dry_run_always_exits_with_a_code(text):
+    code, _ = _main("sweep", text, "--dry-run")
+    assert code in (0, 1, 2)
