@@ -1,17 +1,17 @@
 """Labeled classification datasets.
 
 Covers reading CIFAR-10 binary batches, a fast synthetic Gaussian generator
-used for desk-scale runs, class counting, and the stratified split of a
-label vector that carves client holdouts. Datasets are immutable after
-construction; a client's shard is an index array into one (see
-partition.Partition), never a copy.
+used for desk-scale runs, class counting, and the per-class draw that
+long-tail shaping, partitioning and the stratified split of client holdouts
+share. Datasets are immutable after construction; a client's shard is an
+index array into one (see partition.Partition), never a copy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -202,8 +202,27 @@ def generate_synthetic(
 
 
 # ---------------------------------------------------------------------------
-# Stratified split
+# Per-class draws
 # ---------------------------------------------------------------------------
+
+def deal_by_class(labels: np.ndarray, num_classes: int, num_parts: int, rng: np.random.Generator,
+                  shares_of: Callable[[int, int], Sequence[int]]) -> list[np.ndarray]:
+    """Per class, shuffle its positions in labels under rng, then give part k
+    the k-th of the runs whose lengths shares_of(cls, class size) returns; it
+    may draw from rng after the shuffle. Positions past the runs go to no
+    part, and a class without samples draws nothing."""
+    lists: list[list[np.ndarray]] = [[] for _ in range(num_parts)]
+    for cls in range(num_classes):
+        pool = np.nonzero(labels == cls)[0]
+        if pool.size == 0:
+            continue
+        pool = rng.permutation(pool)
+        start = 0
+        for parts, share in zip(lists, shares_of(cls, pool.size)):
+            parts.append(pool[start : start + share])
+            start += share
+    return [np.concatenate(parts) if parts else np.empty(0, np.int64) for parts in lists]
+
 
 def stratified_split_indices(
     labels: np.ndarray,
@@ -219,19 +238,10 @@ def stratified_split_indices(
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie strictly between 0 and 1")
-    train_parts: list[np.ndarray] = []
-    hold_parts: list[np.ndarray] = []
-    for c in range(num_classes):
-        pos = np.nonzero(labels == c)[0]
-        if pos.size == 0:
-            continue
-        if pos.size == 1:
-            train_parts.append(pos)
-            continue
-        take = min(max(1, math.floor(pos.size * fraction)), pos.size - 1)
-        perm = rng.permutation(pos)
-        hold_parts.append(perm[:take])
-        train_parts.append(perm[take:])
-    train = np.sort(np.concatenate(train_parts)) if train_parts else np.empty(0, np.int64)
-    hold = np.sort(np.concatenate(hold_parts)) if hold_parts else np.empty(0, np.int64)
-    return train.astype(np.int64), hold.astype(np.int64)
+
+    def shares(cls: int, size: int) -> Sequence[int]:
+        take = min(max(1, math.floor(size * fraction)), size - 1)
+        return [take, size - take]
+
+    hold, train = deal_by_class(labels, num_classes, 2, rng, shares)
+    return np.sort(train), np.sort(hold)

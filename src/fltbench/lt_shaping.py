@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import datasets
-from .datasets import Dataset, class_counts
+from .datasets import Dataset, class_counts, deal_by_class
 from .errors import ConfigError
 from .seeding import rng_from
 
@@ -93,21 +93,16 @@ def shape_long_tailed(dataset: Dataset, profile: LtProfile, seed: int) -> Datase
     """Subsample a dataset so its class counts match the profile exactly.
 
     Selection within each class is uniform without replacement under the
-    seed; unselected samples are simply discarded.
+    seed (datasets.deal_by_class); unselected samples are simply discarded.
     """
     if profile.num_classes != dataset.num_classes:
         raise ValueError("profile and dataset class counts differ")
-    have = class_counts(dataset)
-    rng = rng_from(seed)
-    picks: list[np.ndarray] = []
-    for cls in range(profile.num_classes):
-        need = int(profile.counts[cls])
-        if have[cls] < need:
-            raise ConfigError(
-                f"class {cls} has {int(have[cls])} samples, the profile needs {need}"
-            )
-        pool = np.nonzero(dataset.labels == cls)[0]
-        picks.append(rng.permutation(pool)[:need])
-    chosen = np.sort(np.concatenate(picks))
+    have, need = class_counts(dataset), profile.counts.tolist()
+    short = np.flatnonzero(have < profile.counts)
+    if short.size:
+        cls = short[0]
+        raise ConfigError(f"class {cls} has {have[cls]} samples, the profile needs {need[cls]}")
+    (picks,) = deal_by_class(dataset.labels, profile.num_classes, 1, rng_from(seed),
+                             lambda cls, _: [need[cls]])
     # Through the module, so a wrapper set on datasets.subset sees the call.
-    return datasets.subset(dataset, chosen, name=f"{dataset.name}-lt{profile.target_if:g}")
+    return datasets.subset(dataset, np.sort(picks), name=f"{dataset.name}-lt{profile.target_if:g}")

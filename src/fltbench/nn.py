@@ -160,9 +160,6 @@ class ModelParams:
     rep_block: np.ndarray
     head_block: np.ndarray
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.rep_block.copy(), self.head_block.copy())
-
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.rep_block).all() and np.isfinite(self.head_block).all())
 

@@ -445,9 +445,19 @@ def _algorithm(
     return _Algorithm(local_sgd, average)
 
 
-def _client_accuracies(acc: np.ndarray) -> tuple[float | None, list[float | None]]:
-    """The mean over the clients with a holdout, and the per-client list with
-    None for an empty holdout (NaN in acc)."""
+def _holdout_accuracies(
+    model_config: ModelConfig, rep_block: np.ndarray, heads: np.ndarray,
+    holdouts: list[_HoldoutStack], num_clients: int,
+) -> tuple[float | None, list[float | None]]:
+    """Score every client holdout under the shared rep_block and heads: one
+    (head_size,) head block for every client, or FedPer's (num_clients,
+    head_size) heads, row k for client k. Returns the mean over the clients
+    with a holdout, and the per-client list with None for an empty holdout."""
+    acc = np.full(num_clients, np.nan)  # NaN: empty holdout
+    for stack in holdouts:
+        head = heads if heads.ndim == 1 else heads[stack.positions]
+        preds = predict(ModelParams(rep_block, head), model_config, stack.features)
+        acc[stack.positions] = (preds == stack.labels).mean(axis=1)
     held = acc[~np.isnan(acc)]
     mean = float(np.mean(held)) if held.size else None
     return mean, [None if math.isnan(a) else a for a in acc.tolist()]
@@ -460,23 +470,16 @@ def _evaluate_point(
 ) -> EvalPoint:
     """Given FedPer's heads, also scores each client's personal model."""
     global_metrics = evaluate(params, model_config, test, groups)
-    personalized = None
-    personalized_per = None
-    global_on_clients = None
-    global_per = None
+    personalized = personalized_per = global_on_clients = global_per = None
     if holdouts is not None:
-        global_acc = np.full(config.partition.num_clients, np.nan)  # NaN: empty holdout
-        personal_acc = None if heads is None else global_acc.copy()
-        for stack in holdouts:
-            preds = predict(params, model_config, stack.features)
-            global_acc[stack.positions] = (preds == stack.labels).mean(axis=1)
-            if heads is not None:
-                personal = ModelParams(params.rep_block, heads[stack.positions])
-                preds = predict(personal, model_config, stack.features)
-                personal_acc[stack.positions] = (preds == stack.labels).mean(axis=1)
-        global_on_clients, global_per = _client_accuracies(global_acc)
-        if personal_acc is not None:
-            personalized, personalized_per = _client_accuracies(personal_acc)
+        num_clients = config.partition.num_clients
+        global_on_clients, global_per = _holdout_accuracies(
+            model_config, params.rep_block, params.head_block, holdouts, num_clients
+        )
+        if heads is not None:
+            personalized, personalized_per = _holdout_accuracies(
+                model_config, params.rep_block, heads, holdouts, num_clients
+            )
     return EvalPoint(
         round=round_idx,
         global_metrics=global_metrics,
@@ -619,7 +622,22 @@ def _run_cell(cell: SweepCell) -> SweepOutcome:
         report = run_experiment(cell.config)
         return cell, replace(report, final_params=None, federated_features=None), None
     except Exception as exc:
-        return cell, None, " ".join(f"{type(exc).__name__}: {exc}".splitlines())
+        return cell, None, _one_line(exc)
+
+
+def _one_line(exc: BaseException) -> str:
+    return " ".join(f"{type(exc).__name__}: {exc}".splitlines())
+
+
+def _submit(pool: concurrent.futures.Executor, cell: SweepCell) -> concurrent.futures.Future:
+    """pool.submit(_run_cell, cell); once a worker has died, submit raises
+    BrokenProcessPool, and the future returned holds that error."""
+    try:
+        return pool.submit(_run_cell, cell)
+    except concurrent.futures.BrokenExecutor as exc:
+        future = concurrent.futures.Future()
+        future.set_exception(exc)
+        return future
 
 
 def _die_with_parent(parent: int) -> None:
@@ -641,8 +659,10 @@ def _die_with_parent(parent: int) -> None:
 def run_sweep(cells: list[SweepCell], workers: int = 1) -> list[SweepOutcome]:
     """Run every cell, optionally on a process pool, and return each cell's
     (cell, report, None), or (cell, None, one-line error) if it failed, in
-    cell order. A failed cell does not stop the others. The reports carry no
-    final_params or federated_features."""
+    cell order. A failed cell does not stop the others, and a pool worker
+    that dies fails its cell with a BrokenProcessPool error (the broken pool
+    fails every cell it had not finished). The reports carry no final_params
+    or federated_features."""
     if workers > 1 and len(cells) > 1:
         # Forked workers inherit the one BLAS thread, so run_experiment never
         # has to set it there. The pool forks all its workers at once, so it
@@ -650,7 +670,14 @@ def run_sweep(cells: list[SweepCell], workers: int = 1) -> list[SweepOutcome]:
         with one_blas_thread(), concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(workers, len(cells)), initializer=_die_with_parent,
                 initargs=(os.getpid(),)) as pool:
-            return list(pool.map(_run_cell, cells))
+            futures = [_submit(pool, cell) for cell in cells]
+            outcomes = []
+            for cell, future in zip(cells, futures):
+                try:
+                    outcomes.append(future.result())
+                except concurrent.futures.BrokenExecutor as exc:  # BrokenProcessPool
+                    outcomes.append((cell, None, _one_line(exc)))
+            return outcomes
     return [_run_cell(c) for c in cells]
 
 

@@ -22,11 +22,11 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .datasets import Dataset, class_counts
+from .datasets import Dataset, class_counts, deal_by_class
 from .errors import ConfigError
 from .lt_shaping import LtProfile, exponential_profile, profile_counts
 from .seeding import derive_rng, rng_from
@@ -216,24 +216,6 @@ def _draw_iid(n: int, spec: PartitionSpec) -> list[np.ndarray]:
     return [perm[k :: spec.num_clients] for k in range(spec.num_clients)]
 
 
-def _deal(labels: np.ndarray, num_classes: int, num_clients: int, rng: np.random.Generator,
-          shares_of: Callable[[int, int], Sequence[int]]) -> list[np.ndarray]:
-    """Per class, shuffle its indices under rng, then give client k the k-th
-    of the runs whose lengths shares_of(cls, class size) returns; it may
-    draw from rng after the shuffle. Samples past the runs go to no client,
-    and a class without samples draws nothing."""
-    lists: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
-    for cls in range(num_classes):
-        pool = np.flatnonzero(labels == cls)
-        if pool.size == 0:
-            continue
-        pool = rng.permutation(pool)
-        ends = np.cumsum(shares_of(cls, pool.size)).tolist()
-        for parts, start, end in zip(lists, [0] + ends, ends):
-            parts.append(pool[start:end])
-    return [np.concatenate(parts) for parts in lists]
-
-
 def _draw_dirichlet(labels: np.ndarray, num_classes: int, spec: PartitionSpec) -> list[np.ndarray]:
     """Per class, split its samples across clients by Dirichlet(alpha) shares.
 
@@ -250,9 +232,9 @@ def _draw_dirichlet(labels: np.ndarray, num_classes: int, spec: PartitionSpec) -
             if num_clients == 1:
                 return [size]
             props = rng.dirichlet(np.full(num_clients, spec.alpha))
-            return _largest_remainder(props * size, size)
+            return _largest_remainder(props * size, size).tolist()
 
-        lists = _deal(labels, num_classes, num_clients, rng, shares)
+        lists = deal_by_class(labels, num_classes, num_clients, rng, shares)
         if min(part.size for part in lists) >= spec.min_shard_size:
             return lists
     raise ConfigError(
@@ -274,8 +256,8 @@ def build_partition(dataset: Dataset, spec: PartitionSpec) -> Partition:
     elif spec.kind == KIND_DIRICHLET:
         lists = _draw_dirichlet(dataset.labels, len(counts), spec)
     else:
-        lists = _deal(dataset.labels, len(counts), spec.num_clients, rng_from(spec.seed),
-                      lambda cls, _: demand[:, cls])
+        lists = deal_by_class(dataset.labels, len(counts), spec.num_clients,
+                              rng_from(spec.seed), lambda cls, _: demand[:, cls].tolist())
     return _finish(dataset, spec, lists)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from fltbench.datasets import generate_synthetic
 from fltbench.nn import ModelConfig, ModelParams
+from fltbench.orchestrator import SweepCell, run_sweep
 
 _CRITERION_PATTERN = re.compile(r"test_criterion_(\d+)_(\w+)")
 
@@ -38,6 +39,17 @@ def split_vector(config: ModelConfig, vec: np.ndarray) -> ModelParams:
     if vec.shape != (config.rep_size + config.head_size,):
         raise ValueError("vector length does not match the architecture")
     return ModelParams(vec[: config.rep_size].copy(), vec[config.rep_size :].copy())
+
+
+def run_configs(configs):
+    """run_experiment's report for each config, in config order, run two at a
+    time on run_sweep's process pool (so without final_params or
+    federated_features). Fails the calling test if any run raised."""
+    cells = [SweepCell(row="", col="", seed_index=i, config=c) for i, c in enumerate(configs)]
+    outcomes = run_sweep(cells, workers=2)
+    errors = [error for _, _, error in outcomes if error is not None]
+    assert not errors, errors
+    return [report for _, report, _ in outcomes]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

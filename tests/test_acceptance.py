@@ -31,7 +31,7 @@ from fltbench.partition import (
     build_partition,
     partition_report,
 )
-from conftest import as_vector, split_vector
+from conftest import as_vector, run_configs, split_vector
 from test_nn import fd_safe_batch
 
 
@@ -200,7 +200,7 @@ def test_criterion_07_accuracy_degrades_with_global_imbalance():
     """FedAvg best accuracy strictly decreases across global IF 1 -> 10 ->
     100 with a total drop of at least 5 accuracy points. Calibration run at
     seed 0 observed 0.979 / 0.958 / 0.656."""
-    best = [run_experiment(_trend_config(lt)).best_accuracy for lt in (1, 10, 100)]
+    best = [r.best_accuracy for r in run_configs([_trend_config(lt) for lt in (1, 10, 100)])]
     assert best[0] > best[1] > best[2], f"not monotone: {best}"
     assert best[0] - best[2] >= 0.05, f"drop too small: {best}"
 
@@ -248,19 +248,22 @@ def test_criterion_08_method_ordering():
     tail classes, and personalized heads beat the global model on each
     client's own test shard, averaged over 3 seeds."""
     seeds = (0, 1, 2)
+    reports = iter(run_configs(
+        [_type2_config(algorithm, seed) for seed in seeds for algorithm in ("fedavg", "creff")]
+        + [_type3_config(algorithm, seed) for seed in seeds for algorithm in ("fedper", "fedavg")]
+    ))
 
     creff_tail, fedavg_tail = [], []
-    for seed in seeds:
-        fedavg_tail.append(_tail_at_best(run_experiment(_type2_config("fedavg", seed))))
-        creff_tail.append(_tail_at_best(run_experiment(_type2_config("creff", seed))))
+    for _ in seeds:
+        fedavg_tail.append(_tail_at_best(next(reports)))
+        creff_tail.append(_tail_at_best(next(reports)))
     assert np.mean(creff_tail) >= np.mean(fedavg_tail), (
         f"creff tail {creff_tail} vs fedavg tail {fedavg_tail}"
     )
 
     personalized, global_on_shards = [], []
-    for seed in seeds:
-        fedper = run_experiment(_type3_config("fedper", seed))
-        fedavg = run_experiment(_type3_config("fedavg", seed))
+    for _ in seeds:
+        fedper, fedavg = next(reports), next(reports)
         personalized.append(
             max(p.personalized_mean for p in fedper.eval_points
                 if p.personalized_mean is not None)

@@ -163,8 +163,8 @@ class TestFedProx:
 
         cfg, params, _, _ = small_problem
         mu = 0.7
-        anchor = params.copy()
-        moved = params.copy()
+        anchor = ModelParams(params.rep_block.copy(), params.head_block.copy())
+        moved = ModelParams(params.rep_block.copy(), params.head_block.copy())
         moved.rep_block = moved.rep_block + 0.01 * rng.standard_normal(moved.rep_block.shape)
         moved.head_block = moved.head_block + 0.01 * rng.standard_normal(moved.head_block.shape)
         x, y = fd_safe_batch(moved, cfg, rng, 20)

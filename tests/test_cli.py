@@ -557,6 +557,30 @@ class TestSweepCommand:
         rows = [line.split(",") for line in (out / "smoke_table.csv").read_text().split()]
         assert rows[1][1] != "ERROR" and rows[1][2] == "ERROR"
 
+    def test_dead_worker_marks_its_cell_error(self, tmp_path, monkeypatch):
+        original = fltbench.orchestrator.run_experiment
+
+        def dying(config):
+            if config.partition.kind == "dirichlet":
+                os._exit(3)  # the worker dies mid-cell, with no exception to catch
+            return original(config)
+
+        # Pool workers are forked, so they inherit the patched binding.
+        monkeypatch.setattr("fltbench.orchestrator.run_experiment", dying)
+        doc = _grid_doc(rounds=1)
+        doc["algorithms"] = ["fedavg"]
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", _write_config(tmp_path, doc), "--out", str(out),
+                     "--workers", "2"])
+        assert code == 0
+        # The broken pool may fail the other cell too, so only the dead one
+        # is checked.
+        dead = "cell (fedavg, dir05) seed 0 failed: BrokenProcessPool: "
+        errors = (out / "errors.txt").read_text().splitlines()
+        assert any(line.startswith(dead) for line in errors), errors
+        rows = [line.split(",") for line in (out / "smoke_table.csv").read_text().split()]
+        assert rows[0] == ["algorithm", "iid", "dir05"] and rows[1][2] == "ERROR"
+
     @pytest.mark.parametrize("where,bad", [
         ("name", "smoke\0table"),
         ("name", "t" * 300),

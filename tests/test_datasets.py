@@ -1,4 +1,5 @@
 """Dataset construction, CIFAR binary parsing, synthetic generation, holdouts."""
+import math
 import os
 from pathlib import Path
 
@@ -195,7 +196,52 @@ def _split(labels, fraction, seed):
     )
 
 
+def _split_reference(labels, num_classes, fraction, rng):
+    """The per-class loop of stratified_split_indices before it dealt through
+    deal_by_class, kept as the reference its draws must equal bit for bit. A
+    single-sample class is never shuffled here."""
+    train_parts, hold_parts = [], []
+    for c in range(num_classes):
+        pos = np.nonzero(labels == c)[0]
+        if pos.size == 0:
+            continue
+        if pos.size == 1:
+            train_parts.append(pos)
+            continue
+        take = min(max(1, math.floor(pos.size * fraction)), pos.size - 1)
+        perm = rng.permutation(pos)
+        hold_parts.append(perm[:take])
+        train_parts.append(perm[take:])
+    train = np.sort(np.concatenate(train_parts)) if train_parts else np.empty(0, np.int64)
+    hold = np.sort(np.concatenate(hold_parts)) if hold_parts else np.empty(0, np.int64)
+    return train.astype(np.int64), hold.astype(np.int64)
+
+
 class TestStratifiedHoldout:
+    def test_equals_the_per_class_loop(self):
+        # Class sizes 0 (absent) and 1 (one sample) among larger ones; the
+        # generators must also end in the same state.
+        draw = np.random.default_rng(26)
+        for seed in range(400):
+            m = int(draw.integers(2, 8))
+            sizes = draw.choice([0, 1, 1, 2, 3, 5, 13], size=m)
+            labels = draw.permutation(np.repeat(np.arange(m), sizes))
+            fraction = float(draw.uniform(0.01, 0.99))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = stratified_split_indices(labels, m, fraction, got_rng)
+            want = _split_reference(labels, m, fraction, want_rng)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64
+                np.testing.assert_array_equal(g, w)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_empty_labels_give_two_empty_int64_arrays(self):
+        train, hold = stratified_split_indices(
+            np.empty(0, np.int64), 3, 0.2, np.random.default_rng(0)
+        )
+        assert train.dtype == hold.dtype == np.int64
+        assert train.size == hold.size == 0
+
     def test_fraction_point_two(self):
         labels = np.repeat([0, 1], 10)
         train, hold = _split(labels, 0.2, seed=1)

@@ -6,6 +6,7 @@ from fltbench.datasets import Dataset, class_counts, generate_synthetic
 from fltbench.errors import ConfigError
 from fltbench.lt_shaping import LtProfile, exponential_profile, shape_long_tailed
 from fltbench.partition import PartitionSpec, build_partition
+from fltbench.seeding import rng_from
 
 # Oracle values: floor(5000 * 10^(-j/9)) per class, tail forced to 5000/10.
 PROFILE_5000_10_IF10 = [5000, 3871, 2997, 2320, 1796, 1391, 1077, 834, 645, 500]
@@ -122,3 +123,44 @@ class TestShapeLongTailed:
         profile = LtProfile(target_if=2.0, counts=np.array([20, 15, 10]))
         with pytest.raises(ConfigError, match="^class 2 has 5 samples, the profile needs 10$"):
             shape_long_tailed(ds, profile, seed=0)
+
+
+def _shape_reference(dataset, profile, seed):
+    """The per-class loop of shape_long_tailed before it dealt through
+    deal_by_class, kept as the reference: the chosen indices, or the
+    ConfigError it raised at the first class short of its count."""
+    have = class_counts(dataset)
+    rng = rng_from(seed)
+    picks = []
+    for cls in range(profile.num_classes):
+        need = int(profile.counts[cls])
+        if have[cls] < need:
+            raise ConfigError(
+                f"class {cls} has {int(have[cls])} samples, the profile needs {need}"
+            )
+        pool = np.nonzero(dataset.labels == cls)[0]
+        picks.append(rng.permutation(pool)[:need])
+    return np.sort(np.concatenate(picks))
+
+
+def test_shaping_equals_the_per_class_loop():
+    # Non-increasing profiles down to one sample, over supplies that are
+    # sometimes short, absent (0) or exactly one sample.
+    draw = np.random.default_rng(26)
+    for seed in range(300):
+        m = int(draw.integers(2, 7))
+        counts = np.sort(draw.integers(1, 6, size=m))[::-1]
+        supply = counts + draw.choice([-1, 0, 0, 1, 4], size=m)
+        supply[draw.random(m) < 0.1] = 0
+        labels = draw.permutation(np.repeat(np.arange(m), np.maximum(supply, 0)))
+        ds = Dataset(np.arange(labels.size, dtype=np.float64)[:, None], labels, num_classes=m)
+        profile = LtProfile(target_if=counts[0] / counts[-1], counts=counts)
+        try:
+            want = _shape_reference(ds, profile, seed)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=f"^{exc}$"):
+                shape_long_tailed(ds, profile, seed)
+            continue
+        shaped = shape_long_tailed(ds, profile, seed)
+        np.testing.assert_array_equal(shaped.features[:, 0], want.astype(np.float64))
+        np.testing.assert_array_equal(shaped.labels, labels[want])

@@ -113,7 +113,7 @@ def _loss_and_grad_reference(params, cfg, batch_x, batch_y, weight_decay=0.0):
 def _sgd_reference(params, cfg, tc, shard_x, shard_y, prox_mu=0.0):
     """The sgd_epochs loop with fresh arrays: each epoch's shuffled rows get
     a ones column for mlp1h, and each step updates the blocks one by one."""
-    w = params.copy()
+    w = ModelParams(params.rep_block.copy(), params.head_block.copy())
     rng = rng_from(tc.shuffle_seed)
     n = shard_y.shape[0]
     for _ in range(tc.local_epochs):
@@ -570,7 +570,7 @@ class TestSgd:
         tc = TrainConfig(learning_rate=lr, batch_size=4, local_epochs=1, shuffle_seed=0)
         pulled = sgd_epochs(params, cfg, tc, x, y, prox_mu=mu)
         order = rng_from(0).permutation(8)
-        w = params.copy()
+        w = ModelParams(params.rep_block.copy(), params.head_block.copy())
         for batch in (order[:4], order[4:]):
             _, grad = loss_and_grad(w, cfg, x[batch], y[batch])
             step = grad.head_block + mu * (w.head_block - params.head_block)

@@ -1,4 +1,6 @@
 """Round loop, evaluation schedule, grouping, determinism, and sweeps."""
+import concurrent.futures
+from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,6 +36,7 @@ from fltbench.orchestrator import (
 )
 from fltbench.partition import PartitionSpec
 from fltbench.seeding import derive_seed
+from conftest import run_configs
 
 # Critical value of the chi-square distribution, df=9, alpha=0.001.
 CHI2_9_CRIT_999 = 27.877
@@ -166,8 +169,7 @@ class TestRunExperiment:
                 master_seed=0,
             )
 
-        fedavg = run_experiment(config("fedavg"))
-        creff = run_experiment(config("creff"))
+        fedavg, creff = run_configs([config("fedavg"), config("creff")])
         assert abs(creff.best_accuracy - fedavg.best_accuracy) <= 0.02
 
     def test_missing_cifar_dir_is_config_error(self):
@@ -275,7 +277,8 @@ class TestClientHoldoutEvaluation:
         def recording(config, model_config, round_idx, params, heads, *args):
             point = original(config, model_config, round_idx, params, heads, *args)
             heads = None if heads is None else heads.copy()
-            seen.append((point, model_config, params.copy(), heads))
+            params = ModelParams(params.rep_block.copy(), params.head_block.copy())
+            seen.append((point, model_config, params, heads))
             return point
 
         monkeypatch.setattr(fltbench.orchestrator, "_evaluate_point", recording)
@@ -449,7 +452,8 @@ class TestSweep:
         sizes = []
 
         class SerialPool:
-            """Records its size and maps in this process: no worker starts."""
+            """Records its size and runs each call in this process: no worker
+            starts."""
 
             def __init__(self, max_workers, initializer=None, initargs=()):
                 sizes.append(max_workers)
@@ -460,8 +464,10 @@ class TestSweep:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, item):
+                future = concurrent.futures.Future()
+                future.set_result(fn(item))
+                return future
 
         monkeypatch.setattr(
             fltbench.orchestrator.concurrent.futures, "ProcessPoolExecutor", SerialPool
@@ -474,6 +480,40 @@ class TestSweep:
         outcomes = run_sweep(cells, workers=workers)
         assert sizes == [pool_size]
         assert _errors(outcomes) == [(cell, "not run") for cell in cells]
+
+    def test_pool_broken_while_submitting_fails_every_cell(self, monkeypatch):
+        class BreakingPool:
+            """The first cell's worker dies at once; the broken pool then
+            refuses every later submit, as ProcessPoolExecutor does."""
+
+            def __init__(self, max_workers, initializer=None, initargs=()):
+                self.broken = False
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, item):
+                if self.broken:
+                    raise BrokenProcessPool("pool is broken")
+                self.broken = True
+                future = concurrent.futures.Future()
+                future.set_exception(BrokenProcessPool("worker died"))
+                return future
+
+        monkeypatch.setattr(
+            fltbench.orchestrator.concurrent.futures, "ProcessPoolExecutor", BreakingPool
+        )
+        cells = [SweepCell(row="fedavg", col=f"s{i}", seed_index=0, config=_quick_config())
+                 for i in range(3)]
+        outcomes = run_sweep(cells, workers=2)
+        assert _errors(outcomes) == [
+            (cells[0], "BrokenProcessPool: worker died"),
+            (cells[1], "BrokenProcessPool: pool is broken"),
+            (cells[2], "BrokenProcessPool: pool is broken"),
+        ]
 
     def test_table_csv_layout(self):
         config = _quick_config(rounds=1)
