@@ -21,14 +21,10 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ConfigError
-from .nn import TrainConfig
 from .orchestrator import SOURCE_CIFAR10, ExperimentConfig, SweepCell
-from .partition import PartitionSpec, check_supply
+from .partition import check_supply
 
 _RUN = "run"
-
-# Sub-seeds the orchestrator derives from run.master_seed.
-_DERIVED = {(PartitionSpec, "seed"), (TrainConfig, "shuffle_seed")}
 
 
 def _schema_fields(cls: type) -> tuple[tuple[str, type, Any], ...]:
@@ -39,7 +35,7 @@ def _schema_fields(cls: type) -> tuple[tuple[str, type, Any], ...]:
     fields = []
     for f in dataclasses.fields(cls):
         hint = hints[f.name]
-        if (cls, f.name) in _DERIVED or dataclasses.is_dataclass(hint):
+        if dataclasses.is_dataclass(hint):
             continue
         kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
         fields.append((f.name, kind, ... if f.default is dataclasses.MISSING else f.default))

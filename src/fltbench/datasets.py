@@ -62,17 +62,18 @@ class Dataset:
         return self.features.shape[1]
 
 
-def class_counts(dataset: Dataset) -> np.ndarray:
-    """Per-class sample counts; counts always sum to the dataset size."""
-    return np.bincount(dataset.labels, minlength=dataset.num_classes).astype(np.int64)
+def class_counts(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """Per-class counts of labels in [0, num_classes) as an int64 (M,) array;
+    they sum to len(labels). The package's one class count."""
+    return np.bincount(labels, minlength=num_classes).astype(np.int64, copy=False)
 
 
 def subset(dataset: Dataset, indices: np.ndarray | Sequence[int], name: str | None = None) -> Dataset:
-    """Materialize the rows at the given indices as a new Dataset."""
+    """The rows at the given indices as a new Dataset, copied once (fancy indexing)."""
     idx = np.asarray(indices, dtype=np.int64)
     return Dataset(
-        features=dataset.features[idx].copy(),
-        labels=dataset.labels[idx].copy(),
+        features=dataset.features[idx],
+        labels=dataset.labels[idx],
         num_classes=dataset.num_classes,
         name=name if name is not None else dataset.name,
     )

@@ -97,7 +97,7 @@ def shape_long_tailed(dataset: Dataset, profile: LtProfile, seed: int) -> Datase
     """
     if profile.num_classes != dataset.num_classes:
         raise ValueError("profile and dataset class counts differ")
-    have, need = class_counts(dataset), profile.counts.tolist()
+    have, need = class_counts(dataset.labels, dataset.num_classes), profile.counts.tolist()
     short = np.flatnonzero(have < profile.counts)
     if short.size:
         cls = short[0]

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import Dataset, class_counts
 from .errors import ConfigError, FltbenchError
 from .seeding import rng_from
 
@@ -313,7 +313,6 @@ class TrainConfig:
     batch_size: int
     local_epochs: int = 1
     weight_decay: float = 0.0
-    shuffle_seed: int = 0
 
     def __post_init__(self) -> None:
         # Zero is allowed so a no-op pass stays expressible in tests.
@@ -331,11 +330,12 @@ def sgd_epochs(
     train_config: TrainConfig,
     shard_x: np.ndarray,
     shard_y: np.ndarray,
+    rng: np.random.Generator,
     prox_mu: float = 0.0,
 ) -> ModelParams:
     """Run local_epochs of mini-batch SGD and return the updated copy.
 
-    Each epoch reshuffles under shuffle_seed's stream; the final short batch
+    Each epoch reshuffles the shard by rng.permutation; the final short batch
     is kept. Every batch gradient gets weight_decay * w, which loss_and_grad
     adds, and with a non-zero prox_mu FedProx's proximal pull
     prox_mu * (w - params) toward the params the call started from.
@@ -362,7 +362,6 @@ def sgd_epochs(
     out = ModelParams(grad[:split], grad[split:])
     d = config.input_dim
     xs = np.ones((n, d + (config.arch == ARCH_MLP1H)))
-    rng = rng_from(train_config.shuffle_seed)
     lr = train_config.learning_rate
     bs = train_config.batch_size
     for _ in range(train_config.local_epochs):
@@ -430,8 +429,8 @@ def evaluate(
     preds = predict(params, config, dataset.features)
     hits = preds == dataset.labels
     m = config.num_classes
-    counts = np.bincount(dataset.labels, minlength=m).astype(np.int64)
-    correct = np.bincount(dataset.labels[hits], minlength=m).astype(np.int64)
+    counts = class_counts(dataset.labels, m)
+    correct = class_counts(dataset.labels[hits], m)
     per_class = np.divide(
         correct, counts, out=np.zeros(m, dtype=np.float64), where=counts > 0
     )

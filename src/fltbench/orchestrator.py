@@ -201,7 +201,7 @@ def build_data(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict]:
 
     info = {"train_size_before_shaping": len(train), "train_size": len(train)}
     if data.lt_target_if is not None:
-        n_max = int(class_counts(train).min())
+        n_max = int(class_counts(train.labels, train.num_classes).min())
         profile = exponential_profile(n_max, train.num_classes, data.lt_target_if)
         train = shape_long_tailed(
             train, profile, seed=derive_seed(config.master_seed, "lt-shaping")
@@ -384,8 +384,9 @@ class _Algorithm:
     """One algorithm's client and server steps, and the state they update in
     place from round to round."""
 
-    # (global params, shard x, shard y, train config, client id) -> update
-    client_step: Callable[[ModelParams, np.ndarray, np.ndarray, TrainConfig, int], ClientUpdate]
+    # (global params, shard x, shard y, shuffle generator, client id) -> update
+    client_step: Callable[[ModelParams, np.ndarray, np.ndarray, np.random.Generator, int],
+                          ClientUpdate]
     # (global params, updates) -> the next global params
     server_step: Callable[[ModelParams, list[ClientUpdate]], ModelParams]
     heads: np.ndarray | None = None  # FedPer: (num_clients, head_size), row k client k's head
@@ -399,17 +400,18 @@ def _algorithm(
     code in this module that reads the algorithm's name. The steps look the
     rules up in this module's globals at call time, so a wrapper set on those
     names (the benchmark's tracer) sees every call."""
-    algo = config.algo
+    algo, tc = config.algo, config.train
 
-    def local_sgd(w, x, y, tc, k):
-        return local_update_fedavg(w, model_config, x, y, tc, k)
+    def local_sgd(w, x, y, rng, k):
+        return local_update_fedavg(w, model_config, x, y, tc, rng, k)
 
     def average(w, updates):
         return aggregate_weighted(updates)
 
     if algo.algorithm == ALGO_FEDPROX:
         return _Algorithm(
-            lambda w, x, y, tc, k: local_update_fedprox(w, model_config, x, y, tc, algo.mu, k),
+            lambda w, x, y, rng, k: local_update_fedprox(
+                w, model_config, x, y, tc, rng, algo.mu, k),
             average,
         )
     if algo.algorithm == ALGO_FEDPER:
@@ -421,7 +423,8 @@ def _algorithm(
             return aggregate_rep_only(updates, w)
 
         return _Algorithm(
-            lambda w, x, y, tc, k: local_update_fedper(w, heads[k], model_config, x, y, tc, k),
+            lambda w, x, y, rng, k: local_update_fedper(
+                w, heads[k], model_config, x, y, tc, rng, k),
             keep_heads_average_rep,
             heads=heads,
         )
@@ -430,8 +433,8 @@ def _algorithm(
             model_config, algo, seed=derive_seed(config.master_seed, "creff-features")
         )
 
-        def local_sgd_and_head_grads(w, x, y, tc, k):
-            update = local_sgd(w, x, y, tc, k)
+        def local_sgd_and_head_grads(w, x, y, rng, k):
+            update = local_sgd(w, x, y, rng, k)
             update.head_class_grads = creff_client_head_grads(w, model_config, x, y)
             return update
 
@@ -547,9 +550,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 for k in sampled:
                     shard = train_shards[k]
                     shard_x, shard_y = train.features[shard], train.labels[shard]
-                    seed = derive_seed(config.master_seed, "local-train", round_idx, k)
-                    tc = replace(config.train, shuffle_seed=seed)
-                    updates.append(algorithm.client_step(params, shard_x, shard_y, tc, k))
+                    rng = derive_rng(config.master_seed, "local-train", round_idx, k)
+                    updates.append(algorithm.client_step(params, shard_x, shard_y, rng, k))
                 params = algorithm.server_step(params, updates)
                 if not params.is_finite():
                     raise FltbenchError(_divergence_message(updates))
@@ -590,8 +592,8 @@ def prepare_partition(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict,
     """build_data's train set, test set and data info, and the train set's
     partition under the seed derived for it: a run's data, before training."""
     train, test, data_info = build_data(config)
-    spec = replace(config.partition, seed=derive_seed(config.master_seed, "partition"))
-    return train, test, data_info, build_partition(train, spec)
+    seed = derive_seed(config.master_seed, "partition")
+    return train, test, data_info, build_partition(train, config.partition, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -656,28 +658,43 @@ def _die_with_parent(parent: int) -> None:
             os._exit(1)
 
 
+def _pool_outcomes(cells: list[SweepCell], workers: int) -> list[SweepOutcome]:
+    """_run_cell of every cell on a pool of that many workers, in cell order.
+
+    A worker that dies breaks the pool, which then fails every cell it had
+    not finished with BrokenProcessPool. So each such cell runs once more,
+    alone, in a fresh one-worker pool, and only a cell whose own pool breaks
+    keeps that error.
+    """
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=_die_with_parent,
+            initargs=(os.getpid(),)) as pool:
+        futures = [_submit(pool, cell) for cell in cells]
+    outcomes = []
+    for cell, future in zip(cells, futures):
+        try:
+            outcomes.append(future.result())
+        except concurrent.futures.BrokenExecutor as exc:  # BrokenProcessPool
+            if len(cells) == 1:
+                outcomes.append((cell, None, _one_line(exc)))
+            else:
+                outcomes += _pool_outcomes([cell], 1)
+    return outcomes
+
+
 def run_sweep(cells: list[SweepCell], workers: int = 1) -> list[SweepOutcome]:
     """Run every cell, optionally on a process pool, and return each cell's
     (cell, report, None), or (cell, None, one-line error) if it failed, in
     cell order. A failed cell does not stop the others, and a pool worker
-    that dies fails its cell with a BrokenProcessPool error (the broken pool
-    fails every cell it had not finished). The reports carry no final_params
-    or federated_features."""
+    that dies fails only its own cell, with a BrokenProcessPool error (see
+    _pool_outcomes). The reports carry no final_params or
+    federated_features."""
     if workers > 1 and len(cells) > 1:
         # Forked workers inherit the one BLAS thread, so run_experiment never
         # has to set it there. The pool forks all its workers at once, so it
         # gets no more workers than cells.
-        with one_blas_thread(), concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers, len(cells)), initializer=_die_with_parent,
-                initargs=(os.getpid(),)) as pool:
-            futures = [_submit(pool, cell) for cell in cells]
-            outcomes = []
-            for cell, future in zip(cells, futures):
-                try:
-                    outcomes.append(future.result())
-                except concurrent.futures.BrokenExecutor as exc:  # BrokenProcessPool
-                    outcomes.append((cell, None, _one_line(exc)))
-            return outcomes
+        with one_blas_thread():
+            return _pool_outcomes(cells, min(workers, len(cells)))
     return [_run_cell(c) for c in cells]
 
 

@@ -12,10 +12,10 @@ imbalance:
                     rotated head class, so locals are long-tailed while the
                     global stays balanced.
 
-All constructions are deterministic in PartitionSpec.seed and never assign
-one sample to two clients. A partition carries its client-by-class count
-matrix, from which the report derives each client's imbalance factor (IF_L)
-and the global one (IF_G).
+All constructions are deterministic in build_partition's seed and never
+assign one sample to two clients. A partition carries its client-by-class
+count matrix, from which the report derives each client's imbalance factor
+(IF_L) and the global one (IF_G).
 """
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ LOCAL_IF_TOLERANCE = 0.10
 class PartitionSpec:
     kind: str
     num_clients: int
-    seed: int = 0
     alpha: float | None = None
     local_if: float | None = None
     min_shard_size: int = 10
@@ -107,9 +106,7 @@ def _finish(dataset: Dataset, spec: PartitionSpec, index_lists: list[np.ndarray]
     owned = np.concatenate(shards)
     if np.unique(owned).size != owned.size:
         raise AssertionError("internal error: overlapping shards")
-    counts = np.stack(
-        [np.bincount(dataset.labels[s], minlength=dataset.num_classes) for s in shards]
-    ).astype(np.int64)
+    counts = np.stack([class_counts(dataset.labels[s], dataset.num_classes) for s in shards])
     counts.flags.writeable = False
     return Partition(shards=shards, counts=counts)
 
@@ -210,13 +207,14 @@ def _solve_profile_budget(num_classes: int, local_if: float, budget: int) -> LtP
     )
 
 
-def _draw_iid(n: int, spec: PartitionSpec) -> list[np.ndarray]:
+def _draw_iid(n: int, num_clients: int, seed: int) -> list[np.ndarray]:
     """Shuffle all indices under the seed and deal them round-robin."""
-    perm = rng_from(spec.seed).permutation(n)
-    return [perm[k :: spec.num_clients] for k in range(spec.num_clients)]
+    perm = rng_from(seed).permutation(n)
+    return [perm[k :: num_clients] for k in range(num_clients)]
 
 
-def _draw_dirichlet(labels: np.ndarray, num_classes: int, spec: PartitionSpec) -> list[np.ndarray]:
+def _draw_dirichlet(labels: np.ndarray, num_classes: int, spec: PartitionSpec,
+                    seed: int) -> list[np.ndarray]:
     """Per class, split its samples across clients by Dirichlet(alpha) shares.
 
     Shares are drawn independently per class from a symmetric Dirichlet and
@@ -226,7 +224,7 @@ def _draw_dirichlet(labels: np.ndarray, num_classes: int, spec: PartitionSpec) -
     """
     num_clients = spec.num_clients
     for attempt in range(DIRICHLET_RETRY_BUDGET):
-        rng = derive_rng(spec.seed, "dirichlet-attempt", attempt)
+        rng = derive_rng(seed, "dirichlet-attempt", attempt)
 
         def shares(cls: int, size: int) -> Sequence[int]:
             if num_clients == 1:
@@ -243,21 +241,21 @@ def _draw_dirichlet(labels: np.ndarray, num_classes: int, spec: PartitionSpec) -
     )
 
 
-def build_partition(dataset: Dataset, spec: PartitionSpec) -> Partition:
+def build_partition(dataset: Dataset, spec: PartitionSpec, seed: int) -> Partition:
     """Partition a dataset among spec.num_clients clients by spec.kind.
 
     The class counts are checked once against the spec (check_supply raises
-    ConfigError), then the shards are drawn under spec.seed.
+    ConfigError), then the shards are drawn under seed.
     """
-    counts = class_counts(dataset)
+    counts = class_counts(dataset.labels, dataset.num_classes)
     demand = check_supply(spec, counts)
     if spec.kind == KIND_IID:
-        lists = _draw_iid(len(dataset), spec)
+        lists = _draw_iid(len(dataset), spec.num_clients, seed)
     elif spec.kind == KIND_DIRICHLET:
-        lists = _draw_dirichlet(dataset.labels, len(counts), spec)
+        lists = _draw_dirichlet(dataset.labels, len(counts), spec, seed)
     else:
         lists = deal_by_class(dataset.labels, len(counts), spec.num_clients,
-                              rng_from(spec.seed), lambda cls, _: demand[:, cls].tolist())
+                              rng_from(seed), lambda cls, _: demand[:, cls].tolist())
     return _finish(dataset, spec, lists)
 
 

@@ -31,6 +31,7 @@ from fltbench.partition import (
     build_partition,
     partition_report,
 )
+from fltbench.seeding import rng_from
 from conftest import as_vector, run_configs, split_vector
 from test_nn import fd_safe_batch
 
@@ -51,12 +52,11 @@ def test_criterion_01_distribution_identities():
         spec = PartitionSpec(
             kind=kind,
             num_clients=m * (1 + i % 3) if kind == "rotated_lt" else 2 + (i % 4),
-            seed=i,
             alpha=0.3 if kind == "dirichlet" else None,
             local_if=3.0 if kind == "rotated_lt" else None,
             min_shard_size=1,
         )
-        part = build_partition(ds, spec)
+        part = build_partition(ds, spec, i)
         report = partition_report(part)
         summed = sum(
             np.bincount(ds.labels[s], minlength=m) for s in part.shards
@@ -74,7 +74,7 @@ def test_criterion_02_imbalance_factor_exactness(cifar_scale_ds):
     for target in (10.0, 50.0, 100.0):
         profile = exponential_profile(5000, 10, target)
         shaped = shape_long_tailed(cifar_scale_ds, profile, seed=0)
-        one_client = build_partition(shaped, PartitionSpec(kind="iid", num_clients=1))
+        one_client = build_partition(shaped, PartitionSpec(kind="iid", num_clients=1), 0)
         measured = partition_report(one_client).global_if
         assert abs(measured - target) <= 0.02 * target
 
@@ -125,8 +125,8 @@ def test_criterion_04_fedavg_centralized_equivalence():
     updates = []
     for k in range(4):
         sx, sy = x[k * 12 : (k + 1) * 12], y[k * 12 : (k + 1) * 12]
-        tc = TrainConfig(learning_rate=lr, batch_size=12, local_epochs=1, shuffle_seed=k)
-        updates.append(local_update_fedavg(params, cfg, sx, sy, tc, client_id=k))
+        tc = TrainConfig(learning_rate=lr, batch_size=12, local_epochs=1)
+        updates.append(local_update_fedavg(params, cfg, sx, sy, tc, rng_from(k), client_id=k))
     agg = aggregate_weighted(updates)
     _, grad = loss_and_grad(params, cfg, x, y)
     expected = np.concatenate(
@@ -174,8 +174,8 @@ def test_criterion_06_rotated_longtail_construction(cifar_scale_ds):
     """N=40 clients, 10 classes, target local IF in {10, 50, 100}: every
     client lands within 10% of target and the global stays near-balanced."""
     for target in (10.0, 50.0, 100.0):
-        spec = PartitionSpec(kind="rotated_lt", num_clients=40, seed=0, local_if=target)
-        report = partition_report(build_partition(cifar_scale_ds, spec))
+        spec = PartitionSpec(kind="rotated_lt", num_clients=40, local_if=target)
+        report = partition_report(build_partition(cifar_scale_ds, spec, 0))
         for client_if in report.client_if:
             assert abs(client_if - target) <= 0.10 * target
         assert report.global_if <= 1.1
@@ -283,15 +283,15 @@ def test_criterion_09_dirichlet_concentration(balanced_ds):
     frozen from a 10-seed pre-run (observed max ratio 0.541, frozen 0.60)."""
     global_probs = np.full(10, 0.1)
     for seed in range(10):
-        spec = PartitionSpec(kind="dirichlet", num_clients=10, seed=seed, alpha=1e6)
-        report = partition_report(build_partition(balanced_ds, spec))
+        spec = PartitionSpec(kind="dirichlet", num_clients=10, alpha=1e6)
+        report = partition_report(build_partition(balanced_ds, spec, seed))
         for row, size in zip(report.matrix, report.client_sizes):
             assert np.max(np.abs(row / size - global_probs)) <= 0.02
 
     global_entropy = np.log(10)
     for seed in range(10):
-        spec = PartitionSpec(kind="dirichlet", num_clients=10, seed=seed, alpha=0.1)
-        report = partition_report(build_partition(balanced_ds, spec))
+        spec = PartitionSpec(kind="dirichlet", num_clients=10, alpha=0.1)
+        report = partition_report(build_partition(balanced_ds, spec, seed))
         probs = report.matrix / report.client_sizes[:, None]
         logs = np.log(np.where(probs > 0, probs, 1.0))
         mean_entropy = np.mean(-(probs * logs).sum(axis=1))

@@ -32,6 +32,7 @@ from fltbench.nn import (
     sgd_epochs,
     softmax,
 )
+from fltbench.seeding import rng_from
 
 from conftest import as_vector, split_vector
 
@@ -84,6 +85,22 @@ class TestAggregateWeighted:
         b = aggregate_weighted(updates[::-1])
         np.testing.assert_array_equal(a.head_block, b.head_block)
 
+    def test_bit_equal_to_a_fresh_temporary_per_client(self, rng):
+        # The weighted sum as written before its scratch buffers: a new
+        # weight * block array for each client and block.
+        sizes = rng.integers(1, 200, 20)
+        updates = [_update(k, rng.standard_normal(50), rng.standard_normal(33), int(n))
+                   for k, n in enumerate(sizes)]
+        total = int(sizes.sum())
+        rep, head = np.zeros(50), np.zeros(33)
+        for u in updates:
+            weight = u.n_k / total
+            rep += weight * u.params.rep_block
+            head += weight * u.params.head_block
+        agg = aggregate_weighted(updates[::-1])
+        assert agg.rep_block.tobytes() == rep.tobytes()
+        assert agg.head_block.tobytes() == head.tobytes()
+
 
 @pytest.fixture
 def small_problem(rng):
@@ -97,8 +114,8 @@ def small_problem(rng):
 class TestFedAvg:
     def test_zero_learning_rate_returns_global(self, small_problem):
         cfg, params, x, y = small_problem
-        tc = TrainConfig(learning_rate=0.0, batch_size=8, local_epochs=2, shuffle_seed=1)
-        update = local_update_fedavg(params, cfg, x, y, tc)
+        tc = TrainConfig(learning_rate=0.0, batch_size=8, local_epochs=2)
+        update = local_update_fedavg(params, cfg, x, y, tc, rng_from(1))
         np.testing.assert_array_equal(update.params.rep_block, params.rep_block)
         np.testing.assert_array_equal(update.params.head_block, params.head_block)
         assert update.n_k == 40
@@ -106,10 +123,10 @@ class TestFedAvg:
 
     def test_single_client_round_is_centralized_training(self, small_problem):
         cfg, params, x, y = small_problem
-        tc = TrainConfig(learning_rate=0.1, batch_size=8, local_epochs=2, shuffle_seed=6)
-        update = local_update_fedavg(params, cfg, x, y, tc, client_id=0)
+        tc = TrainConfig(learning_rate=0.1, batch_size=8, local_epochs=2)
+        update = local_update_fedavg(params, cfg, x, y, tc, rng_from(6), client_id=0)
         agg = aggregate_weighted([update])
-        central = sgd_epochs(params, cfg, tc, x, y)
+        central = sgd_epochs(params, cfg, tc, x, y, rng_from(6))
         assert agg.rep_block.tobytes() == central.rep_block.tobytes()
         assert agg.head_block.tobytes() == central.head_block.tobytes()
 
@@ -119,8 +136,8 @@ class TestFedAvg:
         updates = []
         for k in range(4):
             sx, sy = x[k * 10 : (k + 1) * 10], y[k * 10 : (k + 1) * 10]
-            tc = TrainConfig(learning_rate=lr, batch_size=10, local_epochs=1, shuffle_seed=k)
-            updates.append(local_update_fedavg(params, cfg, sx, sy, tc, client_id=k))
+            tc = TrainConfig(learning_rate=lr, batch_size=10, local_epochs=1)
+            updates.append(local_update_fedavg(params, cfg, sx, sy, tc, rng_from(k), client_id=k))
         agg = aggregate_weighted(updates)
         _, grad = loss_and_grad(params, cfg, x, y)
         expect_rep = params.rep_block - lr * grad.rep_block
@@ -132,17 +149,17 @@ class TestFedAvg:
 class TestFedProx:
     def test_mu_zero_is_bitwise_fedavg(self, small_problem):
         cfg, params, x, y = small_problem
-        tc = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3, shuffle_seed=7)
-        a = local_update_fedavg(params, cfg, x, y, tc)
-        p = local_update_fedprox(params, cfg, x, y, tc, mu=0.0)
+        tc = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3)
+        a = local_update_fedavg(params, cfg, x, y, tc, rng_from(7))
+        p = local_update_fedprox(params, cfg, x, y, tc, rng_from(7), mu=0.0)
         assert a.params.rep_block.tobytes() == p.params.rep_block.tobytes()
         assert a.params.head_block.tobytes() == p.params.head_block.tobytes()
 
     def test_huge_mu_single_step_displacement_bounded(self, small_problem):
         cfg, params, x, y = small_problem
-        tc = TrainConfig(learning_rate=0.1, batch_size=40, local_epochs=1, shuffle_seed=3)
-        a = local_update_fedavg(params, cfg, x, y, tc)
-        p = local_update_fedprox(params, cfg, x, y, tc, mu=1e6)
+        tc = TrainConfig(learning_rate=0.1, batch_size=40, local_epochs=1)
+        a = local_update_fedavg(params, cfg, x, y, tc, rng_from(3))
+        p = local_update_fedprox(params, cfg, x, y, tc, rng_from(3), mu=1e6)
         base = as_vector(params)
         assert np.linalg.norm(as_vector(p.params) - base) <= np.linalg.norm(
             as_vector(a.params) - base
@@ -150,9 +167,9 @@ class TestFedProx:
 
     def test_moderate_mu_shrinks_multi_step_displacement(self, small_problem):
         cfg, params, x, y = small_problem
-        tc = TrainConfig(learning_rate=0.1, batch_size=10, local_epochs=5, shuffle_seed=3)
-        a = local_update_fedavg(params, cfg, x, y, tc)
-        p = local_update_fedprox(params, cfg, x, y, tc, mu=5.0)
+        tc = TrainConfig(learning_rate=0.1, batch_size=10, local_epochs=5)
+        a = local_update_fedavg(params, cfg, x, y, tc, rng_from(3))
+        p = local_update_fedprox(params, cfg, x, y, tc, rng_from(3), mu=5.0)
         base = as_vector(params)
         assert np.linalg.norm(as_vector(p.params) - base) < np.linalg.norm(
             as_vector(a.params) - base
@@ -197,12 +214,12 @@ class TestFedPer:
     def test_aggregation_never_touches_server_head(self, small_problem):
         cfg, params, x, y = small_problem
         head_before = params.head_block.tobytes()
-        tc = TrainConfig(learning_rate=0.1, batch_size=8, local_epochs=1, shuffle_seed=2)
+        tc = TrainConfig(learning_rate=0.1, batch_size=8, local_epochs=1)
         updates = []
         for k in range(3):
             local_head = params.head_block + k  # distinct per-client heads
             updates.append(
-                local_update_fedper(params, local_head, cfg, x, y, tc, client_id=k)
+                local_update_fedper(params, local_head, cfg, x, y, tc, rng_from(2), client_id=k)
             )
         agg = aggregate_rep_only(updates, params)
         assert agg.head_block.tobytes() == head_before
@@ -210,17 +227,17 @@ class TestFedPer:
 
     def test_single_client_equals_centralized(self, small_problem):
         cfg, params, x, y = small_problem
-        tc = TrainConfig(learning_rate=0.1, batch_size=8, local_epochs=2, shuffle_seed=5)
-        update = local_update_fedper(params, params.head_block, cfg, x, y, tc)
-        central = sgd_epochs(params, cfg, tc, x, y)
+        tc = TrainConfig(learning_rate=0.1, batch_size=8, local_epochs=2)
+        update = local_update_fedper(params, params.head_block, cfg, x, y, tc, rng_from(5))
+        central = sgd_epochs(params, cfg, tc, x, y, rng_from(5))
         assert update.params.rep_block.tobytes() == central.rep_block.tobytes()
         assert update.params.head_block.tobytes() == central.head_block.tobytes()
 
     def test_update_carries_trained_head_for_client_persistence(self, small_problem):
         cfg, params, x, y = small_problem
-        tc = TrainConfig(learning_rate=0.1, batch_size=8, local_epochs=1, shuffle_seed=5)
+        tc = TrainConfig(learning_rate=0.1, batch_size=8, local_epochs=1)
         own_head = params.head_block * 0.5
-        update = local_update_fedper(params, own_head, cfg, x, y, tc)
+        update = local_update_fedper(params, own_head, cfg, x, y, tc, rng_from(5))
         assert not np.array_equal(update.params.head_block, own_head)
 
 

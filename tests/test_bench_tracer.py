@@ -117,3 +117,28 @@ def test_sgd_spans_count_every_batch_and_row(algorithm):
     batches = sum(name == "nn.loss_and_grad" for name, *_ in tracer.spans)
     assert batches == rounds * epochs * sum(-(-n // batch) for n in sizes)
     assert tracer.sgd_rows() == rounds * epochs * sum(sizes)
+
+
+def test_every_seed_derivation_goes_through_a_wrapped_binding():
+    # seeding.derive_seed_calls is an exact count of the benchmark, so a
+    # derivation that calls past both wrapped bindings must fail here. A
+    # FedPer run on IID shards with holdouts derives 2 data seeds, the
+    # partition seed, K holdout seeds, the init seed, R sampling seeds and
+    # R * S local-training seeds (S clients sampled a round).
+    clients, rounds, sampled = 4, 3, 2
+    config = ExperimentConfig(
+        data=DataConfig(source="synthetic", num_classes=3, per_class=20, test_per_class=4, dim=2),
+        partition=PartitionSpec(kind="iid", num_clients=clients, min_shard_size=1),
+        model=ModelSpec(arch="linear_softmax"),
+        train=TrainConfig(learning_rate=0.1, batch_size=8),
+        algo=AlgoConfig(algorithm="fedper", rounds=rounds, participation_fraction=0.5),
+        client_holdout_fraction=0.3,
+    )
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        fltbench.orchestrator.run_experiment(config)
+    finally:
+        tracer.uninstall()
+    derived = sum(name == "seeding.derive_seed" for name, *_ in tracer.spans)
+    assert derived == 2 + 1 + clients + 1 + rounds + rounds * sampled

@@ -557,29 +557,52 @@ class TestSweepCommand:
         rows = [line.split(",") for line in (out / "smoke_table.csv").read_text().split()]
         assert rows[1][1] != "ERROR" and rows[1][2] == "ERROR"
 
-    def test_dead_worker_marks_its_cell_error(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _die_in(monkeypatch, algorithm, kind):
+        """Make the worker that runs the (algorithm, partition kind) cell die."""
         original = fltbench.orchestrator.run_experiment
 
         def dying(config):
-            if config.partition.kind == "dirichlet":
+            if (config.algo.algorithm, config.partition.kind) == (algorithm, kind):
                 os._exit(3)  # the worker dies mid-cell, with no exception to catch
             return original(config)
 
         # Pool workers are forked, so they inherit the patched binding.
         monkeypatch.setattr("fltbench.orchestrator.run_experiment", dying)
+
+    def test_dead_worker_marks_its_cell_error(self, tmp_path, monkeypatch):
+        self._die_in(monkeypatch, "fedavg", "dirichlet")
         doc = _grid_doc(rounds=1)
         doc["algorithms"] = ["fedavg"]
         out = tmp_path / "out"
         code = main(["sweep", "--config", _write_config(tmp_path, doc), "--out", str(out),
                      "--workers", "2"])
         assert code == 0
-        # The broken pool may fail the other cell too, so only the dead one
-        # is checked.
-        dead = "cell (fedavg, dir05) seed 0 failed: BrokenProcessPool: "
         errors = (out / "errors.txt").read_text().splitlines()
-        assert any(line.startswith(dead) for line in errors), errors
+        assert len(errors) == 1, errors
+        assert errors[0].startswith("cell (fedavg, dir05) seed 0 failed: BrokenProcessPool: ")
         rows = [line.split(",") for line in (out / "smoke_table.csv").read_text().split()]
         assert rows[0] == ["algorithm", "iid", "dir05"] and rows[1][2] == "ERROR"
+        # The other cell, re-run after the pool broke, reads as it does alone.
+        doc["settings"] = doc["settings"][:1]
+        alone = tmp_path / "alone"
+        assert main(["sweep", "--config", _write_config(tmp_path, doc), "--out", str(alone)]) == 0
+        table = (alone / "smoke_table.csv").read_text().split()
+        assert rows[1][1] == table[1].split(",")[1] != "ERROR"
+
+    def test_dead_worker_fails_only_its_own_cell_of_four(self, tmp_path, monkeypatch):
+        # The first cell dies at once, while the pool still holds the others.
+        self._die_in(monkeypatch, "fedavg", "iid")
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", _write_config(tmp_path, _grid_doc(rounds=1)),
+                     "--out", str(out), "--workers", "2"])
+        assert code == 0
+        errors = (out / "errors.txt").read_text().splitlines()
+        assert len(errors) == 1, errors
+        assert errors[0].startswith("cell (fedavg, iid) seed 0 failed: BrokenProcessPool: ")
+        table = (out / "smoke_table.csv").read_text()
+        assert table.count("ERROR") == 1 and table.split()[1].startswith("fedavg,ERROR,")
+        assert len(list((out / "cells").glob("*.report.json"))) == 3
 
     @pytest.mark.parametrize("where,bad", [
         ("name", "smoke\0table"),

@@ -14,9 +14,11 @@ from fltbench.datasets import (
     generate_synthetic,
     load_cifar10,
     stratified_split_indices,
+    subset,
 )
 from fltbench.errors import ConfigError
 from fltbench.nn import ModelConfig, TrainConfig, evaluate, init_model, sgd_epochs
+from fltbench.seeding import rng_from
 
 
 def _make_cifar_file(path: Path, labels, seed=0) -> bytes:
@@ -40,7 +42,7 @@ class TestCifarLoader:
         _make_cifar_file(test_p, list(range(10)) * 2, seed=99)
         train, test = load_cifar10(paths, test_p)
         assert len(train) == 200 and len(test) == 20
-        assert class_counts(train).tolist() == [20] * 10
+        assert class_counts(train.labels, train.num_classes).tolist() == [20] * 10
         assert train.num_classes == 10
 
     def test_train_features_are_bit_equal_to_standardizing_a_fresh_copy(self, tmp_path):
@@ -63,7 +65,7 @@ class TestCifarLoader:
         _make_cifar_file(p, [3])
         train, _ = load_cifar10([p], p)
         assert len(train) == 1
-        assert class_counts(train).tolist()[3] == 1
+        assert class_counts(train.labels, train.num_classes).tolist()[3] == 1
 
     def test_empty_file_list_rejected(self, tmp_path):
         p = tmp_path / "t.bin"
@@ -118,14 +120,14 @@ class TestCifarLoader:
         paths = [root / f"data_batch_{i}.bin" for i in range(1, 6)]
         train, test = load_cifar10(paths, root / "test_batch.bin")
         assert len(train) == 50000 and len(test) == 10000
-        assert class_counts(train).tolist() == [5000] * 10
+        assert class_counts(train.labels, train.num_classes).tolist() == [5000] * 10
 
 
 class TestSynthetic:
     def test_counts_bookkeeping(self):
         ds = generate_synthetic(2, 3, 2, 0.1, seed=7)
         assert len(ds) == 6
-        assert class_counts(ds).tolist() == [3, 3]
+        assert class_counts(ds.labels, ds.num_classes).tolist() == [3, 3]
 
     def test_bit_reproducible(self):
         a = generate_synthetic(2, 3, 2, 0.1, seed=7)
@@ -144,8 +146,8 @@ class TestSynthetic:
         train = generate_synthetic(10, 500, 32, 0.5, seed=1)
         test = generate_synthetic(10, 100, 32, 0.5, seed=2)
         cfg = ModelConfig(arch="linear_softmax", input_dim=32, num_classes=10, init_seed=0)
-        tc = TrainConfig(learning_rate=0.5, batch_size=64, local_epochs=30, shuffle_seed=7)
-        params = sgd_epochs(init_model(cfg), cfg, tc, train.features, train.labels)
+        tc = TrainConfig(learning_rate=0.5, batch_size=64, local_epochs=30)
+        params = sgd_epochs(init_model(cfg), cfg, tc, train.features, train.labels, rng_from(7))
         assert evaluate(params, cfg, test).accuracy >= 0.95
 
     @pytest.mark.parametrize(
@@ -167,7 +169,23 @@ class TestSynthetic:
 class TestClassCounts:
     def test_counts_sum_to_size(self):
         ds = generate_synthetic(4, 11, 2, 0.3, seed=5)
-        assert class_counts(ds).sum() == len(ds)
+        assert class_counts(ds.labels, ds.num_classes).sum() == len(ds)
+
+    def test_absent_classes_count_zero(self):
+        counts = class_counts(np.array([2, 0, 2]), 4)
+        assert counts.dtype == np.int64 and counts.tolist() == [1, 0, 2, 0]
+
+
+class TestSubset:
+    def test_rows_are_copied_and_share_no_memory_with_the_source(self):
+        ds = generate_synthetic(3, 10, 2, 0.5, seed=0)
+        idx = np.array([4, 0, 29, 4])
+        sub = subset(ds, idx)
+        np.testing.assert_array_equal(sub.features, ds.features[idx])
+        np.testing.assert_array_equal(sub.labels, ds.labels[idx])
+        assert not np.shares_memory(sub.features, ds.features)
+        assert not np.shares_memory(sub.labels, ds.labels)
+        assert not sub.features.flags.writeable and not sub.labels.flags.writeable
 
 
 class TestDatasetInvariants:

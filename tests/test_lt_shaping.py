@@ -70,7 +70,7 @@ class TestRotate:
         m = profile.num_classes
         dataset = generate_synthetic(m, int(profile.counts.sum()), 2, 0.5, seed=0)
         spec = PartitionSpec(kind="rotated_lt", num_clients=m, local_if=profile.target_if)
-        return build_partition(dataset, spec).counts
+        return build_partition(dataset, spec, 0).counts
 
     def test_offset_zero_is_identity(self):
         profile = exponential_profile(100, 4, 2.0)
@@ -95,20 +95,20 @@ class TestShapeLongTailed:
     def test_counts_match_profile_exactly(self, cifar_scale_ds):
         profile = exponential_profile(5000, 10, 50.0)
         shaped = shape_long_tailed(cifar_scale_ds, profile, seed=4)
-        np.testing.assert_array_equal(class_counts(shaped), profile.counts)
+        np.testing.assert_array_equal(class_counts(shaped.labels, shaped.num_classes), profile.counts)
 
     def test_measured_if_within_two_percent(self, cifar_scale_ds):
         for target in (10.0, 50.0, 100.0):
             profile = exponential_profile(5000, 10, target)
             shaped = shape_long_tailed(cifar_scale_ds, profile, seed=4)
-            counts = class_counts(shaped)
+            counts = class_counts(shaped.labels, shaped.num_classes)
             measured = counts.max() / counts[counts > 0].min()
             assert abs(measured - target) <= 0.02 * target
 
     def test_if_one_gives_uniform_subsample(self):
         ds = generate_synthetic(4, 50, 2, 0.5, seed=0)
         shaped = shape_long_tailed(ds, exponential_profile(30, 4, 1.0), seed=1)
-        assert class_counts(shaped).tolist() == [30] * 4
+        assert class_counts(shaped.labels, shaped.num_classes).tolist() == [30] * 4
 
     def test_same_seed_same_selection(self, balanced_ds):
         profile = exponential_profile(400, 10, 10.0)
@@ -129,7 +129,7 @@ def _shape_reference(dataset, profile, seed):
     """The per-class loop of shape_long_tailed before it dealt through
     deal_by_class, kept as the reference: the chosen indices, or the
     ConfigError it raised at the first class short of its count."""
-    have = class_counts(dataset)
+    have = class_counts(dataset.labels, dataset.num_classes)
     rng = rng_from(seed)
     picks = []
     for cls in range(profile.num_classes):

@@ -110,11 +110,11 @@ def _loss_and_grad_reference(params, cfg, batch_x, batch_y, weight_decay=0.0):
     return loss, ModelParams(grad_rep, grad_head)
 
 
-def _sgd_reference(params, cfg, tc, shard_x, shard_y, prox_mu=0.0):
+def _sgd_reference(params, cfg, tc, shard_x, shard_y, seed, prox_mu=0.0):
     """The sgd_epochs loop with fresh arrays: each epoch's shuffled rows get
     a ones column for mlp1h, and each step updates the blocks one by one."""
     w = ModelParams(params.rep_block.copy(), params.head_block.copy())
-    rng = rng_from(tc.shuffle_seed)
+    rng = rng_from(seed)
     n = shard_y.shape[0]
     for _ in range(tc.local_epochs):
         order = rng.permutation(n)
@@ -443,10 +443,10 @@ class TestSgd:
     def test_zero_learning_rate_is_noop(self, rng):
         cfg = ModelConfig(arch="mlp1h", input_dim=3, num_classes=2, init_seed=0, hidden_units=4)
         params = init_model(cfg)
-        tc = TrainConfig(learning_rate=0.0, batch_size=4, local_epochs=3, shuffle_seed=1)
+        tc = TrainConfig(learning_rate=0.0, batch_size=4, local_epochs=3)
         x = rng.standard_normal((10, 3))
         y = rng.integers(0, 2, 10)
-        out = sgd_epochs(params, cfg, tc, x, y)
+        out = sgd_epochs(params, cfg, tc, x, y, rng_from(1))
         np.testing.assert_array_equal(out.rep_block, params.rep_block)
         np.testing.assert_array_equal(out.head_block, params.head_block)
 
@@ -455,8 +455,8 @@ class TestSgd:
         params = init_model(cfg)
         x = rng.standard_normal((8, 3))
         y = rng.integers(0, 3, 8)
-        tc = TrainConfig(learning_rate=0.2, batch_size=8, local_epochs=1, shuffle_seed=5)
-        stepped = sgd_epochs(params, cfg, tc, x, y)
+        tc = TrainConfig(learning_rate=0.2, batch_size=8, local_epochs=1)
+        stepped = sgd_epochs(params, cfg, tc, x, y, rng_from(5))
         _, grad = loss_and_grad(params, cfg, x, y)
         np.testing.assert_allclose(
             stepped.head_block, params.head_block - 0.2 * grad.head_block, atol=1e-15
@@ -467,8 +467,8 @@ class TestSgd:
         cfg = ModelConfig(arch="linear_softmax", input_dim=8, num_classes=4, init_seed=1)
         params = init_model(cfg)
         loss_before, _ = loss_and_grad(params, cfg, ds.features, ds.labels)
-        tc = TrainConfig(learning_rate=0.2, batch_size=16, local_epochs=50, shuffle_seed=2)
-        trained = sgd_epochs(params, cfg, tc, ds.features, ds.labels)
+        tc = TrainConfig(learning_rate=0.2, batch_size=16, local_epochs=50)
+        trained = sgd_epochs(params, cfg, tc, ds.features, ds.labels, rng_from(2))
         loss_after, _ = loss_and_grad(trained, cfg, ds.features, ds.labels)
         assert loss_after < loss_before
 
@@ -477,9 +477,9 @@ class TestSgd:
         params = init_model(cfg)
         x = rng.standard_normal((20, 4))
         y = rng.integers(0, 3, 20)
-        tc = TrainConfig(learning_rate=0.1, batch_size=6, local_epochs=4, shuffle_seed=9)
-        a = sgd_epochs(params, cfg, tc, x, y)
-        b = sgd_epochs(params, cfg, tc, x, y)
+        tc = TrainConfig(learning_rate=0.1, batch_size=6, local_epochs=4)
+        a = sgd_epochs(params, cfg, tc, x, y, rng_from(9))
+        b = sgd_epochs(params, cfg, tc, x, y, rng_from(9))
         assert a.rep_block.tobytes() == b.rep_block.tobytes()
         assert a.head_block.tobytes() == b.head_block.tobytes()
 
@@ -490,17 +490,18 @@ class TestSgd:
         params = init_model(cfg)
         x = rng.standard_normal((5, 2))
         y = np.array([0, 1, 0, 1, 0])
-        tc_full = TrainConfig(learning_rate=0.5, batch_size=5, local_epochs=1, shuffle_seed=3)
-        tc_split = TrainConfig(learning_rate=0.5, batch_size=4, local_epochs=1, shuffle_seed=3)
-        full = sgd_epochs(params, cfg, tc_full, x, y)
-        split = sgd_epochs(params, cfg, tc_split, x, y)
+        tc_full = TrainConfig(learning_rate=0.5, batch_size=5, local_epochs=1)
+        tc_split = TrainConfig(learning_rate=0.5, batch_size=4, local_epochs=1)
+        full = sgd_epochs(params, cfg, tc_full, x, y, rng_from(3))
+        split = sgd_epochs(params, cfg, tc_split, x, y, rng_from(3))
         assert not np.array_equal(full.head_block, split.head_block)
 
     def test_empty_shard_rejected(self):
         cfg = ModelConfig(arch="linear_softmax", input_dim=2, num_classes=2)
         tc = TrainConfig(learning_rate=0.1, batch_size=4)
         with pytest.raises(FltbenchError, match="^cannot train on an empty shard$"):
-            sgd_epochs(init_model(cfg), cfg, tc, np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+            sgd_epochs(init_model(cfg), cfg, tc, np.zeros((0, 2)), np.zeros(0, dtype=np.int64),
+                       rng_from(0))
 
     @pytest.mark.parametrize("arch,hidden", BENCH_ARCHS)
     @pytest.mark.parametrize("proximal", [False, True])
@@ -510,11 +511,10 @@ class TestSgd:
         params = init_model(cfg)
         x = 3.0 * rng.standard_normal((150, 5))
         y = rng.integers(0, 10, 150)
-        tc = TrainConfig(learning_rate=0.1, batch_size=64, local_epochs=2,
-                         weight_decay=1e-4, shuffle_seed=12)
+        tc = TrainConfig(learning_rate=0.1, batch_size=64, local_epochs=2, weight_decay=1e-4)
         mu = 0.01 if proximal else 0.0
-        out = sgd_epochs(params, cfg, tc, x, y, prox_mu=mu)
-        ref = _sgd_reference(params, cfg, tc, x, y, prox_mu=mu)
+        out = sgd_epochs(params, cfg, tc, x, y, rng_from(12), prox_mu=mu)
+        ref = _sgd_reference(params, cfg, tc, x, y, 12, prox_mu=mu)
         np.testing.assert_array_equal(out.rep_block, ref.rep_block)
         np.testing.assert_array_equal(out.head_block, ref.head_block)
 
@@ -525,10 +525,10 @@ class TestSgd:
                           hidden_units=hidden)
         params = init_model(cfg)
         before = (params.rep_block.tobytes(), params.head_block.tobytes())
-        tc = TrainConfig(learning_rate=0.1, batch_size=64, local_epochs=2,
-                         weight_decay=1e-4, shuffle_seed=12)
+        tc = TrainConfig(learning_rate=0.1, batch_size=64, local_epochs=2, weight_decay=1e-4)
         out = sgd_epochs(params, cfg, tc, 3.0 * rng.standard_normal((150, 5)),
-                         rng.integers(0, 10, 150), prox_mu=0.01 if proximal else 0.0)
+                         rng.integers(0, 10, 150), rng_from(12),
+                         prox_mu=0.01 if proximal else 0.0)
         assert (params.rep_block.tobytes(), params.head_block.tobytes()) == before
         assert out.head_block.tobytes() != before[1]
 
@@ -547,7 +547,7 @@ class TestSgd:
         n, epochs = 150, 3
         tc = TrainConfig(learning_rate=0.1, batch_size=64, local_epochs=epochs)
         sgd_epochs(init_model(cfg), cfg, tc, rng.standard_normal((n, 3)),
-                   rng.integers(0, 4, n))
+                   rng.integers(0, 4, n), rng_from(0))
         assert len(rows) == epochs * math.ceil(n / 64)
         assert sum(rows) == epochs * n
 
@@ -557,7 +557,7 @@ class TestSgd:
         x = rng.standard_normal((6, 2))
         x[4, 1] = np.inf
         with pytest.raises(ValueError):
-            sgd_epochs(init_model(cfg), cfg, tc, x, np.zeros(6, dtype=np.int64))
+            sgd_epochs(init_model(cfg), cfg, tc, x, np.zeros(6, dtype=np.int64), rng_from(0))
 
     def test_proximal_pull_contributes_to_every_batch(self, rng):
         # Two batches of 4 in one epoch: the first starts at the anchor, where
@@ -567,8 +567,8 @@ class TestSgd:
         x = rng.standard_normal((8, 2))
         y = np.array([0, 1, 0, 1, 1, 0, 1, 0])
         mu, lr = 2.0, 0.1
-        tc = TrainConfig(learning_rate=lr, batch_size=4, local_epochs=1, shuffle_seed=0)
-        pulled = sgd_epochs(params, cfg, tc, x, y, prox_mu=mu)
+        tc = TrainConfig(learning_rate=lr, batch_size=4, local_epochs=1)
+        pulled = sgd_epochs(params, cfg, tc, x, y, rng_from(0), prox_mu=mu)
         order = rng_from(0).permutation(8)
         w = ModelParams(params.rep_block.copy(), params.head_block.copy())
         for batch in (order[:4], order[4:]):
@@ -576,7 +576,7 @@ class TestSgd:
             step = grad.head_block + mu * (w.head_block - params.head_block)
             w.head_block = w.head_block - lr * step
         np.testing.assert_allclose(pulled.head_block, w.head_block, rtol=0, atol=1e-15)
-        plain = sgd_epochs(params, cfg, tc, x, y)
+        plain = sgd_epochs(params, cfg, tc, x, y, rng_from(0))
         assert not np.allclose(plain.head_block, pulled.head_block, rtol=0, atol=1e-9)
 
 
@@ -613,8 +613,8 @@ class TestEvaluate:
         train = generate_synthetic(10, 300, 32, 0.5, seed=1)
         test = generate_synthetic(10, 60, 32, 0.5, seed=2)
         cfg = ModelConfig(arch="linear_softmax", input_dim=32, num_classes=10, init_seed=0)
-        tc = TrainConfig(learning_rate=0.5, batch_size=64, local_epochs=20, shuffle_seed=4)
-        trained = sgd_epochs(init_model(cfg), cfg, tc, train.features, train.labels)
+        tc = TrainConfig(learning_rate=0.5, batch_size=64, local_epochs=20)
+        trained = sgd_epochs(init_model(cfg), cfg, tc, train.features, train.labels, rng_from(4))
         assert evaluate(trained, cfg, test).accuracy >= 0.95
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 600, 2000])

@@ -35,7 +35,7 @@ from fltbench.orchestrator import (
     sweep_table,
 )
 from fltbench.partition import PartitionSpec
-from fltbench.seeding import derive_seed
+from fltbench.seeding import derive_rng, derive_seed
 from conftest import run_configs
 
 # Critical value of the chi-square distribution, df=9, alpha=0.001.
@@ -84,11 +84,9 @@ class TestRunExperiment:
         )
         params = init_model(model_cfg)
         for round_idx in range(1, 4):
-            tc = TrainConfig(
-                learning_rate=0.2, batch_size=32, local_epochs=1,
-                shuffle_seed=derive_seed(config.master_seed, "local-train", round_idx, 0),
-            )
-            params = sgd_epochs(params, model_cfg, tc, x, y)
+            tc = TrainConfig(learning_rate=0.2, batch_size=32, local_epochs=1)
+            rng = derive_rng(config.master_seed, "local-train", round_idx, 0)
+            params = sgd_epochs(params, model_cfg, tc, x, y, rng)
         assert report.final_params.head_block.tobytes() == params.head_block.tobytes()
 
     def test_easy_fedavg_run_reaches_high_accuracy(self):
@@ -482,11 +480,14 @@ class TestSweep:
         assert _errors(outcomes) == [(cell, "not run") for cell in cells]
 
     def test_pool_broken_while_submitting_fails_every_cell(self, monkeypatch):
+        sizes = []
+
         class BreakingPool:
             """The first cell's worker dies at once; the broken pool then
             refuses every later submit, as ProcessPoolExecutor does."""
 
             def __init__(self, max_workers, initializer=None, initargs=()):
+                sizes.append(max_workers)
                 self.broken = False
 
             def __enter__(self):
@@ -509,11 +510,10 @@ class TestSweep:
         cells = [SweepCell(row="fedavg", col=f"s{i}", seed_index=0, config=_quick_config())
                  for i in range(3)]
         outcomes = run_sweep(cells, workers=2)
-        assert _errors(outcomes) == [
-            (cells[0], "BrokenProcessPool: worker died"),
-            (cells[1], "BrokenProcessPool: pool is broken"),
-            (cells[2], "BrokenProcessPool: pool is broken"),
-        ]
+        # Every cell the shared pool failed runs again in a one-worker pool
+        # of its own, where its worker dies too.
+        assert sizes == [2, 1, 1, 1]
+        assert _errors(outcomes) == [(cell, "BrokenProcessPool: worker died") for cell in cells]
 
     def test_table_csv_layout(self):
         config = _quick_config(rounds=1)

@@ -31,7 +31,7 @@ def _dataset_with_counts(counts):
 def _one_client_report(dataset):
     """Report of the partition that gives the whole dataset to one client."""
     spec = PartitionSpec(kind="iid", num_clients=1, min_shard_size=1)
-    return partition_report(build_partition(dataset, spec))
+    return partition_report(build_partition(dataset, spec, 0))
 
 
 class TestLocalDistribution:
@@ -60,7 +60,7 @@ class TestLocalDistribution:
         # samples each, so 0.08 is asserted.
         lt = shape_long_tailed(cifar_scale_ds, exponential_profile(5000, 10, 100), seed=0)
         report = partition_report(
-            build_partition(lt, PartitionSpec(kind="iid", num_clients=40, seed=0))
+            build_partition(lt, PartitionSpec(kind="iid", num_clients=40), 0)
         )
         local_probs = report.matrix / report.client_sizes[:, None]
         global_probs = report.global_counts / report.global_size
@@ -71,7 +71,7 @@ class TestGlobalDistribution:
     def test_two_mirror_shards(self):
         ds = _dataset_with_counts([100, 100])
         spec = PartitionSpec(kind="rotated_lt", num_clients=2, local_if=9.0)
-        report = partition_report(build_partition(ds, spec))
+        report = partition_report(build_partition(ds, spec, 0))
         assert report.matrix.tolist() == [[90, 10], [10, 90]]
         assert report.global_counts.tolist() == [100, 100]
         assert (report.global_counts / report.global_size).tolist() == [0.5, 0.5]
@@ -92,9 +92,8 @@ class TestGlobalDistribution:
     @settings(max_examples=30, deadline=None)
     def test_global_probs_equal_weighted_mean_of_locals(self, seed):
         ds = generate_synthetic(4, 30, 2, 0.5, seed=7)
-        spec = PartitionSpec(kind="dirichlet", num_clients=3, seed=seed, alpha=0.5,
-                             min_shard_size=1)
-        report = partition_report(build_partition(ds, spec))
+        spec = PartitionSpec(kind="dirichlet", num_clients=3, alpha=0.5, min_shard_size=1)
+        report = partition_report(build_partition(ds, spec, seed))
         local_probs = report.matrix / report.client_sizes[:, None]
         weighted = (report.client_sizes[:, None] * local_probs).sum(axis=0)
         weighted /= report.client_sizes.sum()
@@ -103,8 +102,7 @@ class TestGlobalDistribution:
 
     def test_global_counts_are_exact_sums(self):
         ds = generate_synthetic(3, 20, 2, 0.5, seed=3)
-        part = build_partition(ds, PartitionSpec(kind="iid", num_clients=4, seed=1,
-                                                 min_shard_size=1))
+        part = build_partition(ds, PartitionSpec(kind="iid", num_clients=4, min_shard_size=1), 1)
         summed = sum(np.bincount(ds.labels[s], minlength=3) for s in part.shards)
         np.testing.assert_array_equal(partition_report(part).global_counts, summed)
 
