@@ -9,8 +9,7 @@ The package exports the names of README's Python API example; everything
 else is reached through its submodule, such as fltbench.orchestrator.
 """
 
-from .datasets import generate_synthetic
-from .lt_shaping import exponential_profile, shape_long_tailed
+from .datasets import exponential_profile, generate_synthetic, shape_long_tailed
 from .partition import PartitionSpec, build_partition, partition_report
 
 __version__ = "0.1.0"

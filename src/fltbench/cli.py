@@ -16,6 +16,8 @@ from pathlib import Path
 from typing import Iterator
 
 from .config import (
+    ExperimentConfig,
+    SweepCell,
     experiment_config_to_dict,
     load_config_file,
     parse_experiment_config,
@@ -24,8 +26,8 @@ from .config import (
 )
 from .errors import ConfigError, FltbenchError
 from .nn import save_checkpoint
-from .orchestrator import (ExperimentConfig, SweepCell, prepare_partition, run_experiment,
-                           run_sweep, sweep_table)
+from .orchestrator import (SweepOutcome, prepare_partition, run_experiment, run_sweep,
+                           sweep_table)
 from .partition import partition_report
 
 DATA_DIR_ENV = "FLTB_DATA_DIR"
@@ -181,16 +183,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return EXIT_OK
     out = _prepare_outputs("sweep", args.out, [f"{name}.csv", "errors.txt"]
                            + [_cell_report_name(cell) for cell in cells])
-    outcomes = run_sweep(cells, workers=args.workers)
-    _write(out / f"{name}.csv", sweep_table(rows, cols, outcomes))
-    failures = []
-    for cell, report, error in outcomes:
-        if report is None:
-            where = f"cell ({cell.row}, {cell.col}) seed {cell.seed_index}"
-            failures.append(f"{where} failed: {error}\n")
-        else:
+
+    def write_report(outcome: SweepOutcome) -> None:
+        cell, report, _ = outcome
+        if report is not None:
             report_json = json.dumps(report.to_json_dict(), indent=2) + "\n"
             _write(out / _cell_report_name(cell), report_json)
+
+    # Each report is written as its cell ends, so an interrupted sweep keeps
+    # the cells it finished; the table and errors.txt come last.
+    outcomes = run_sweep(cells, workers=args.workers, on_outcome=write_report)
+    _write(out / f"{name}.csv", sweep_table(rows, cols, outcomes))
+    failures = [f"cell ({cell.row}, {cell.col}) seed {cell.seed_index} failed: {error}\n"
+                for cell, report, error in outcomes if report is None]
     _write(out / "errors.txt", "".join(failures))
     for line in failures:
         print(f"warning: {line}", end="", file=sys.stderr)

@@ -1,13 +1,16 @@
-"""Strict config-file schema for the CLI.
+"""The experiment's config objects and their strict config-file schema.
 
-Config documents are JSON with nested sections that map one-to-one onto
-ExperimentConfig: each dataclass-typed field is a section, and the remaining
-scalar fields form the run section. A section's keys are its dataclass's
-fields, with the same types and defaults, so every value rule lives in the
-dataclass that owns the field. Unknown keys are fatal: a typo in a
-hyperparameter name must never silently fall back to a default. All
-randomness flows from run.master_seed; sub-seeds are derived inside the
-orchestrator and never appear in config files.
+ExperimentConfig and its sections are the one record of what a run does:
+this module parses a document into one and the orchestrator runs it, so it
+imports nothing of the orchestrator. Config documents are JSON
+with nested sections that map one-to-one onto ExperimentConfig: each
+dataclass-typed field is a section, and the remaining scalar fields form the
+run section. A section's keys are its dataclass's fields, with the same
+types and defaults, so every value rule lives in the dataclass that owns the
+field. Unknown keys are fatal: a typo in a hyperparameter name must never
+silently fall back to a default. All randomness flows from run.master_seed;
+sub-seeds are derived inside the orchestrator and never appear in config
+files.
 """
 from __future__ import annotations
 
@@ -17,12 +20,108 @@ import json
 import math
 import sys
 import typing
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
+from .algorithms import ALGO_CREFF, AlgoConfig
+from .datasets import CIFAR_CLASSES, CIFAR_PIXELS, exponential_profile
 from .errors import ConfigError
-from .orchestrator import SOURCE_CIFAR10, ExperimentConfig, SweepCell
-from .partition import check_supply
+from .nn import TrainConfig, check_architecture
+from .partition import PartitionSpec, check_supply
+
+SOURCE_SYNTHETIC = "synthetic"
+SOURCE_CIFAR10 = "cifar10"
+
+
+def _check_floats(what: str, count: int) -> None:
+    # numpy raises ValueError, not MemoryError, for arrays of 2**63 bytes or
+    # more, so sizes that ask for one are config faults found at parse time.
+    if count >= 2**60:
+        raise ValueError(f"{what} would be {count} float64s, more than numpy can hold")
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    source: str
+    num_classes: int = 10
+    per_class: int = 500
+    test_per_class: int = 100
+    dim: int = 32
+    cluster_spread: float = 1.0
+    data_dir: str | None = None
+    lt_target_if: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.source not in (SOURCE_SYNTHETIC, SOURCE_CIFAR10):
+            raise ValueError(
+                f"source must be one of {SOURCE_SYNTHETIC}, {SOURCE_CIFAR10}, not {self.source!r}"
+            )
+        if self.num_classes < 2:
+            raise ValueError("num_classes must be >= 2")
+        if min(self.per_class, self.test_per_class, self.dim) < 1:
+            raise ValueError("per_class, test_per_class and dim must be >= 1")
+        if not 0.0 < self.cluster_spread < math.inf:
+            raise ValueError("cluster_spread must be positive and finite")
+        if self.lt_target_if is not None and not self.lt_target_if >= 1.0:
+            raise ValueError("lt_target_if must be >= 1")
+        if self.source == SOURCE_SYNTHETIC:
+            _check_floats("num_classes * max(per_class, test_per_class) * dim",
+                          self.num_classes * max(self.per_class, self.test_per_class) * self.dim)
+        self.synthetic_train_counts()  # rejects an unrealizable long-tail profile
+
+    def synthetic_train_counts(self) -> np.ndarray | None:
+        """Per-class train counts after long-tail shaping, for synthetic data.
+
+        Synthetic classes all hold per_class samples before shaping. None for
+        CIFAR-10, whose counts are known only once the files are read (see
+        orchestrator.build_data).
+        """
+        if self.source != SOURCE_SYNTHETIC:
+            return None
+        if self.lt_target_if is None:
+            return np.full(self.num_classes, self.per_class, dtype=np.int64)
+        return exponential_profile(self.per_class, self.num_classes, self.lt_target_if).counts
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """The model section of a config; input_dim and num_classes come from the data."""
+
+    arch: str
+    hidden_units: int | None = None
+
+    def __post_init__(self) -> None:
+        check_architecture(self.arch, self.hidden_units)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    data: DataConfig
+    partition: PartitionSpec
+    model: ModelSpec
+    train: TrainConfig
+    algo: AlgoConfig
+    eval_every: int = 10
+    client_holdout_fraction: float = 0.0
+    master_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
+        if not 0.0 <= self.client_holdout_fraction < 1.0:
+            raise ValueError("client_holdout_fraction must lie in [0, 1)")
+        cifar = self.data.source == SOURCE_CIFAR10
+        classes = CIFAR_CLASSES if cifar else self.data.num_classes
+        dim = CIFAR_PIXELS if cifar else self.data.dim
+        hidden = self.model.hidden_units
+        _check_floats("model.hidden_units weights", (hidden or 0) * max(dim, classes))
+        if self.algo.algorithm == ALGO_CREFF:
+            _check_floats("algo.ff_per_class prototypes",
+                          classes * self.algo.ff_per_class * max(hidden or dim, classes))
+
 
 _RUN = "run"
 
@@ -171,6 +270,14 @@ def deep_merge(base: dict, overrides: dict) -> dict:
 # ---------------------------------------------------------------------------
 # Sweep grids
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SweepCell:
+    row: str
+    col: str
+    seed_index: int
+    config: ExperimentConfig
+
 
 def slug(label: str) -> str:
     """The part of a sweep cell's report file name that names its setting."""

@@ -253,11 +253,12 @@ def loss_and_grad(
 
     Gradients come from explicit backprop through the affine/ReLU stack and
     are deterministic for fixed inputs. batch_x must hold finite float64
-    (B, input_dim) rows, or for mlp1h (B, input_dim + 1) rows whose last
-    column is 1 (see forward): callers validate them once per dataset or
-    shard, not once per batch. The function calls forward, then softmax on
-    the class-major logits in place, and the backward pass works in the
-    buffers of the products.
+    (B, input_dim) rows, and for mlp1h (B, input_dim + 1) rows whose last
+    column is 1, so the rep gradient, bias row included, is one product (see
+    forward): callers validate them once per dataset or shard, not once per
+    batch. The function calls forward, then softmax on the class-major
+    logits in place, and the backward pass works in the buffers of the
+    products.
 
     Without ``out`` the gradient goes to two fresh blocks. With ``out``,
     whose blocks must be C-contiguous float64 arrays of the block sizes, the
@@ -286,15 +287,9 @@ def loss_and_grad(
     np.matmul(delta, feats, out=grad_w2)
     delta.sum(axis=1, out=grad_b2)
     if config.arch == ARCH_MLP1H:
-        d = config.input_dim
         dpre = delta.T @ head_views(params.head_block, config.num_classes)[0]
         dpre *= feats > 0.0
-        grad_w1 = grad_rep.reshape(d + 1, config.hidden_units)
-        if batch_x.shape[-1] == d:
-            np.matmul(batch_x.T, dpre, out=grad_w1[:d])
-            dpre.sum(axis=0, out=grad_w1[d])
-        else:
-            np.matmul(batch_x.T, dpre, out=grad_w1)
+        np.matmul(batch_x.T, dpre, out=grad_rep.reshape(-1, config.hidden_units))
 
     if weight_decay != 0.0:
         if loss is not None:

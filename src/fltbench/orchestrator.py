@@ -26,7 +26,6 @@ from .algorithms import (
     ALGO_CREFF,
     ALGO_FEDPER,
     ALGO_FEDPROX,
-    AlgoConfig,
     ClientUpdate,
     CreffServer,
     aggregate_rep_only,
@@ -36,136 +35,32 @@ from .algorithms import (
     local_update_fedper,
     local_update_fedprox,
 )
+from .config import SOURCE_SYNTHETIC, ExperimentConfig, SweepCell, experiment_config_to_dict
 from .datasets import (
-    CIFAR_CLASSES,
-    CIFAR_PIXELS,
+    CIFAR_TEST_FILE,
+    CIFAR_TRAIN_FILES,
     Dataset,
     class_counts,
+    exponential_profile,
     generate_synthetic,
+    head_tail_groups,
     load_cifar10,
+    shape_long_tailed,
     stratified_split_indices,
 )
 from .errors import ConfigError, FltbenchError
-from .lt_shaping import exponential_profile, shape_long_tailed
 from .nn import (
     EVAL_BLOCK_ROWS,
     Metrics,
     ModelConfig,
     ModelParams,
-    TrainConfig,
-    check_architecture,
     evaluate,
     init_model,
     one_blas_thread,
     predict,
 )
-from .partition import (
-    Partition,
-    PartitionReport,
-    PartitionSpec,
-    build_partition,
-    partition_report,
-)
+from .partition import Partition, PartitionReport, build_partition, partition_report
 from .seeding import derive_rng, derive_seed, rng_from
-
-SOURCE_SYNTHETIC = "synthetic"
-SOURCE_CIFAR10 = "cifar10"
-
-CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
-CIFAR_TEST_FILE = "test_batch.bin"
-
-# Head/medium/tail cutoffs at the reference scale of 5000 train samples for
-# the largest class; scaled proportionally for smaller datasets.
-GROUP_HI_REFERENCE = 1000.0
-GROUP_LO_REFERENCE = 200.0
-GROUP_REFERENCE_MAX = 5000.0
-
-
-def _check_floats(what: str, count: int) -> None:
-    # numpy raises ValueError, not MemoryError, for arrays of 2**63 bytes or
-    # more, so sizes that ask for one are config faults found at parse time.
-    if count >= 2**60:
-        raise ValueError(f"{what} would be {count} float64s, more than numpy can hold")
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    source: str
-    num_classes: int = 10
-    per_class: int = 500
-    test_per_class: int = 100
-    dim: int = 32
-    cluster_spread: float = 1.0
-    data_dir: str | None = None
-    lt_target_if: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.source not in (SOURCE_SYNTHETIC, SOURCE_CIFAR10):
-            raise ValueError(
-                f"source must be one of {SOURCE_SYNTHETIC}, {SOURCE_CIFAR10}, not {self.source!r}"
-            )
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if min(self.per_class, self.test_per_class, self.dim) < 1:
-            raise ValueError("per_class, test_per_class and dim must be >= 1")
-        if not 0.0 < self.cluster_spread < math.inf:
-            raise ValueError("cluster_spread must be positive and finite")
-        if self.lt_target_if is not None and not self.lt_target_if >= 1.0:
-            raise ValueError("lt_target_if must be >= 1")
-        if self.source == SOURCE_SYNTHETIC:
-            _check_floats("num_classes * max(per_class, test_per_class) * dim",
-                          self.num_classes * max(self.per_class, self.test_per_class) * self.dim)
-        self.synthetic_train_counts()  # rejects an unrealizable long-tail profile
-
-    def synthetic_train_counts(self) -> np.ndarray | None:
-        """Per-class train counts after long-tail shaping, for synthetic data.
-
-        Synthetic classes all hold per_class samples before shaping. None for
-        CIFAR-10, whose counts are known only once the files are read (see
-        build_data).
-        """
-        if self.source != SOURCE_SYNTHETIC:
-            return None
-        if self.lt_target_if is None:
-            return np.full(self.num_classes, self.per_class, dtype=np.int64)
-        return exponential_profile(self.per_class, self.num_classes, self.lt_target_if).counts
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """The model section of a config; input_dim and num_classes come from the data."""
-
-    arch: str
-    hidden_units: int | None = None
-
-    def __post_init__(self) -> None:
-        check_architecture(self.arch, self.hidden_units)
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    data: DataConfig
-    partition: PartitionSpec
-    model: ModelSpec
-    train: TrainConfig
-    algo: AlgoConfig
-    eval_every: int = 10
-    client_holdout_fraction: float = 0.0
-    master_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if not 0.0 <= self.client_holdout_fraction < 1.0:
-            raise ValueError("client_holdout_fraction must lie in [0, 1)")
-        cifar = self.data.source == SOURCE_CIFAR10
-        classes = CIFAR_CLASSES if cifar else self.data.num_classes
-        dim = CIFAR_PIXELS if cifar else self.data.dim
-        hidden = self.model.hidden_units
-        _check_floats("model.hidden_units weights", (hidden or 0) * max(dim, classes))
-        if self.algo.algorithm == ALGO_CREFF:
-            _check_floats("algo.ff_per_class prototypes",
-                          classes * self.algo.ff_per_class * max(hidden or dim, classes))
 
 
 def build_data(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict]:
@@ -210,27 +105,6 @@ def build_data(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict]:
     info["discarded_by_shaping"] = info["train_size_before_shaping"] - info["train_size"]
     info["test_size"] = len(test)
     return train, test, info
-
-
-def head_tail_groups(train_global_counts: np.ndarray) -> dict[int, str]:
-    """Bucket classes by train count: > hi is head, < lo is tail, else medium.
-
-    The cutoffs hi/lo are 1000/200 at CIFAR scale (largest class 5000) and
-    scale proportionally with the largest observed class count.
-    """
-    counts = np.asarray(train_global_counts, dtype=np.int64)
-    scale = counts.max() / GROUP_REFERENCE_MAX
-    hi = GROUP_HI_REFERENCE * scale
-    lo = GROUP_LO_REFERENCE * scale
-    groups: dict[int, str] = {}
-    for cls, count in enumerate(counts):
-        if count > hi:
-            groups[cls] = "head"
-        elif count < lo:
-            groups[cls] = "tail"
-        else:
-            groups[cls] = "medium"
-    return groups
 
 
 def sample_clients(num_clients: int, fraction: float, seed: int) -> list[int]:
@@ -341,8 +215,6 @@ class ExperimentReport:
     federated_features: np.ndarray | None = field(repr=False, compare=False, default=None)
 
     def to_json_dict(self) -> dict:
-        from .config import experiment_config_to_dict
-
         return {
             "config": experiment_config_to_dict(self.config),
             "eval_points": [p.to_json_dict() for p in self.eval_points],
@@ -600,14 +472,6 @@ def prepare_partition(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict,
 # Sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepCell:
-    row: str
-    col: str
-    seed_index: int
-    config: ExperimentConfig
-
-
 SweepOutcome = tuple[SweepCell, ExperimentReport | None, str | None]
 
 
@@ -658,52 +522,75 @@ def _die_with_parent(parent: int) -> None:
             os._exit(1)
 
 
-def _pool_outcomes(cells: list[SweepCell], workers: int) -> list[SweepOutcome]:
-    """_run_cell of every cell on a pool of that many workers, in cell order.
+def _pool_outcomes(
+    cells: list[SweepCell], workers: int, on_outcome: Callable[[SweepOutcome], None]
+) -> list[SweepOutcome]:
+    """_run_cell of every cell on a pool of that many workers, in cell order;
+    on_outcome gets each cell's outcome as soon as it arrives.
 
     A worker that dies breaks the pool, which then fails every cell it had
     not finished with BrokenProcessPool. So each such cell runs once more,
     alone, in a fresh one-worker pool, and only a cell whose own pool breaks
     keeps that error.
     """
+    outcomes: list[SweepOutcome | None] = [None] * len(cells)
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_die_with_parent,
             initargs=(os.getpid(),)) as pool:
-        futures = [_submit(pool, cell) for cell in cells]
-    outcomes = []
-    for cell, future in zip(cells, futures):
-        try:
-            outcomes.append(future.result())
-        except concurrent.futures.BrokenExecutor as exc:  # BrokenProcessPool
-            if len(cells) == 1:
-                outcomes.append((cell, None, _one_line(exc)))
-            else:
-                outcomes += _pool_outcomes([cell], 1)
+        futures = {_submit(pool, cell): i for i, cell in enumerate(cells)}
+        for future in concurrent.futures.as_completed(futures):
+            i = futures[future]
+            try:
+                outcomes[i] = future.result()
+            except concurrent.futures.BrokenExecutor as exc:  # BrokenProcessPool
+                if len(cells) > 1:
+                    continue  # re-run below
+                outcomes[i] = (cells[i], None, _one_line(exc))
+            on_outcome(outcomes[i])
+    for i, outcome in enumerate(outcomes):
+        if outcome is None:
+            (outcomes[i],) = _pool_outcomes([cells[i]], 1, on_outcome)
     return outcomes
 
 
-def run_sweep(cells: list[SweepCell], workers: int = 1) -> list[SweepOutcome]:
+def run_sweep(
+    cells: list[SweepCell], workers: int = 1,
+    on_outcome: Callable[[SweepOutcome], None] = lambda outcome: None,
+) -> list[SweepOutcome]:
     """Run every cell, optionally on a process pool, and return each cell's
     (cell, report, None), or (cell, None, one-line error) if it failed, in
-    cell order. A failed cell does not stop the others, and a pool worker
-    that dies fails only its own cell, with a BrokenProcessPool error (see
-    _pool_outcomes). The reports carry no final_params or
-    federated_features."""
+    cell order. on_outcome is called in this process with each outcome as
+    soon as its cell ends, in the order the cells end, so a caller can keep
+    what a sweep finished before it was interrupted. A failed cell does not
+    stop the others, and a pool worker that dies fails only its own cell,
+    with a BrokenProcessPool error (see _pool_outcomes). The reports carry
+    no final_params or federated_features."""
     if workers > 1 and len(cells) > 1:
         # Forked workers inherit the one BLAS thread, so run_experiment never
         # has to set it there. The pool forks all its workers at once, so it
         # gets no more workers than cells.
         with one_blas_thread():
-            return _pool_outcomes(cells, min(workers, len(cells)))
-    return [_run_cell(c) for c in cells]
+            return _pool_outcomes(cells, min(workers, len(cells)), on_outcome)
+    outcomes = []
+    for cell in cells:
+        outcomes.append(_run_cell(cell))
+        on_outcome(outcomes[-1])
+    return outcomes
 
 
 def sweep_table(rows: list[str], cols: list[str], outcomes: list[SweepOutcome]) -> str:
     """The sweep table as CSV, a line per row (algorithm) and a column per
-    setting. A cell is its seeds' mean best accuracy, or ERROR if any failed."""
+    setting. A cell is the mean over its seeds of each report's
+    best_personalized_mean, or its best_accuracy when it has none (every
+    algorithm but FedPer, and FedPer without client holdouts), or ERROR if
+    any seed failed."""
     accs: dict[tuple[str, str], list[float | None]] = {}
     for cell, report, _ in outcomes:
-        acc = None if report is None else report.best_accuracy
+        acc = None
+        if report is not None:
+            acc = report.best_personalized_mean
+            if acc is None:
+                acc = report.best_accuracy
         accs.setdefault((cell.row, cell.col), []).append(acc)
     lines = ["algorithm," + ",".join(cols)]
     for row in rows:

@@ -26,9 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .datasets import Dataset, class_counts, deal_by_class
+from .datasets import (Dataset, LtProfile, class_counts, deal_by_class, exponential_profile,
+                       profile_counts)
 from .errors import ConfigError
-from .lt_shaping import LtProfile, exponential_profile, profile_counts
 from .seeding import derive_rng, rng_from
 
 KIND_IID = "iid"

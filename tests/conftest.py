@@ -6,7 +6,8 @@ import pytest
 
 from fltbench.datasets import generate_synthetic
 from fltbench.nn import ModelConfig, ModelParams
-from fltbench.orchestrator import SweepCell, run_sweep
+from fltbench.config import SweepCell
+from fltbench.orchestrator import run_sweep
 
 _CRITERION_PATTERN = re.compile(r"test_criterion_(\d+)_(\w+)")
 
@@ -39,6 +40,15 @@ def split_vector(config: ModelConfig, vec: np.ndarray) -> ModelParams:
     if vec.shape != (config.rep_size + config.head_size,):
         raise ValueError("vector length does not match the architecture")
     return ModelParams(vec[: config.rep_size].copy(), vec[config.rep_size :].copy())
+
+
+def with_ones(config: ModelConfig, x: np.ndarray) -> np.ndarray:
+    """Rows as loss_and_grad takes them: x with a trailing ones column for
+    mlp1h, whose rep block carries the bias as its last row; x itself for
+    linear_softmax."""
+    if config.hidden_units is None:
+        return x
+    return np.hstack([x, np.ones((x.shape[0], 1))])
 
 
 def run_configs(configs):

@@ -12,27 +12,22 @@ import pytest
 
 from fltbench.algorithms import AlgoConfig
 from fltbench.cli import main as cli_main
-from fltbench.datasets import generate_synthetic
-from fltbench.lt_shaping import exponential_profile, shape_long_tailed
+from fltbench.config import DataConfig, ExperimentConfig, ModelSpec
+from fltbench.datasets import exponential_profile, generate_synthetic, shape_long_tailed
 from fltbench.nn import (
     ModelConfig,
     TrainConfig,
     init_model,
     loss_and_grad,
 )
-from fltbench.orchestrator import (
-    DataConfig,
-    ExperimentConfig,
-    ModelSpec,
-    run_experiment,
-)
+from fltbench.orchestrator import run_experiment
 from fltbench.partition import (
     PartitionSpec,
     build_partition,
     partition_report,
 )
 from fltbench.seeding import rng_from
-from conftest import as_vector, run_configs, split_vector
+from conftest import as_vector, run_configs, split_vector, with_ones
 from test_nn import fd_safe_batch
 
 
@@ -128,7 +123,7 @@ def test_criterion_04_fedavg_centralized_equivalence():
         tc = TrainConfig(learning_rate=lr, batch_size=12, local_epochs=1)
         updates.append(local_update_fedavg(params, cfg, sx, sy, tc, rng_from(k), client_id=k))
     agg = aggregate_weighted(updates)
-    _, grad = loss_and_grad(params, cfg, x, y)
+    _, grad = loss_and_grad(params, cfg, with_ones(cfg, x), y)
     expected = np.concatenate(
         [params.rep_block - lr * grad.rep_block, params.head_block - lr * grad.head_block]
     )

@@ -34,7 +34,7 @@ from fltbench.nn import (
 )
 from fltbench.seeding import rng_from
 
-from conftest import as_vector, split_vector
+from conftest import as_vector, split_vector, with_ones
 
 
 def _update(client_id, rep, head, n_k):
@@ -139,7 +139,7 @@ class TestFedAvg:
             tc = TrainConfig(learning_rate=lr, batch_size=10, local_epochs=1)
             updates.append(local_update_fedavg(params, cfg, sx, sy, tc, rng_from(k), client_id=k))
         agg = aggregate_weighted(updates)
-        _, grad = loss_and_grad(params, cfg, x, y)
+        _, grad = loss_and_grad(params, cfg, with_ones(cfg, x), y)
         expect_rep = params.rep_block - lr * grad.rep_block
         expect_head = params.head_block - lr * grad.head_block
         np.testing.assert_allclose(agg.rep_block, expect_rep, rtol=1e-6)
@@ -270,7 +270,7 @@ class TestCreffClientGrads:
         total = np.zeros(cfg.head_size)
         for cls in np.unique(y):
             total += (y == cls).sum() * grads[cls]
-        _, full = loss_and_grad(params, cfg, x, y)
+        _, full = loss_and_grad(params, cfg, with_ones(cfg, x), y)
         np.testing.assert_allclose(total, 30 * full.head_block, atol=1e-12)
 
     @pytest.mark.parametrize("arch,hidden", [("linear_softmax", None), ("mlp1h", 12)])
@@ -282,7 +282,7 @@ class TestCreffClientGrads:
         y = rng.integers(0, 4, 50)
         grads = creff_client_head_grads(params, cfg, x, y)
         for cls in np.unique(y):
-            _, full = loss_and_grad(params, cfg, x[y == cls], y[y == cls])
+            _, full = loss_and_grad(params, cfg, with_ones(cfg, x[y == cls]), y[y == cls])
             np.testing.assert_array_equal(grads[cls], full.head_block)
 
     def test_shard_longer_than_an_eval_block(self, rng):
@@ -299,7 +299,7 @@ class TestCreffClientGrads:
         grads = creff_client_head_grads(params, cfg, x, y)
         assert np.isnan(grads[3]).all()
         for cls in (0, 1, 2, 4, 5):
-            _, full = loss_and_grad(params, cfg, x[y == cls], y[y == cls])
+            _, full = loss_and_grad(params, cfg, with_ones(cfg, x[y == cls]), y[y == cls])
             np.testing.assert_allclose(grads[cls], full.head_block, rtol=1e-12)
 
     @pytest.mark.parametrize("arch,hidden", [("linear_softmax", None), ("mlp1h", 200)])
@@ -336,7 +336,7 @@ class TestCreffClientGrads:
         assert passes == [200, 100, EVAL_BLOCK_ROWS + 44]
         assert np.isnan(grads[4]).all()
         for cls in range(4):
-            _, full = loss_and_grad(params, cfg, x[y == cls], y[y == cls])
+            _, full = loss_and_grad(params, cfg, with_ones(cfg, x[y == cls]), y[y == cls])
             np.testing.assert_allclose(grads[cls], full.head_block, rtol=1e-12)
 
 

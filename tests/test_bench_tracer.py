@@ -10,8 +10,8 @@ import pytest
 
 import fltbench.orchestrator
 from fltbench.algorithms import ALGORITHMS, AlgoConfig
+from fltbench.config import DataConfig, ExperimentConfig, ModelSpec
 from fltbench.nn import TrainConfig
-from fltbench.orchestrator import DataConfig, ExperimentConfig, ModelSpec
 from fltbench.partition import PartitionSpec
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"

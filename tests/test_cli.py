@@ -1,6 +1,7 @@
 """CLI contract: exit codes, emitted files, determinism, config round-trip."""
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -537,6 +538,53 @@ class TestSweepCommand:
         cells = list((out / "cells").glob("*.report.json"))
         assert len(cells) == 4
         assert (out / "errors.txt").read_text() == ""
+
+    def test_cell_holds_personalized_accuracy_where_the_report_has_it(self, tmp_path):
+        doc = _grid_doc(rounds=2)
+        doc["algorithms"] = ["fedavg", "fedper"]
+        doc["base"]["run"]["client_holdout_fraction"] = 0.2
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+        table = [line.split(",") for line in (out / "smoke_table.csv").read_text().split()]
+        assert table[0] == ["algorithm", "iid", "dir05"]
+        for row in table[1:]:
+            for col, value in zip(table[0][1:], row[1:]):
+                report = json.loads(
+                    (out / "cells" / f"{row[0]}__{col}__seed0.report.json").read_text())
+                best, personalized = report["best_accuracy"], report["best_personalized_mean"]
+                if row[0] == "fedavg":
+                    assert personalized is None and value == f"{best:.4f}"
+                else:  # FedPer never trains the global head it would score
+                    assert value == f"{personalized:.4f}" != f"{best:.4f}"
+
+    def test_interrupted_sweep_keeps_the_reports_of_finished_cells(self, tmp_path, monkeypatch):
+        config = _write_config(tmp_path, _grid_doc(rounds=1))
+        whole = tmp_path / "whole"
+        assert main(["sweep", "--config", config, "--out", str(whole), "--workers", "1"]) == 0
+        original = fltbench.orchestrator.run_experiment
+        calls = []
+
+        def interrupted_in_last_cell(cell_config):
+            calls.append(cell_config)
+            if len(calls) == 4:
+                raise KeyboardInterrupt
+            return original(cell_config)
+
+        monkeypatch.setattr("fltbench.orchestrator.run_experiment", interrupted_in_last_cell)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--config", config, "--out", str(out), "--workers", "1"])
+
+        def reports(root):
+            return {p.name: re.sub(rb'"wall_clock_sec": [^,\n]*', b"", p.read_bytes())
+                    for p in (root / "cells").glob("*.report.json")}
+
+        finished = reports(out)
+        # Cells run setting by setting, so the last one is (fedprox, dir05).
+        assert sorted(finished) == sorted(set(reports(whole)) - {
+            "fedprox__dir05__seed0.report.json"})
+        assert finished == {name: reports(whole)[name] for name in finished}
+        assert sorted(p.name for p in out.iterdir()) == ["cells"]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_errors_file_names_the_one_failing_cell(self, tmp_path, capsys, workers):

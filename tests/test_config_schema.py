@@ -10,10 +10,13 @@ import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fltbench
 from fltbench.cli import main
 from fltbench.config import experiment_config_to_dict, parse_experiment_config
 from fltbench.errors import ConfigError
@@ -175,3 +178,15 @@ def test_example_config_passes_dry_run(path, monkeypatch, tmp_path):
 
 def test_example_configs_are_found():
     assert EXAMPLES
+
+
+def test_config_module_does_not_import_the_orchestrator():
+    """The config objects and their parser sit below the round loop: a fresh
+    interpreter that imports fltbench.config never loads the orchestrator."""
+    src = str(Path(fltbench.__file__).resolve().parent.parent)
+    code = "import json, sys, fltbench.config; print(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=src, timeout=60, check=True)
+    loaded = json.loads(done.stdout)
+    assert "fltbench.config" in loaded
+    assert "fltbench.orchestrator" not in loaded and "fltbench.cli" not in loaded

@@ -2,9 +2,15 @@
 import numpy as np
 import pytest
 
-from fltbench.datasets import Dataset, class_counts, generate_synthetic
+from fltbench.datasets import (
+    Dataset,
+    LtProfile,
+    class_counts,
+    exponential_profile,
+    generate_synthetic,
+    shape_long_tailed,
+)
 from fltbench.errors import ConfigError
-from fltbench.lt_shaping import LtProfile, exponential_profile, shape_long_tailed
 from fltbench.partition import PartitionSpec, build_partition
 from fltbench.seeding import rng_from
 

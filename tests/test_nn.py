@@ -24,7 +24,7 @@ from fltbench.nn import (
 )
 from fltbench.seeding import rng_from
 
-from conftest import as_vector, split_vector
+from conftest import as_vector, split_vector, with_ones
 
 
 def finite_difference_grad(params, cfg, x, y, weight_decay=0.0, eps=1e-5):
@@ -42,18 +42,18 @@ def finite_difference_grad(params, cfg, x, y, weight_decay=0.0, eps=1e-5):
 
 
 def fd_safe_batch(params, cfg, rng, n, margin=1e-3):
-    """Draw a batch whose hidden pre-activations stay clear of the ReLU kink.
+    """Draw a batch whose hidden pre-activations stay clear of the ReLU kink,
+    as loss_and_grad takes it (see with_ones).
 
     Central differences are only valid where the loss is locally smooth, so
     probe points within the finite-difference step of a kink are rejected.
     """
     for _ in range(100):
-        x = rng.standard_normal((n, cfg.input_dim))
+        x = with_ones(cfg, rng.standard_normal((n, cfg.input_dim)))
         y = rng.integers(0, cfg.num_classes, n)
         if cfg.hidden_units is None:
             return x, y
-        w1 = params.rep_block.reshape(cfg.input_dim + 1, cfg.hidden_units)
-        pre = x @ w1[:-1] + w1[-1]
+        pre = x @ params.rep_block.reshape(cfg.input_dim + 1, cfg.hidden_units)
         if np.min(np.abs(pre)) > margin:
             return x, y
     raise AssertionError("could not find a kink-free batch")
@@ -69,22 +69,18 @@ def _softmax_reference(z):
 def _loss_and_grad_reference(params, cfg, batch_x, batch_y, weight_decay=0.0):
     """loss_and_grad written with fresh arrays for every intermediate and
     np.concatenate for the gradient blocks: the rep block is the (d+1, h)
-    matrix [W1^T; b1], the logits are class-major (M, B), and rows with a
-    trailing ones column take the bias through the products. The exactness
-    reference."""
+    matrix [W1^T; b1], the logits are class-major (M, B), and mlp1h rows
+    carry a trailing ones column, so the bias comes through the products.
+    The exactness reference."""
     x = np.asarray(batch_x, dtype=np.float64)
     y = np.asarray(batch_y, dtype=np.int64)
     f, m = cfg.feature_dim, cfg.num_classes
     w2 = params.head_block[: m * f].reshape(m, f)
     b2 = params.head_block[m * f :]
-    ones = False
     if cfg.hidden_units is None:
         pre, feats = None, x
     else:
-        d = cfg.input_dim
-        w1 = params.rep_block.reshape(d + 1, cfg.hidden_units)
-        ones = x.shape[1] == d + 1
-        pre = x @ w1 if ones else x @ w1[:d] + w1[d]
+        pre = x @ params.rep_block.reshape(cfg.input_dim + 1, cfg.hidden_units)
         feats = np.maximum(pre, 0.0)
     logits = w2 @ feats.T + b2[:, None]
     n = y.shape[0]
@@ -97,9 +93,7 @@ def _loss_and_grad_reference(params, cfg, batch_x, batch_y, weight_decay=0.0):
     if pre is None:
         grad_rep = np.empty(0, dtype=np.float64)
     else:
-        dpre = (delta.T @ w2) * (pre > 0.0)
-        grad_w1 = (x.T @ dpre).ravel()
-        grad_rep = grad_w1 if ones else np.concatenate([grad_w1, dpre.sum(axis=0)])
+        grad_rep = (x.T @ ((delta.T @ w2) * (pre > 0.0))).ravel()
     if weight_decay != 0.0:
         loss += 0.5 * weight_decay * (
             float(params.rep_block @ params.rep_block)
@@ -118,9 +112,7 @@ def _sgd_reference(params, cfg, tc, shard_x, shard_y, seed, prox_mu=0.0):
     n = shard_y.shape[0]
     for _ in range(tc.local_epochs):
         order = rng.permutation(n)
-        xs = shard_x[order]
-        if cfg.hidden_units is not None:
-            xs = np.hstack([xs, np.ones((n, 1))])
+        xs = with_ones(cfg, shard_x[order])
         for start in range(0, n, tc.batch_size):
             batch = slice(start, start + tc.batch_size)
             _, grad = _loss_and_grad_reference(
@@ -339,7 +331,7 @@ class TestLossAndGrad:
     def test_duplicated_batch_leaves_loss_and_grad_unchanged(self, rng):
         cfg = ModelConfig(arch="mlp1h", input_dim=4, num_classes=3, init_seed=1, hidden_units=5)
         params = init_model(cfg)
-        x = rng.standard_normal((7, 4))
+        x = with_ones(cfg, rng.standard_normal((7, 4)))
         y = rng.integers(0, 3, 7)
         loss1, g1 = loss_and_grad(params, cfg, x, y, 0.01)
         loss2, g2 = loss_and_grad(params, cfg, np.tile(x, (2, 1)), np.tile(y, 2), 0.01)
@@ -350,7 +342,7 @@ class TestLossAndGrad:
     def test_batch_permutation_invariance(self, rng):
         cfg = ModelConfig(arch="mlp1h", input_dim=4, num_classes=3, init_seed=2, hidden_units=5)
         params = init_model(cfg)
-        x = rng.standard_normal((9, 4))
+        x = with_ones(cfg, rng.standard_normal((9, 4)))
         y = rng.integers(0, 3, 9)
         perm = rng.permutation(9)
         loss1, g1 = loss_and_grad(params, cfg, x, y)
@@ -379,30 +371,36 @@ class TestLossAndGrad:
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
     @pytest.mark.parametrize("n", [64, 23])
     def test_bitwise_equal_to_reference(self, rng, arch, hidden, weight_decay, n):
-        self._check_bitwise(rng, arch, hidden, weight_decay, n, ones=False)
-
-    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
-    @pytest.mark.parametrize("n", [64, 23])
-    def test_ones_column_bitwise_equal_to_reference(self, rng, weight_decay, n):
-        # The rows local SGD passes: the bias comes through the products.
-        self._check_bitwise(rng, "mlp1h", 200, weight_decay, n, ones=True)
-
-    @staticmethod
-    def _check_bitwise(rng, arch, hidden, weight_decay, n, ones):
-        cfg = ModelConfig(arch=arch, input_dim=5, num_classes=10, init_seed=3,
-                          hidden_units=hidden)
-        params = init_model(cfg)
-        params.rep_block += 0.01 * rng.standard_normal(params.rep_block.shape)
-        params.head_block += 0.01 * rng.standard_normal(params.head_block.shape)
-        x = 3.0 * rng.standard_normal((n, 5))
-        if ones:
-            x = np.hstack([x, np.ones((n, 1))])
-        y = rng.integers(0, 10, n)
+        cfg, params, x, y = self._bench_batch(rng, arch, hidden, n)
         loss, grad = loss_and_grad(params, cfg, x, y, weight_decay)
         ref_loss, ref = _loss_and_grad_reference(params, cfg, x, y, weight_decay)
         assert loss == ref_loss
         np.testing.assert_array_equal(grad.head_block, ref.head_block)
         np.testing.assert_array_equal(grad.rep_block, ref.rep_block)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    @pytest.mark.parametrize("n", [64, 23])
+    def test_ones_column_bitwise_equal_to_reference(self, rng, weight_decay, n):
+        # The call local SGD makes: rows that are a slice of one buffer with a
+        # ones column, and the gradient written into views of one buffer.
+        cfg, params, x, y = self._bench_batch(rng, "mlp1h", 200, n)
+        xs = np.ones((n + 7, 6))
+        xs[:n, :5] = x[:, :5]
+        buffer = np.full(cfg.rep_size + cfg.head_size, np.nan)
+        out = ModelParams(buffer[: cfg.rep_size], buffer[cfg.rep_size :])
+        loss_and_grad(params, cfg, xs[:n], y, weight_decay, out=out)
+        _, ref = _loss_and_grad_reference(params, cfg, x, y, weight_decay)
+        assert buffer.tobytes() == ref.rep_block.tobytes() + ref.head_block.tobytes()
+
+    @staticmethod
+    def _bench_batch(rng, arch, hidden, n):
+        cfg = ModelConfig(arch=arch, input_dim=5, num_classes=10, init_seed=3,
+                          hidden_units=hidden)
+        params = init_model(cfg)
+        params.rep_block += 0.01 * rng.standard_normal(params.rep_block.shape)
+        params.head_block += 0.01 * rng.standard_normal(params.head_block.shape)
+        x = with_ones(cfg, 3.0 * rng.standard_normal((n, 5)))
+        return cfg, params, x, rng.integers(0, 10, n)
 
     @pytest.mark.parametrize("arch,hidden", BENCH_ARCHS)
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
@@ -411,7 +409,7 @@ class TestLossAndGrad:
                           hidden_units=hidden)
         params = init_model(cfg)
         params.head_block += 0.01 * rng.standard_normal(params.head_block.shape)
-        x = 3.0 * rng.standard_normal((64, 5))
+        x = with_ones(cfg, 3.0 * rng.standard_normal((64, 5)))
         y = rng.integers(0, 10, 64)
         _, ref = loss_and_grad(params, cfg, x, y, weight_decay)
         # Views into one buffer, as sgd_epochs passes them; NaN shows any

@@ -9,7 +9,8 @@ import pytest
 import fltbench.nn
 import fltbench.orchestrator
 from fltbench.algorithms import AlgoConfig
-from fltbench.datasets import generate_synthetic, subset
+from fltbench.config import DataConfig, ExperimentConfig, ModelSpec, SweepCell
+from fltbench.datasets import generate_synthetic, head_tail_groups, subset
 from fltbench.errors import ConfigError
 from fltbench.nn import (
     EVAL_BLOCK_ROWS,
@@ -20,14 +21,9 @@ from fltbench.nn import (
     sgd_epochs,
 )
 from fltbench.orchestrator import (
-    DataConfig,
-    ExperimentConfig,
-    ModelSpec,
-    SweepCell,
     _holdout_stacks,
     _split_client_shards,
     build_data,
-    head_tail_groups,
     prepare_partition,
     run_experiment,
     run_sweep,
@@ -544,7 +540,8 @@ class TestSweep:
         # No run: the outcomes are built by hand.
         cells = [SweepCell(row="fedavg", col=c, seed_index=i, config=None)
                  for c in ("a", "b") for i in range(2)]
-        reports = [SimpleNamespace(best_accuracy=acc) for acc in (0.5, 0.25, 0.75)]
+        reports = [SimpleNamespace(best_accuracy=acc, best_personalized_mean=None)
+                   for acc in (0.5, 0.25, 0.75)]
         outcomes = [
             (cells[0], reports[0], None),
             (cells[1], None, "ValueError: seed 1 failed"),

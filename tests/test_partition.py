@@ -5,9 +5,13 @@ import numpy as np
 import pytest
 
 import fltbench.partition
-from fltbench.datasets import class_counts, generate_synthetic
+from fltbench.datasets import (
+    class_counts,
+    exponential_profile,
+    generate_synthetic,
+    shape_long_tailed,
+)
 from fltbench.errors import ConfigError
-from fltbench.lt_shaping import exponential_profile, shape_long_tailed
 from fltbench.partition import (
     PartitionSpec,
     _finish,

@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fltbench.datasets import Dataset, generate_synthetic
+from fltbench.datasets import Dataset, exponential_profile, generate_synthetic, shape_long_tailed
 from fltbench.errors import ConfigError
-from fltbench.lt_shaping import exponential_profile, shape_long_tailed
 from fltbench.partition import (
     PartitionSpec,
     build_partition,
