@@ -119,63 +119,45 @@ def sample_clients(num_clients: int, fraction: float, seed: int) -> list[int]:
     return sorted(int(k) for k in rng.choice(num_clients, size=count, replace=False))
 
 
-def _split_client_shards(
+# A stack of client holdouts of equal row count, classified in one pass:
+# (client ids (G,), features (G, n, input_dim), labels (G, n)).
+_Holdouts = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _client_holdouts(
     train: Dataset, partition: Partition, fraction: float, master_seed: int
-) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
+) -> tuple[list[np.ndarray], _Holdouts | None]:
     """Hold out a stratified slice of every client shard for evaluation.
 
-    Returns the train and holdout index arrays, position k for client k. A
+    Returns the train index arrays, position k for client k, and the
+    non-empty holdouts stacked by row count, at most EVAL_BLOCK_ROWS rows a
+    stack (a holdout longer than that forms a stack of its own). A
     single-sample class stays on the train side; every class with two or
     more samples contributes a holdout sample.
     """
     if fraction == 0.0:
         return list(partition.shards), None
     train_shards: list[np.ndarray] = []
-    test_shards: list[np.ndarray] = []
+    by_rows: dict[int, list[tuple[int, np.ndarray]]] = {}
     for k, shard in enumerate(partition.shards):
         rng = derive_rng(master_seed, "client-holdout", k)
         tr_pos, te_pos = stratified_split_indices(
             train.labels[shard], train.num_classes, fraction, rng
         )
         train_shards.append(shard[tr_pos])
-        test_shards.append(shard[te_pos])
-        if np.intersect1d(train_shards[-1], test_shards[-1]).size:
+        held = shard[te_pos]
+        if np.intersect1d(train_shards[-1], held).size:
             raise AssertionError(f"client {k} evaluation indices leaked into training")
-    return train_shards, test_shards
-
-
-@dataclass(frozen=True)
-class _HoldoutStack:
-    """Client holdouts of equal row count, classified in one stacked pass.
-
-    positions index the client shards, position k for client k, so they
-    are the clients' ids.
-    """
-
-    positions: np.ndarray  # (G,)
-    features: np.ndarray  # (G, n, input_dim)
-    labels: np.ndarray  # (G, n)
-
-
-def _holdout_stacks(train: Dataset, shards: list[np.ndarray]) -> list[_HoldoutStack]:
-    """Stack the non-empty holdouts by row count, at most EVAL_BLOCK_ROWS rows
-    a stack (a holdout longer than that forms a stack of its own)."""
-    by_rows: dict[int, list[int]] = {}
-    for pos, shard in enumerate(shards):
-        if len(shard):
-            by_rows.setdefault(len(shard), []).append(pos)
+        if held.size:
+            by_rows.setdefault(held.size, []).append((k, held))
     stacks = []
-    for n, positions in sorted(by_rows.items()):
+    for n, clients in sorted(by_rows.items()):
         per_stack = max(1, EVAL_BLOCK_ROWS // n)
-        for lo in range(0, len(positions), per_stack):
-            chunk = positions[lo : lo + per_stack]
-            idx = np.stack([shards[p] for p in chunk])
-            stacks.append(_HoldoutStack(
-                positions=np.array(chunk),
-                features=train.features[idx],
-                labels=train.labels[idx],
-            ))
-    return stacks
+        for lo in range(0, len(clients), per_stack):
+            ids, indices = zip(*clients[lo : lo + per_stack])
+            idx = np.stack(indices)
+            stacks.append((np.array(ids), train.features[idx], train.labels[idx]))
+    return train_shards, stacks
 
 
 @dataclass(frozen=True)
@@ -322,17 +304,17 @@ def _algorithm(
 
 def _holdout_accuracies(
     model_config: ModelConfig, rep_block: np.ndarray, heads: np.ndarray,
-    holdouts: list[_HoldoutStack], num_clients: int,
+    holdouts: _Holdouts, num_clients: int,
 ) -> tuple[float | None, list[float | None]]:
     """Score every client holdout under the shared rep_block and heads: one
     (head_size,) head block for every client, or FedPer's (num_clients,
     head_size) heads, row k for client k. Returns the mean over the clients
     with a holdout, and the per-client list with None for an empty holdout."""
     acc = np.full(num_clients, np.nan)  # NaN: empty holdout
-    for stack in holdouts:
-        head = heads if heads.ndim == 1 else heads[stack.positions]
-        preds = predict(ModelParams(rep_block, head), model_config, stack.features)
-        acc[stack.positions] = (preds == stack.labels).mean(axis=1)
+    for ids, features, labels in holdouts:
+        head = heads if heads.ndim == 1 else heads[ids]
+        preds = predict(ModelParams(rep_block, head), model_config, features)
+        acc[ids] = (preds == labels).mean(axis=1)
     held = acc[~np.isnan(acc)]
     mean = float(np.mean(held)) if held.size else None
     return mean, [None if math.isnan(a) else a for a in acc.tolist()]
@@ -341,7 +323,7 @@ def _holdout_accuracies(
 def _evaluate_point(
     config: ExperimentConfig, model_config: ModelConfig, round_idx: int, params: ModelParams,
     heads: np.ndarray | None, test: Dataset, groups: dict[int, str],
-    holdouts: list[_HoldoutStack] | None,
+    holdouts: _Holdouts | None,
 ) -> EvalPoint:
     """Given FedPer's heads, also scores each client's personal model."""
     global_metrics = evaluate(params, model_config, test, groups)
@@ -388,12 +370,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     start = time.perf_counter()
     train, test, data_info, partition = prepare_partition(config)
-    train_shards, client_test_shards = _split_client_shards(
+    train_shards, holdouts = _client_holdouts(
         train, partition, config.client_holdout_fraction, config.master_seed
     )
-    holdouts = None
-    if client_test_shards is not None:
-        holdouts = _holdout_stacks(train, client_test_shards)  # built once per run
 
     model_config = ModelConfig(
         arch=config.model.arch,
@@ -538,15 +517,20 @@ def _pool_outcomes(
             max_workers=workers, initializer=_die_with_parent,
             initargs=(os.getpid(),)) as pool:
         futures = {_submit(pool, cell): i for i, cell in enumerate(cells)}
-        for future in concurrent.futures.as_completed(futures):
-            i = futures[future]
-            try:
-                outcomes[i] = future.result()
-            except concurrent.futures.BrokenExecutor as exc:  # BrokenProcessPool
-                if len(cells) > 1:
-                    continue  # re-run below
-                outcomes[i] = (cells[i], None, _one_line(exc))
-            on_outcome(outcomes[i])
+        try:
+            for future in concurrent.futures.as_completed(futures):
+                i = futures[future]
+                try:
+                    outcomes[i] = future.result()
+                except concurrent.futures.BrokenExecutor as exc:  # BrokenProcessPool
+                    if len(cells) > 1:
+                        continue  # re-run below
+                    outcomes[i] = (cells[i], None, _one_line(exc))
+                on_outcome(outcomes[i])
+        except BaseException:
+            # Leaving the with block would wait for every queued cell to run.
+            pool.shutdown(cancel_futures=True)
+            raise
     for i, outcome in enumerate(outcomes):
         if outcome is None:
             (outcomes[i],) = _pool_outcomes([cells[i]], 1, on_outcome)
@@ -561,10 +545,13 @@ def run_sweep(
     (cell, report, None), or (cell, None, one-line error) if it failed, in
     cell order. on_outcome is called in this process with each outcome as
     soon as its cell ends, in the order the cells end, so a caller can keep
-    what a sweep finished before it was interrupted. A failed cell does not
-    stop the others, and a pool worker that dies fails only its own cell,
-    with a BrokenProcessPool error (see _pool_outcomes). The reports carry
-    no final_params or federated_features."""
+    what a sweep finished before it was interrupted. No queued cell starts
+    after an interruption (a KeyboardInterrupt, or an exception raised by
+    on_outcome): the exception propagates once the cells already handed to
+    pool workers have ended, and their outcomes are dropped. A failed cell
+    does not stop the others, and a pool worker that dies fails only its
+    own cell, with a BrokenProcessPool error (see _pool_outcomes). The
+    reports carry no final_params or federated_features."""
     if workers > 1 and len(cells) > 1:
         # Forked workers inherit the one BLAS thread, so run_experiment never
         # has to set it there. The pool forks all its workers at once, so it

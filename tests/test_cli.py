@@ -586,6 +586,44 @@ class TestSweepCommand:
         assert finished == {name: reports(whole)[name] for name in finished}
         assert sorted(p.name for p in out.iterdir()) == ["cells"]
 
+        # At --workers 2 the third of 16 cells interrupts the sweep from its
+        # worker once the first two reports are on disk. Every other cell
+        # first sleeps 0.4 s, so when the sweep takes the interrupt the pool
+        # has handed out at most 8 cells: the three that ended, two more on
+        # the workers and three in the pool's call queue. No other may start.
+        doc = _grid_doc(rounds=1, seeds=[0, 1, 2, 3])
+        config = _write_config(tmp_path, doc, "seeds.json")
+        whole = tmp_path / "whole_seeds"
+        assert main(["sweep", "--config", config, "--out", str(whole), "--workers", "1"]) == 0
+        _, cells, _, _ = parse_grid_config(
+            doc, env_data_dir=os.environ.get(fltbench.cli.DATA_DIR_ENV))
+        out = tmp_path / "out_workers2"
+        first_two = [out / fltbench.cli._cell_report_name(cell) for cell in cells[:2]]
+        started = tmp_path / "started"
+
+        def interrupted_by_the_third_cell(cell_config):
+            i = [cell.config for cell in cells].index(cell_config)
+            with open(started, "a") as fh:
+                fh.write(f"{i}\n")
+            if i == 2:
+                deadline = time.monotonic() + 60
+                while not all(p.exists() for p in first_two) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                raise KeyboardInterrupt
+            time.sleep(0.4)
+            return original(cell_config)
+
+        monkeypatch.setattr("fltbench.orchestrator.run_experiment", interrupted_by_the_third_cell)
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--config", config, "--out", str(out), "--workers", "2"])
+        finished = reports(out)
+        assert sorted(finished) == sorted(p.name for p in first_two)
+        assert finished == {name: reports(whole)[name] for name in finished}
+        assert sorted(p.name for p in out.iterdir()) == ["cells"]
+        starts = sorted(int(line) for line in started.read_text().split())
+        assert starts == list(range(len(starts)))
+        assert len(starts) <= 8 < len(cells)
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_errors_file_names_the_one_failing_cell(self, tmp_path, capsys, workers):
         doc = _grid_doc(rounds=1)

@@ -10,7 +10,7 @@ import fltbench.nn
 import fltbench.orchestrator
 from fltbench.algorithms import AlgoConfig
 from fltbench.config import DataConfig, ExperimentConfig, ModelSpec, SweepCell
-from fltbench.datasets import generate_synthetic, head_tail_groups, subset
+from fltbench.datasets import Dataset, class_counts, head_tail_groups, subset
 from fltbench.errors import ConfigError
 from fltbench.nn import (
     EVAL_BLOCK_ROWS,
@@ -21,8 +21,7 @@ from fltbench.nn import (
     sgd_epochs,
 )
 from fltbench.orchestrator import (
-    _holdout_stacks,
-    _split_client_shards,
+    _client_holdouts,
     build_data,
     prepare_partition,
     run_experiment,
@@ -30,7 +29,7 @@ from fltbench.orchestrator import (
     sample_clients,
     sweep_table,
 )
-from fltbench.partition import PartitionSpec
+from fltbench.partition import Partition, PartitionSpec
 from fltbench.seeding import derive_rng, derive_seed
 from conftest import run_configs
 
@@ -208,7 +207,7 @@ class TestClientSampling:
     def test_holdout_shards_are_disjoint_from_training(self):
         config = _quick_config(rounds=1, client_holdout_fraction=0.25)
         train, _, _, partition = prepare_partition(config)
-        train_shards, test_shards = _split_client_shards(
+        train_shards, test_shards = _holdout_indices(
             train, partition, 0.25, config.master_seed
         )
         assert len(train_shards) == len(test_shards) == len(partition.shards)
@@ -216,6 +215,24 @@ class TestClientSampling:
             assert np.intersect1d(tr, te).size == 0
             combined = np.sort(np.concatenate([tr, te]))
             np.testing.assert_array_equal(combined, shard)
+
+
+def _indexed(labels, num_classes):
+    """A dataset of these labels whose one feature is the row index, so that
+    a stacked holdout row names the sample it holds."""
+    return Dataset(np.arange(len(labels), dtype=np.float64)[:, None], labels, num_classes)
+
+
+def _holdout_indices(train, partition, fraction, master_seed):
+    """_client_holdouts' train shards, and each client's holdout indices read
+    off its stacks, position k for client k (empty for an empty holdout)."""
+    indexed = _indexed(train.labels, train.num_classes)
+    train_shards, stacks = _client_holdouts(indexed, partition, fraction, master_seed)
+    holdouts = [np.empty(0, dtype=np.int64)] * len(partition.shards)
+    for ids, features, _ in stacks:
+        for k, rows in zip(ids, features[:, :, 0].astype(np.int64)):
+            holdouts[k] = rows
+    return train_shards, holdouts
 
 
 def _per_client_reference(model_config, params, client_heads, client_tests, fedper):
@@ -255,15 +272,15 @@ class TestClientHoldoutEvaluation:
             model=ModelSpec(arch="mlp1h", hidden_units=16),
         )
         train, _, _, partition = prepare_partition(config)
-        _, holdouts = _split_client_shards(train, partition, 0.2, config.master_seed)
+        _, holdouts = _holdout_indices(train, partition, 0.2, config.master_seed)
         client_tests = [
             (k, subset(train, s) if len(s) else None) for k, s in enumerate(holdouts)
         ]
         assert [c for c, ds in client_tests if ds is None] == empty
-        stacks = _holdout_stacks(train, holdouts)
-        assert any(len(st.positions) == 1 for st in stacks)
-        assert any(len(st.positions) > 1 for st in stacks)
-        assert len({st.features.shape[1] for st in stacks}) > 2
+        _, stacks = _client_holdouts(train, partition, 0.2, config.master_seed)
+        assert any(len(ids) == 1 for ids, _, _ in stacks)
+        assert any(len(ids) > 1 for ids, _, _ in stacks)
+        assert len({features.shape[1] for _, features, _ in stacks}) > 2
 
         seen = []
         original = fltbench.orchestrator._evaluate_point
@@ -291,23 +308,32 @@ class TestClientHoldoutEvaluation:
         assert len(set(seen[-1][0].global_on_clients_per_client)) > 1
 
     def test_stacks_are_bounded_and_cover_every_holdout_once(self):
-        train = generate_synthetic(3, 800, 2, 1.0, seed=0)
-        sizes = [16] * 40 + [300, 0, 1, 300, 100, 1, 100, 100, 255, 257, 16]
+        # Single-class shards: at fraction 0.5 a class of c samples holds out
+        # min(max(1, c // 2), c - 1), so a shard of 2h samples holds out h
+        # and a shard of one sample holds out none.
+        held = [16] * 40 + [300, 0, 1, 300, 100, 1, 100, 100, 255, 257, 16]
+        sizes = [1 if h == 0 else 2 * h for h in held]
         offsets = np.cumsum([0] + sizes)
-        shards = [np.arange(offsets[k], offsets[k + 1]) for k in range(len(sizes))]
-        stacks = _holdout_stacks(train, shards)
-        positions = np.concatenate([st.positions for st in stacks])
-        assert sorted(positions.tolist()) == [k for k, s in enumerate(shards) if len(s)]
-        for st in stacks:
-            g, n, _ = st.features.shape
+        train = _indexed(np.repeat(np.arange(len(sizes)) % 3, sizes), 3)
+        shards = tuple(np.arange(offsets[k], offsets[k + 1]) for k in range(len(sizes)))
+        partition = Partition(
+            shards, np.stack([class_counts(train.labels[s], 3) for s in shards])
+        )
+        train_shards, stacks = _client_holdouts(train, partition, 0.5, master_seed=0)
+        positions = np.concatenate([ids for ids, _, _ in stacks])
+        assert sorted(positions.tolist()) == [k for k, h in enumerate(held) if h]
+        for ids, features, labels in stacks:
+            g, n, _ = features.shape
             assert g == 1 or g * n <= EVAL_BLOCK_ROWS
-            for pos, x, y in zip(st.positions, st.features, st.labels):
-                np.testing.assert_array_equal(x, train.features[shards[pos]])
-                np.testing.assert_array_equal(y, train.labels[shards[pos]])
+            for pos, x, y in zip(ids, features, labels):
+                rows = x[:, 0].astype(np.int64)
+                assert len(rows) == held[pos]
+                np.testing.assert_array_equal(
+                    np.sort(np.concatenate([train_shards[pos], rows])), shards[pos]
+                )
+                np.testing.assert_array_equal(y, train.labels[rows])
         # 41 holdouts of 16 rows fill stacks of 16 clients: 16 + 16 + 9.
-        assert sorted(len(st.positions) for st in stacks if st.features.shape[1] == 16) == [
-            9, 16, 16,
-        ]
+        assert sorted(len(ids) for ids, x, _ in stacks if x.shape[1] == 16) == [9, 16, 16]
 
 
 class TestBlasThreads:
