@@ -113,6 +113,9 @@ class ExperimentConfig:
             raise ValueError("eval_every must be >= 1")
         if not 0.0 <= self.client_holdout_fraction < 1.0:
             raise ValueError("client_holdout_fraction must lie in [0, 1)")
+        if not 0 <= self.master_seed < 2**64:
+            # derive_seed keeps 64 bits, so any other seed would alias one of these
+            raise ValueError(f"master_seed {self.master_seed} is outside [0, 2**64)")
         cifar = self.data.source == SOURCE_CIFAR10
         classes = CIFAR_CLASSES if cifar else self.data.num_classes
         dim = CIFAR_PIXELS if cifar else self.data.dim

@@ -111,48 +111,39 @@ def _read_cifar_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return labels.astype(np.int64), records[:, 1:]
 
 
-def _standardize(
-    pixels: np.ndarray, mean: np.ndarray, std: np.ndarray, fit: bool = False
-) -> np.ndarray:
-    """Scale uint8 pixels (n, 3072), channel planes of 1024, to [0, 1] and
-    standardize each channel, in place in one float64 copy. With fit, mean
-    and std (shape (3,)) are first set to the pixels' own statistics; else
-    they are taken as given."""
-    planes = pixels.astype(np.float64).reshape(-1, 3, CIFAR_PIXELS // 3)
-    planes /= 255.0
-    if fit:
-        mean[:] = planes.mean(axis=(0, 2))
-        std[:] = np.maximum(planes.std(axis=(0, 2)), 1e-8)
-    planes -= mean[None, :, None]
-    planes /= std[None, :, None]
-    return planes.reshape(-1, CIFAR_PIXELS)
-
-
-def load_cifar10(
-    train_paths: Sequence[str | Path], test_path: str | Path
-) -> tuple[Dataset, Dataset]:
-    """Load CIFAR-10 binary batches into standardized train/test datasets.
+def load_cifar10(data_dir: str | Path) -> tuple[Dataset, Dataset]:
+    """Load CIFAR-10's train batches (CIFAR_TRAIN_FILES) and test batch
+    (CIFAR_TEST_FILE) from data_dir into standardized train/test datasets.
 
     Pixels are scaled to [0,1] and then standardized per channel with the
     train-set mean and standard deviation; the test set reuses the train
-    statistics.
+    statistics. A file that is missing, unreadable or malformed raises a
+    ConfigError that names it.
     """
-    if not train_paths:
-        raise ValueError("at least one train batch file is required")
-    parts = [_read_cifar_file(p) for p in train_paths]
-    train_labels = np.concatenate([p[0] for p in parts])
-    train_pixels = np.concatenate([p[1] for p in parts])
-    test_labels, test_pixels = _read_cifar_file(test_path)
-
-    mean, std = np.empty(3), np.empty(3)
+    root = Path(data_dir)
+    parts = [_read_cifar_file(root / name) for name in CIFAR_TRAIN_FILES]
+    test_labels, test_pixels = _read_cifar_file(root / CIFAR_TEST_FILE)
+    # Each set is one float64 copy, scaled and standardized in place by
+    # channel plane. The test copy is made after the train statistics,
+    # whose temporaries are as large as the train set.
+    train_features = np.concatenate([p[1] for p in parts], dtype=np.float64)
+    train_features /= 255.0
+    train_planes = train_features.reshape(-1, 3, CIFAR_PIXELS // 3)
+    mean = train_planes.mean(axis=(0, 2))[None, :, None]
+    std = np.maximum(train_planes.std(axis=(0, 2)), 1e-8)[None, :, None]
+    test_features = np.divide(test_pixels, 255.0, dtype=np.float64)
+    for features in (train_features, test_features):
+        planes = features.reshape(-1, 3, CIFAR_PIXELS // 3)
+        planes -= mean
+        planes /= std
     train = Dataset(
-        features=_standardize(train_pixels, mean, std, fit=True),
-        labels=train_labels,
+        features=train_features,
+        labels=np.concatenate([p[0] for p in parts]),
         num_classes=CIFAR_CLASSES,
         name="cifar10-train",
     )
     test = Dataset(
-        features=_standardize(test_pixels, mean, std),
+        features=test_features,
         labels=test_labels,
         num_classes=CIFAR_CLASSES,
         name="cifar10-test",
@@ -195,20 +186,19 @@ def generate_synthetic(
     if cluster_spread <= 0:
         raise ValueError("cluster_spread must be positive")
     means = synthetic_class_means(num_classes, dim, cluster_spread)
-    rng = rng_from(seed)
-    feats = np.empty((num_classes * per_class, dim), dtype=np.float64)
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
-    for c in range(num_classes):
-        lo = c * per_class
-        noise = rng.standard_normal((per_class, dim)) * cluster_spread
-        feats[lo : lo + per_class] = means[c] + noise
-        labels[lo : lo + per_class] = c
-    return Dataset(
-        features=feats,
-        labels=labels,
-        num_classes=num_classes,
-        name=f"synthetic-m{num_classes}-d{dim}",
-    )
+    feats = rng_from(seed).standard_normal((num_classes, per_class, dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        feats *= cluster_spread
+        feats += means[:, None, :]
+    try:
+        return Dataset(
+            features=feats.reshape(-1, dim),
+            labels=np.repeat(np.arange(num_classes), per_class),
+            num_classes=num_classes,
+            name=f"synthetic-m{num_classes}-d{dim}",
+        )
+    except ValueError as exc:  # only the features can be at fault: they overflowed
+        raise ConfigError(f"synthetic data with cluster_spread {cluster_spread:g}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

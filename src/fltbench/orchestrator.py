@@ -18,7 +18,6 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -37,8 +36,6 @@ from .algorithms import (
 )
 from .config import SOURCE_SYNTHETIC, ExperimentConfig, SweepCell, experiment_config_to_dict
 from .datasets import (
-    CIFAR_TEST_FILE,
-    CIFAR_TRAIN_FILES,
     Dataset,
     class_counts,
     exponential_profile,
@@ -67,32 +64,18 @@ def build_data(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict]:
     """Materialize train/test datasets, applying long-tail shaping to train."""
     data = config.data
     if data.source == SOURCE_SYNTHETIC:
-        # DataConfig has checked every argument, so a ValueError here means
-        # the features overflowed: cluster_spread is too large.
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                train = generate_synthetic(
-                    data.num_classes, data.per_class, data.dim, data.cluster_spread,
-                    seed=derive_seed(config.master_seed, "train-data"),
-                )
-                test = generate_synthetic(
-                    data.num_classes, data.test_per_class, data.dim, data.cluster_spread,
-                    seed=derive_seed(config.master_seed, "test-data"),
-                )
-        except ValueError as exc:
-            raise ConfigError(
-                f"data: synthetic data with cluster_spread {data.cluster_spread:g}: {exc}"
-            ) from exc
+        train = generate_synthetic(
+            data.num_classes, data.per_class, data.dim, data.cluster_spread,
+            seed=derive_seed(config.master_seed, "train-data"),
+        )
+        test = generate_synthetic(
+            data.num_classes, data.test_per_class, data.dim, data.cluster_spread,
+            seed=derive_seed(config.master_seed, "test-data"),
+        )
     else:
         if data.data_dir is None:
             raise ConfigError("cifar10 runs need data_dir (or FLTB_DATA_DIR)")
-        root = Path(data.data_dir)
-        train_paths = [root / name for name in CIFAR_TRAIN_FILES]
-        test_path = root / CIFAR_TEST_FILE
-        for p in [*train_paths, test_path]:
-            if not p.exists():
-                raise ConfigError(f"dataset file not found: {p}")
-        train, test = load_cifar10(train_paths, test_path)
+        train, test = load_cifar10(data.data_dir)
 
     info = {"train_size_before_shaping": len(train), "train_size": len(train)}
     if data.lt_target_if is not None:
@@ -293,7 +276,7 @@ def _algorithm(
             return update
 
         def average_and_retrain_head(w, updates):
-            rep = aggregate_rep_only(updates, w).rep_block
+            rep = aggregate_weighted(updates).rep_block
             return ModelParams(rep, creff.server_round(w, updates))
 
         return _Algorithm(
@@ -474,17 +457,6 @@ def _one_line(exc: BaseException) -> str:
     return " ".join(f"{type(exc).__name__}: {exc}".splitlines())
 
 
-def _submit(pool: concurrent.futures.Executor, cell: SweepCell) -> concurrent.futures.Future:
-    """pool.submit(_run_cell, cell); once a worker has died, submit raises
-    BrokenProcessPool, and the future returned holds that error."""
-    try:
-        return pool.submit(_run_cell, cell)
-    except concurrent.futures.BrokenExecutor as exc:
-        future = concurrent.futures.Future()
-        future.set_exception(exc)
-        return future
-
-
 def _die_with_parent(parent: int) -> None:
     """Pool worker initializer: on Linux, have the kernel SIGKILL this worker
     when the thread that forked it, the sweep's, ends, as it does when the
@@ -508,16 +480,22 @@ def _pool_outcomes(
     on_outcome gets each cell's outcome as soon as it arrives.
 
     A worker that dies breaks the pool, which then fails every cell it had
-    not finished with BrokenProcessPool. So each such cell runs once more,
-    alone, in a fresh one-worker pool, and only a cell whose own pool breaks
-    keeps that error.
+    not finished with BrokenProcessPool and refuses the cells not yet
+    submitted. So each such cell runs once more, alone, in a fresh
+    one-worker pool, and only a cell whose own pool breaks keeps that error
+    (a fresh pool takes its first cell: it has no worker yet to die).
     """
     outcomes: list[SweepOutcome | None] = [None] * len(cells)
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_die_with_parent,
             initargs=(os.getpid(),)) as pool:
-        futures = {_submit(pool, cell): i for i, cell in enumerate(cells)}
+        futures = {}
         try:
+            for i, cell in enumerate(cells):
+                try:
+                    futures[pool.submit(_run_cell, cell)] = i
+                except concurrent.futures.BrokenExecutor:
+                    break  # the cells left unsubmitted re-run below
             for future in concurrent.futures.as_completed(futures):
                 i = futures[future]
                 try:

@@ -264,6 +264,25 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out"), "--dry-run"])
         assert code == 0
 
+    # Seed derivation keeps 64 bits: 2**64 would rerun seed 0's bytes and -1
+    # those of 2**64 - 1.
+    @pytest.mark.parametrize("seed", [2**64, -1, -(2**63)])
+    def test_master_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed):
+        doc = json.loads(json.dumps(QUICK_CONFIG))
+        doc["run"]["master_seed"] = seed
+        code = main(["train", "--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out"), "--dry-run"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: master_seed {seed} is outside [0, 2**64)\n")
+
+    def test_grid_seed_that_aliases_another_exits_2(self, tmp_path, capsys):
+        code = main(["sweep", "--config", _write_config(tmp_path, _grid_doc(seeds=[0, 2**64])),
+                     "--out", str(tmp_path / "out"), "--dry-run"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: master_seed 18446744073709551616 is outside [0, 2**64)\n")
+
     def test_missing_dataset_file_exits_2_with_path(self, tmp_path, capsys):
         doc = json.loads(json.dumps(QUICK_CONFIG))
         doc["data"] = {"source": "cifar10", "data_dir": str(tmp_path / "nowhere")}
@@ -339,6 +358,7 @@ class TestExitCodes:
         ("short_file", "test_batch.bin: size 100 is not a positive multiple of 3073"),
         ("label_byte", "data_batch_1.bin: record 0 has label byte 200 >= 10"),
         ("directory", "test_batch.bin: cannot read: Is a directory"),
+        ("missing", "test_batch.bin: cannot read: No such file or directory"),
     ])
     def test_cifar_input_fault_exits_2(self, tmp_path, capsys, fault, message):
         root = Path(_tiny_cifar_dir(tmp_path))
@@ -348,9 +368,10 @@ class TestExitCodes:
             doc["partition"] = {"kind": "iid", "num_clients": 20, "min_shard_size": 10}
         elif fault == "short_file":
             (root / "test_batch.bin").write_bytes(bytes(100))
-        elif fault == "directory":
+        elif fault in ("directory", "missing"):
             (root / "test_batch.bin").unlink()
-            (root / "test_batch.bin").mkdir()
+            if fault == "directory":
+                (root / "test_batch.bin").mkdir()
         else:
             blob = bytearray((root / "data_batch_1.bin").read_bytes())
             blob[0] = 200
@@ -637,7 +658,7 @@ class TestSweepCommand:
         assert code == 0
         assert (out / "errors.txt").read_text() == (
             "cell (fedavg, broken) seed 0 failed: ConfigError: "
-            "dataset file not found: /missing/data_batch_1.bin\n"
+            "/missing/data_batch_1.bin: cannot read: No such file or directory\n"
         )
         assert capsys.readouterr().err == "warning: " + (out / "errors.txt").read_text()
         rows = [line.split(",") for line in (out / "smoke_table.csv").read_text().split()]

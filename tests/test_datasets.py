@@ -1,6 +1,7 @@
 """Dataset construction, CIFAR binary parsing, synthetic generation, holdouts."""
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +9,15 @@ import pytest
 
 from fltbench.datasets import (
     CIFAR_RECORD_BYTES,
+    CIFAR_TEST_FILE,
+    CIFAR_TRAIN_FILES,
     Dataset,
-    _standardize,
     class_counts,
     generate_synthetic,
     load_cifar10,
     stratified_split_indices,
     subset,
+    synthetic_class_means,
 )
 from fltbench.errors import ConfigError
 from fltbench.nn import ModelConfig, TrainConfig, evaluate, init_model, sgd_epochs
@@ -31,96 +34,119 @@ def _make_cifar_file(path: Path, labels, seed=0) -> bytes:
     return blob
 
 
+def _make_cifar_dir(root: Path, labels_per_file, seed=0) -> list[np.ndarray]:
+    """Write the five train batches and the test batch into root, file i
+    holding labels_per_file[i]; returns each file's (n, 3073) records."""
+    names = [*CIFAR_TRAIN_FILES, CIFAR_TEST_FILE]
+    return [
+        np.frombuffer(_make_cifar_file(root / name, labels, seed=seed + i), dtype=np.uint8)
+        .reshape(-1, CIFAR_RECORD_BYTES)
+        for i, (name, labels) in enumerate(zip(names, labels_per_file, strict=True))
+    ]
+
+
+def _standardized_reference(train_pixels, pixels):
+    """pixels (n, 3072) uint8 standardized step by step: one float64 copy,
+    scaled to [0, 1], then standardized per channel plane in place with
+    train_pixels' statistics, taken from a float64 copy scaled the same."""
+    def scaled(p):
+        planes = p.astype(np.float64).reshape(-1, 3, 1024)
+        planes /= 255.0
+        return planes
+    train_planes, planes = scaled(train_pixels), scaled(pixels)
+    planes -= train_planes.mean(axis=(0, 2))[None, :, None]
+    planes /= np.maximum(train_planes.std(axis=(0, 2)), 1e-8)[None, :, None]
+    return planes.reshape(-1, 3072)
+
+
 class TestCifarLoader:
     def test_balanced_batches_give_balanced_counts(self, tmp_path):
-        paths = []
-        for i in range(5):
-            p = tmp_path / f"data_batch_{i + 1}.bin"
-            _make_cifar_file(p, list(range(10)) * 4, seed=i)
-            paths.append(p)
-        test_p = tmp_path / "test_batch.bin"
-        _make_cifar_file(test_p, list(range(10)) * 2, seed=99)
-        train, test = load_cifar10(paths, test_p)
+        _make_cifar_dir(tmp_path, [list(range(10)) * 4] * 5 + [list(range(10)) * 2])
+        train, test = load_cifar10(tmp_path)
         assert len(train) == 200 and len(test) == 20
         assert class_counts(train.labels, train.num_classes).tolist() == [20] * 10
         assert train.num_classes == 10
 
     def test_train_features_are_bit_equal_to_standardizing_a_fresh_copy(self, tmp_path):
-        # The train set is standardized in place in the float64 copy its
-        # statistics come from; a separate pass over a fresh copy, as the
-        # test set gets, must give the same bytes.
-        paths = [tmp_path / f"data_batch_{i + 1}.bin" for i in range(2)]
-        for i, p in enumerate(paths):
-            _make_cifar_file(p, list(range(10)) * 3, seed=i)
-        train, _ = load_cifar10(paths, paths[0])
-        pixels = np.concatenate([np.frombuffer(p.read_bytes(), dtype=np.uint8)
-                                 .reshape(-1, CIFAR_RECORD_BYTES)[:, 1:] for p in paths])
-        planes = pixels.astype(np.float64).reshape(-1, 3, 1024) / 255.0
-        mean, std = planes.mean(axis=(0, 2)), np.maximum(planes.std(axis=(0, 2)), 1e-8)
-        expected = _standardize(pixels, mean, std)
-        assert train.features.tobytes() == expected.tobytes()
+        # Both sets are standardized in place, each in its own float64 copy,
+        # with the statistics of the train set; the reference standardizes
+        # fresh copies the same way and must give the same bytes.
+        records = _make_cifar_dir(tmp_path, [list(range(10)) * 3] * 5 + [list(range(10))])
+        train, test = load_cifar10(tmp_path)
+        train_pixels = np.concatenate([r[:, 1:] for r in records[:5]])
+        expected_train = _standardized_reference(train_pixels, train_pixels)
+        expected_test = _standardized_reference(train_pixels, records[5][:, 1:])
+        assert train.features.tobytes() == expected_train.tobytes()
+        assert test.features.tobytes() == expected_test.tobytes()
 
     def test_single_record_label_three(self, tmp_path):
-        p = tmp_path / "one.bin"
-        _make_cifar_file(p, [3])
-        train, _ = load_cifar10([p], p)
-        assert len(train) == 1
-        assert class_counts(train.labels, train.num_classes).tolist()[3] == 1
-
-    def test_empty_file_list_rejected(self, tmp_path):
-        p = tmp_path / "t.bin"
-        _make_cifar_file(p, [0])
-        with pytest.raises(ValueError):
-            load_cifar10([], p)
+        _make_cifar_dir(tmp_path, [[3]] * 6)
+        train, test = load_cifar10(tmp_path)
+        assert len(train) == 5 and len(test) == 1
+        assert class_counts(train.labels, train.num_classes).tolist()[3] == 5
 
     def test_truncated_file_is_malformed(self, tmp_path):
-        p = tmp_path / "bad.bin"
-        blob = _make_cifar_file(p, [1, 2])
-        p.write_bytes(blob[:-1])
-        with pytest.raises(ConfigError, match="size 6145 is not a positive multiple of 3073$"):
-            load_cifar10([p], p)
+        _make_cifar_dir(tmp_path, [[1, 2]] * 6)
+        p = tmp_path / "data_batch_3.bin"
+        p.write_bytes(p.read_bytes()[:-1])
+        with pytest.raises(ConfigError,
+                           match="data_batch_3.bin: size 6145 is not a positive multiple of 3073$"):
+            load_cifar10(tmp_path)
 
     def test_label_byte_out_of_range_is_corrupt(self, tmp_path):
-        p = tmp_path / "bad.bin"
-        blob = bytearray(_make_cifar_file(p, [1]))
+        _make_cifar_dir(tmp_path, [[1]] * 6)
+        p = tmp_path / "test_batch.bin"
+        blob = bytearray(p.read_bytes())
         blob[0] = 10
         p.write_bytes(bytes(blob))
-        with pytest.raises(ConfigError, match="record 0 has label byte 10 >= 10$"):
-            load_cifar10([p], p)
+        with pytest.raises(ConfigError, match="test_batch.bin: record 0 has label byte 10 >= 10$"):
+            load_cifar10(tmp_path)
 
     def test_train_statistics_standardize_train_set(self, tmp_path):
-        p = tmp_path / "t.bin"
-        _make_cifar_file(p, list(range(10)) * 20, seed=3)
-        train, _ = load_cifar10([p], p)
+        _make_cifar_dir(tmp_path, [list(range(10)) * 4] * 6, seed=3)
+        train, _ = load_cifar10(tmp_path)
         planes = train.features.reshape(-1, 3, 1024)
         np.testing.assert_allclose(planes.mean(axis=(0, 2)), 0.0, atol=1e-12)
         np.testing.assert_allclose(planes.std(axis=(0, 2)), 1.0, atol=1e-9)
 
     def test_records_parse_in_file_order(self, tmp_path):
         # Oracle: each record's label byte, and its pixel bytes scaled to
-        # [0, 1] and standardized per channel plane with the file's own
-        # statistics, row for row.
-        p = tmp_path / "orig.bin"
-        blob = _make_cifar_file(p, [4, 0, 9, 9, 2], seed=7)
-        train, test = load_cifar10([p], p)
-        records = np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        planes = records[:, 1:].reshape(-1, 3, 1024) / 255.0
+        # [0, 1] and standardized per channel plane with the statistics of
+        # the five train files, row for row: the train files in
+        # CIFAR_TRAIN_FILES order, then the test file.
+        records = _make_cifar_dir(tmp_path, [[4, 0], [9], [9, 2, 2], [1], [8, 5], [7, 3]], seed=7)
+        train, test = load_cifar10(tmp_path)
+        train_records = np.concatenate(records[:5])
+        planes = train_records[:, 1:].reshape(-1, 3, 1024) / 255.0
         mean = planes.mean(axis=(0, 2))[None, :, None]
         std = planes.std(axis=(0, 2))[None, :, None]
-        expected = ((planes - mean) / std).reshape(-1, 3072)
-        for ds in (train, test):
-            assert ds.labels.tolist() == records[:, 0].tolist()
+        for ds, recs in ((train, train_records), (test, records[5])):
+            expected = ((recs[:, 1:].reshape(-1, 3, 1024) / 255.0 - mean) / std).reshape(-1, 3072)
+            assert ds.labels.tolist() == recs[:, 0].tolist()
             np.testing.assert_allclose(ds.features, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.skipif(
         not os.environ.get("FLTB_DATA_DIR"), reason="real CIFAR-10 data not configured"
     )
     def test_real_cifar10_is_balanced(self):
-        root = Path(os.environ["FLTB_DATA_DIR"])
-        paths = [root / f"data_batch_{i}.bin" for i in range(1, 6)]
-        train, test = load_cifar10(paths, root / "test_batch.bin")
+        train, test = load_cifar10(os.environ["FLTB_DATA_DIR"])
         assert len(train) == 50000 and len(test) == 10000
         assert class_counts(train.labels, train.num_classes).tolist() == [5000] * 10
+
+
+def _per_class_loop(num_classes, per_class, dim, cluster_spread, seed):
+    """The generator's features and labels as drawn one class at a time: a
+    (per_class, dim) noise block a class, scaled, added to its mean."""
+    means = synthetic_class_means(num_classes, dim, cluster_spread)
+    rng = rng_from(seed)
+    feats = np.empty((num_classes * per_class, dim), dtype=np.float64)
+    labels = np.empty(num_classes * per_class, dtype=np.int64)
+    for c in range(num_classes):
+        lo = c * per_class
+        noise = rng.standard_normal((per_class, dim)) * cluster_spread
+        feats[lo : lo + per_class] = means[c] + noise
+        labels[lo : lo + per_class] = c
+    return feats, labels
 
 
 class TestSynthetic:
@@ -134,6 +160,22 @@ class TestSynthetic:
         b = generate_synthetic(2, 3, 2, 0.1, seed=7)
         assert a.features.tobytes() == b.features.tobytes()
         assert a.labels.tobytes() == b.labels.tobytes()
+
+    @pytest.mark.parametrize("num_classes, per_class, dim, spread, seed", [
+        (2, 3, 2, 0.1, 7), (10, 500, 32, 0.5, 1), (40, 25, 3, 1.0, 2),
+        (3, 1, 4, 2.0, 3), (5, 7, 1, 0.3, 4), (40, 1, 1, 1.0, -5),
+    ])
+    def test_bit_equal_to_the_per_class_loop(self, num_classes, per_class, dim, spread, seed):
+        ds = generate_synthetic(num_classes, per_class, dim, spread, seed=seed)
+        feats, labels = _per_class_loop(num_classes, per_class, dim, spread, seed)
+        assert ds.features.tobytes() == feats.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+
+    def test_overflowing_features_are_a_config_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigError, match="cluster_spread 1e\\+308: features contain NaN"):
+                generate_synthetic(3, 4, 2, 1e308, seed=0)
 
     def test_different_seed_differs(self):
         a = generate_synthetic(2, 3, 2, 0.1, seed=7)
