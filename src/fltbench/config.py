@@ -70,6 +70,10 @@ class DataConfig:
         if self.source == SOURCE_SYNTHETIC:
             _check_floats("num_classes * max(per_class, test_per_class) * dim",
                           self.num_classes * max(self.per_class, self.test_per_class) * self.dim)
+            # Means reach 4 * spread * ring; 64 spreads more cover numpy's normals (all < 14).
+            ring = (self.num_classes - 1) // self.dim + 1
+            if math.isinf(self.cluster_spread * (4 * ring + 64)):
+                raise ValueError(f"cluster_spread {self.cluster_spread:g} overflows the features")
         self.synthetic_train_counts()  # rejects an unrealizable long-tail profile
 
     def synthetic_train_counts(self) -> np.ndarray | None:

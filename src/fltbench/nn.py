@@ -199,14 +199,14 @@ def forward(
     passes them; without it the bias row is added after the product, which
     gives the same values up to the last bits.
 
-    Leading axes stack independent batches. With a stacked (G, head_size)
+    Leading axes stack independent batches. With a stacked (S, G, head_size)
     head block, batch g of a (G, B, input_dim) stack is classified by head g
-    on top of the shared representation. numpy multiplies a stack one slice
-    at a time, so each slice gets the same BLAS call, and the same bits, as
-    a lone (B, input_dim) batch. Bias and ReLU work in place in the product
-    buffers: a fresh (256, 200) temporary is 400 KB, and with three of them
-    per pass a 100-client FedPer run spent about 2.5x as long evaluating on
-    a 2-vCPU VM.
+    of each of S head sets (S may be left out), giving (S, G, M, B) logits
+    from one hidden layer. numpy multiplies a stack one slice at a time, so
+    each slice gets the same BLAS call, and the same bits, as a lone
+    (B, input_dim) batch. Bias and ReLU work in place in the product buffers:
+    a fresh (256, 200) temporary is 400 KB, and with three of them per pass a
+    100-client FedPer run spent about 2.5x as long evaluating on a 2-vCPU VM.
     """
     if config.arch == ARCH_LINEAR:
         feats = batch

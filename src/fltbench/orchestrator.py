@@ -114,7 +114,9 @@ def _client_holdouts(
 
     Returns the train index arrays, position k for client k, and the
     non-empty holdouts stacked by row count, at most EVAL_BLOCK_ROWS rows a
-    stack (a holdout longer than that forms a stack of its own). A
+    stack (a holdout longer than that forms a stack of its own) and at most
+    EVAL_BLOCK_ROWS // (2M + 1) clients, M classes, so that two sets of their
+    heads are no larger than a block's hidden features of width F >= 2M. A
     single-sample class stays on the train side; every class with two or
     more samples contributes a holdout sample.
     """
@@ -129,13 +131,15 @@ def _client_holdouts(
         )
         train_shards.append(shard[tr_pos])
         held = shard[te_pos]
-        if np.intersect1d(train_shards[-1], held).size:
+        taken = np.zeros(shard.size, dtype=bool)
+        taken[tr_pos] = True
+        if taken[te_pos].any():
             raise AssertionError(f"client {k} evaluation indices leaked into training")
         if held.size:
             by_rows.setdefault(held.size, []).append((k, held))
     stacks = []
     for n, clients in sorted(by_rows.items()):
-        per_stack = max(1, EVAL_BLOCK_ROWS // n)
+        per_stack = max(1, EVAL_BLOCK_ROWS // max(n, 2 * train.num_classes + 1))
         for lo in range(0, len(clients), per_stack):
             ids, indices = zip(*clients[lo : lo + per_stack])
             idx = np.stack(indices)
@@ -286,21 +290,25 @@ def _algorithm(
 
 
 def _holdout_accuracies(
-    model_config: ModelConfig, rep_block: np.ndarray, heads: np.ndarray,
+    model_config: ModelConfig, rep_block: np.ndarray, head_sets: list[np.ndarray],
     holdouts: _Holdouts, num_clients: int,
-) -> tuple[float | None, list[float | None]]:
-    """Score every client holdout under the shared rep_block and heads: one
-    (head_size,) head block for every client, or FedPer's (num_clients,
-    head_size) heads, row k for client k. Returns the mean over the clients
-    with a holdout, and the per-client list with None for an empty holdout."""
-    acc = np.full(num_clients, np.nan)  # NaN: empty holdout
+) -> list[tuple[float | None, list[float | None]]]:
+    """Per head set, the mean accuracy over the clients with a holdout and the
+    per-client list (None for an empty holdout), under the shared rep_block. A
+    set is one (head_size,) head for every client, or FedPer's (num_clients,
+    head_size) heads, row k client k's. Each stack is one predict call under
+    every set, so its hidden layer is computed once."""
+    acc = np.full((len(head_sets), num_clients), np.nan)  # NaN: empty holdout
+    shared = all(h.ndim == 1 for h in head_sets)  # then one row broadcasts to every client
     for ids, features, labels in holdouts:
-        head = heads if heads.ndim == 1 else heads[ids]
-        preds = predict(ModelParams(rep_block, head), model_config, features)
-        acc[ids] = (preds == labels).mean(axis=1)
-    held = acc[~np.isnan(acc)]
-    mean = float(np.mean(held)) if held.size else None
-    return mean, [None if math.isnan(a) else a for a in acc.tolist()]
+        heads = np.empty((len(head_sets), 1 if shared else len(ids), model_config.head_size))
+        for out, h in zip(heads, head_sets):
+            out[:] = h if h.ndim == 1 else h[ids]
+        preds = predict(ModelParams(rep_block, heads), model_config, features)
+        acc[:, ids] = (preds == labels).mean(axis=-1)
+    held = [row[~np.isnan(row)] for row in acc]
+    return [(float(np.mean(h)) if h.size else None, [None if math.isnan(a) else a for a in row])
+            for h, row in zip(held, acc.tolist())]
 
 
 def _evaluate_point(
@@ -310,24 +318,16 @@ def _evaluate_point(
 ) -> EvalPoint:
     """Given FedPer's heads, also scores each client's personal model."""
     global_metrics = evaluate(params, model_config, test, groups)
-    personalized = personalized_per = global_on_clients = global_per = None
-    if holdouts is not None:
-        num_clients = config.partition.num_clients
-        global_on_clients, global_per = _holdout_accuracies(
-            model_config, params.rep_block, params.head_block, holdouts, num_clients
-        )
-        if heads is not None:
-            personalized, personalized_per = _holdout_accuracies(
-                model_config, params.rep_block, heads, holdouts, num_clients
-            )
-    return EvalPoint(
-        round=round_idx,
-        global_metrics=global_metrics,
-        personalized_mean=personalized,
-        personalized_per_client=personalized_per,
-        global_on_clients_mean=global_on_clients,
-        global_on_clients_per_client=global_per,
+    if holdouts is None:
+        return EvalPoint(round_idx, global_metrics)
+    head_sets = [params.head_block] + ([] if heads is None else [heads])
+    (global_mean, global_per), *personal = _holdout_accuracies(
+        model_config, params.rep_block, head_sets, holdouts, config.partition.num_clients
     )
+    personal_mean, personal_per = personal[0] if personal else (None, None)
+    return EvalPoint(round_idx, global_metrics,
+                     personalized_mean=personal_mean, personalized_per_client=personal_per,
+                     global_on_clients_mean=global_mean, global_on_clients_per_client=global_per)
 
 
 def _divergence_message(updates: list[ClientUpdate]) -> str:
@@ -380,11 +380,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     algo.participation_fraction,
                     derive_seed(config.master_seed, "client-sampling", round_idx),
                 )
+                # Derived before any client trains: between SGD steps each took ~1.4x as long.
+                rngs = [derive_rng(config.master_seed, "local-train", round_idx, k)
+                        for k in sampled]
                 updates = []
-                for k in sampled:
+                for k, rng in zip(sampled, rngs):
                     shard = train_shards[k]
                     shard_x, shard_y = train.features[shard], train.labels[shard]
-                    rng = derive_rng(config.master_seed, "local-train", round_idx, k)
                     updates.append(algorithm.client_step(params, shard_x, shard_y, rng, k))
                 params = algorithm.server_step(params, updates)
                 if not params.is_finite():
@@ -399,12 +401,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 ))
 
     best = max(p.global_metrics.accuracy for p in eval_points)
-    best_personalized = None
-    personalized_values = [
-        p.personalized_mean for p in eval_points if p.personalized_mean is not None
-    ]
-    if personalized_values:
-        best_personalized = max(personalized_values)
+    best_personalized = max(
+        (p.personalized_mean for p in eval_points if p.personalized_mean is not None),
+        default=None,
+    )
     return ExperimentReport(
         config=config,
         eval_points=tuple(eval_points),

@@ -386,6 +386,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value", [
         ("test_per_class", 0), ("dim", 0), ("num_classes", 1), ("cluster_spread", -1.0),
         ("cluster_spread", 0.0), ("per_class", 0),
+        # The class means alone overflow: 4 * 1e308 * ring.
+        ("cluster_spread", 1e308),
     ])
     def test_bad_data_value_exits_2_when_parsed(self, tmp_path, capsys, key, value):
         doc = json.loads(json.dumps(QUICK_CONFIG))
@@ -771,7 +773,9 @@ class TestSweepCommand:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_overflowing_cell_is_the_only_error(self, tmp_path, capsys, workers):
         doc = _grid_doc(rounds=1)
-        doc["settings"][1] = {"label": "huge", "overrides": {"data": {"cluster_spread": 1e308}}}
+        # A step this large overflows the weights, which only the run can
+        # find; an overflowing cluster_spread is a config error of the grid.
+        doc["settings"][1] = {"label": "huge", "overrides": {"train": {"learning_rate": 1e308}}}
         out = tmp_path / "out"
         code = main(["sweep", "--config", _write_config(tmp_path, doc), "--out", str(out),
                      "--workers", workers])
@@ -779,7 +783,7 @@ class TestSweepCommand:
         rows = [line.split(",") for line in (out / "smoke_table.csv").read_text().split()]
         assert [row[2] for row in rows[1:]] == ["ERROR", "ERROR"]
         assert "ERROR" not in [row[1] for row in rows[1:]]
-        assert "cluster_spread" in capsys.readouterr().err
+        assert "non-finite" in capsys.readouterr().err
 
 
 def _children(pid):

@@ -1,12 +1,14 @@
 """Dataset construction, CIFAR binary parsing, synthetic generation, holdouts."""
 import math
 import os
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fltbench.config import DataConfig
 from fltbench.datasets import (
     CIFAR_RECORD_BYTES,
     CIFAR_TEST_FILE,
@@ -176,6 +178,18 @@ class TestSynthetic:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ConfigError, match="cluster_spread 1e\\+308: features contain NaN"):
                 generate_synthetic(3, 4, 2, 1e308, seed=0)
+
+    def test_largest_spread_the_config_accepts_gives_finite_features(self):
+        # 10 classes on 4 axes reach ring 3, so DataConfig keeps 4 * 3 + 64
+        # spreads of room: the means' 12 and the noise's margin of 64.
+        spread = sys.float_info.max / 76
+        while math.isinf(spread * 76):
+            spread = math.nextafter(spread, 0.0)
+        DataConfig(source="synthetic", num_classes=10, per_class=50, dim=4, cluster_spread=spread)
+        with pytest.raises(ValueError, match="cluster_spread .* overflows the features"):
+            DataConfig(source="synthetic", num_classes=10, per_class=50, dim=4,
+                       cluster_spread=math.nextafter(spread, math.inf))
+        assert np.isfinite(generate_synthetic(10, 50, 4, spread, seed=0).features).all()
 
     def test_different_seed_differs(self):
         a = generate_synthetic(2, 3, 2, 0.1, seed=7)

@@ -277,6 +277,20 @@ class TestStackedForward:
         for i in range(3):
             np.testing.assert_array_equal(logits[i], forward(per_slice[i], cfg, x[i])[1])
 
+    @pytest.mark.parametrize("arch", ["linear_softmax", "mlp1h"])
+    def test_head_sets_equal_one_pass_per_set(self, arch):
+        cfg, params, x, stacked_params, _ = _stack_case(arch, 3, 16, "stacked")
+        personal = stacked_params.head_block
+        sets = ModelParams(params.rep_block,
+                           np.stack([np.broadcast_to(params.head_block, personal.shape), personal]))
+        feats, logits = forward(sets, cfg, x)
+        assert logits.shape == (2, 3, 10, 16)
+        for s, one_set in enumerate([params, stacked_params]):
+            lone_feats, lone_logits = forward(one_set, cfg, x)
+            np.testing.assert_array_equal(feats, lone_feats)
+            np.testing.assert_array_equal(logits[s], lone_logits)
+            np.testing.assert_array_equal(predict(sets, cfg, x)[s], predict(one_set, cfg, x))
+
     def test_one_dimensional_batch_rejected(self):
         cfg = ModelConfig(arch="linear_softmax", input_dim=2, num_classes=2)
         with pytest.raises(ValueError):

@@ -216,6 +216,17 @@ class TestClientSampling:
             combined = np.sort(np.concatenate([tr, te]))
             np.testing.assert_array_equal(combined, shard)
 
+    def test_a_split_that_overlaps_is_caught(self, monkeypatch):
+        config = _quick_config(rounds=1, client_holdout_fraction=0.25)
+        train, _, _, partition = prepare_partition(config)
+
+        def overlapping(labels, num_classes, fraction, rng):
+            return np.arange(len(labels)), np.array([len(labels) - 1])
+
+        monkeypatch.setattr(fltbench.orchestrator, "stratified_split_indices", overlapping)
+        with pytest.raises(AssertionError, match="client 0 evaluation indices leaked"):
+            _client_holdouts(train, partition, 0.25, config.master_seed)
+
 
 def _indexed(labels, num_classes):
     """A dataset of these labels whose one feature is the row index, so that
@@ -257,19 +268,22 @@ def _mean_of_held(per_client):
 
 
 class TestClientHoldoutEvaluation:
+    @pytest.mark.parametrize("arch,hidden_units", [("mlp1h", 16), ("linear_softmax", None)])
     @pytest.mark.parametrize("algorithm", ["fedper", "fedavg"])
     @pytest.mark.parametrize("alpha,min_shard_size,empty", [(0.5, 5, []), (0.1, 1, [16, 23])])
     def test_stacked_accuracies_equal_the_per_client_loop(
-        self, monkeypatch, algorithm, alpha, min_shard_size, empty
+        self, monkeypatch, algorithm, alpha, min_shard_size, empty, arch, hidden_units
     ):
         # Dirichlet shards give holdouts of many sizes, so stacks of one
         # client and stacks of several both occur. At alpha 0.1 two clients
         # hold at most one sample of each class, so their holdouts are empty.
+        # Each stack is scored under the global head and, for FedPer, the
+        # clients' own heads in one forward pass, on either branch of forward.
         config = _quick_config(
             algorithm=algorithm, rounds=3, eval_every=1, client_holdout_fraction=0.2,
             partition=PartitionSpec(kind="dirichlet", num_clients=24, alpha=alpha,
                                     min_shard_size=min_shard_size),
-            model=ModelSpec(arch="mlp1h", hidden_units=16),
+            model=ModelSpec(arch=arch, hidden_units=hidden_units),
         )
         train, _, _, partition = prepare_partition(config)
         _, holdouts = _holdout_indices(train, partition, 0.2, config.master_seed)
@@ -311,7 +325,7 @@ class TestClientHoldoutEvaluation:
         # Single-class shards: at fraction 0.5 a class of c samples holds out
         # min(max(1, c // 2), c - 1), so a shard of 2h samples holds out h
         # and a shard of one sample holds out none.
-        held = [16] * 40 + [300, 0, 1, 300, 100, 1, 100, 100, 255, 257, 16]
+        held = [16] * 40 + [300, 0, 1, 300, 100, 1, 100, 100, 255, 257, 16] + [2] * 40
         sizes = [1 if h == 0 else 2 * h for h in held]
         offsets = np.cumsum([0] + sizes)
         train = _indexed(np.repeat(np.arange(len(sizes)) % 3, sizes), 3)
@@ -325,6 +339,8 @@ class TestClientHoldoutEvaluation:
         for ids, features, labels in stacks:
             g, n, _ = features.shape
             assert g == 1 or g * n <= EVAL_BLOCK_ROWS
+            # Two head sets of g clients fit in a block's hidden features.
+            assert g <= max(1, EVAL_BLOCK_ROWS // max(n, 2 * 3 + 1))
             for pos, x, y in zip(ids, features, labels):
                 rows = x[:, 0].astype(np.int64)
                 assert len(rows) == held[pos]
@@ -334,6 +350,8 @@ class TestClientHoldoutEvaluation:
                 np.testing.assert_array_equal(y, train.labels[rows])
         # 41 holdouts of 16 rows fill stacks of 16 clients: 16 + 16 + 9.
         assert sorted(len(ids) for ids, x, _ in stacks if x.shape[1] == 16) == [9, 16, 16]
+        # 40 holdouts of 2 rows: 256 // 7 = 36 clients a stack, not 128.
+        assert sorted(len(ids) for ids, x, _ in stacks if x.shape[1] == 2) == [4, 36]
 
 
 class TestBlasThreads:
