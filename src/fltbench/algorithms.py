@@ -149,15 +149,11 @@ def local_update_fedper(
 
 
 def _weighted_means(updates: list[ClientUpdate], blocks: tuple[str, ...]) -> list[np.ndarray]:
-    """Sample-count-weighted mean of each named block of the client params,
-    accumulated in client-id order. The package's one weighted mean."""
-    if not updates:
-        raise ValueError("cannot aggregate an empty update list")
+    """Sample-count-weighted mean of each named block of the params of one or
+    more clients with samples, accumulated in client-id order. The package's one weighted mean."""
     ordered = sorted(updates, key=lambda u: u.client_id)
     sizes = [u.n_k for u in ordered]
     total = sum(sizes)
-    if total <= 0:
-        raise ValueError("total sample count is zero")
     means = [np.zeros_like(getattr(ordered[0].params, block)) for block in blocks]
     # One scratch buffer a block, not a new weight * block array a client:
     # bit-equal, 122 against 124 us a 20-client call (5-200-10, 2-vCPU VM).
@@ -294,7 +290,7 @@ def retrain_head(
 ) -> np.ndarray:
     """Full-batch gradient descent of the head on labeled feature prototypes.
 
-    features is (M, per_class, feature_dim), one slice per class; every
+    features is finite (M, per_class, feature_dim), one slice per class; every
     prototype carries its class label, so the training set is balanced by
     construction. Each step is the linear-softmax cross-entropy gradient
     step on the n = M*per_class prototypes X, with the logits kept
@@ -316,8 +312,6 @@ def retrain_head(
     row-major (n, M) loop up to rounding, not bit for bit.
     """
     m, per_class, feat_dim = features.shape
-    if not np.isfinite(features).all():
-        raise FltbenchError("feature prototypes contain non-finite values")
     n = m * per_class
     x = features.reshape(n, feat_dim)
     head = head_block.copy()

@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--dry-run",
             action="store_true",
-            help="validate the config, print it resolved, and exit",
+            help="validate the config without reading data, print it resolved, and exit",
         )
     return parser
 

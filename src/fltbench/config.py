@@ -27,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from .algorithms import ALGO_CREFF, AlgoConfig
-from .datasets import CIFAR_CLASSES, CIFAR_PIXELS, exponential_profile
+from .datasets import CIFAR_CLASSES, CIFAR_PIXELS, check_synthetic, exponential_profile
 from .errors import ConfigError
 from .nn import TrainConfig, check_architecture
 from .partition import PartitionSpec, check_supply
@@ -59,21 +59,15 @@ class DataConfig:
             raise ValueError(
                 f"source must be one of {SOURCE_SYNTHETIC}, {SOURCE_CIFAR10}, not {self.source!r}"
             )
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if min(self.per_class, self.test_per_class, self.dim) < 1:
-            raise ValueError("per_class, test_per_class and dim must be >= 1")
-        if not 0.0 < self.cluster_spread < math.inf:
-            raise ValueError("cluster_spread must be positive and finite")
+        if self.source == SOURCE_CIFAR10 and self.num_classes != CIFAR_CLASSES:
+            raise ValueError(f"num_classes must be {CIFAR_CLASSES} for cifar10")
+        check_synthetic(self.num_classes, self.dim, self.cluster_spread,
+                        per_class=self.per_class, test_per_class=self.test_per_class)
         if self.lt_target_if is not None and not self.lt_target_if >= 1.0:
             raise ValueError("lt_target_if must be >= 1")
         if self.source == SOURCE_SYNTHETIC:
             _check_floats("num_classes * max(per_class, test_per_class) * dim",
                           self.num_classes * max(self.per_class, self.test_per_class) * self.dim)
-            # Means reach 4 * spread * ring; 64 spreads more cover numpy's normals (all < 14).
-            ring = (self.num_classes - 1) // self.dim + 1
-            if math.isinf(self.cluster_spread * (4 * ring + 64)):
-                raise ValueError(f"cluster_spread {self.cluster_spread:g} overflows the features")
         self.synthetic_train_counts()  # rejects an unrealizable long-tail profile
 
     def synthetic_train_counts(self) -> np.ndarray | None:
@@ -120,9 +114,8 @@ class ExperimentConfig:
         if not 0 <= self.master_seed < 2**64:
             # derive_seed keeps 64 bits, so any other seed would alias one of these
             raise ValueError(f"master_seed {self.master_seed} is outside [0, 2**64)")
-        cifar = self.data.source == SOURCE_CIFAR10
-        classes = CIFAR_CLASSES if cifar else self.data.num_classes
-        dim = CIFAR_PIXELS if cifar else self.data.dim
+        classes = self.data.num_classes
+        dim = CIFAR_PIXELS if self.data.source == SOURCE_CIFAR10 else self.data.dim
         hidden = self.model.hidden_units
         _check_floats("model.hidden_units weights", (hidden or 0) * max(dim, classes))
         if self.algo.algorithm == ALGO_CREFF:

@@ -169,6 +169,23 @@ def synthetic_class_means(num_classes: int, dim: int, cluster_spread: float) -> 
     return means
 
 
+def check_synthetic(num_classes: int, dim: int, cluster_spread: float, **sizes: int) -> None:
+    """The one synthetic-data rule: raise ValueError, naming the argument at fault, unless
+    num_classes >= 2, dim and each per-class size in sizes are >= 1, and cluster_spread is
+    positive, finite and small enough that no feature overflows."""
+    if num_classes < 2:
+        raise ValueError("num_classes must be >= 2")
+    for key, size in {**sizes, "dim": dim}.items():
+        if size < 1:
+            raise ValueError(f"{key} must be >= 1")
+    if not 0.0 < cluster_spread < math.inf:
+        raise ValueError("cluster_spread must be positive and finite")
+    # Means reach 4 * spread * ring; 64 spreads more cover numpy's normals (all < 14).
+    ring = (num_classes - 1) // dim + 1
+    if math.isinf(cluster_spread * (4 * ring + 64)):
+        raise ValueError(f"cluster_spread {cluster_spread:g} overflows the features")
+
+
 def generate_synthetic(
     num_classes: int,
     per_class: int,
@@ -177,28 +194,17 @@ def generate_synthetic(
     seed: int,
 ) -> Dataset:
     """Isotropic Gaussian blobs, one per class, bit-reproducible per seed."""
-    if num_classes < 2:
-        raise ValueError("num_classes must be >= 2")
-    if per_class < 1:
-        raise ValueError("per_class must be >= 1")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    if cluster_spread <= 0:
-        raise ValueError("cluster_spread must be positive")
+    check_synthetic(num_classes, dim, cluster_spread, per_class=per_class)
     means = synthetic_class_means(num_classes, dim, cluster_spread)
     feats = rng_from(seed).standard_normal((num_classes, per_class, dim))
-    with np.errstate(over="ignore", invalid="ignore"):
-        feats *= cluster_spread
-        feats += means[:, None, :]
-    try:
-        return Dataset(
-            features=feats.reshape(-1, dim),
-            labels=np.repeat(np.arange(num_classes), per_class),
-            num_classes=num_classes,
-            name=f"synthetic-m{num_classes}-d{dim}",
-        )
-    except ValueError as exc:  # only the features can be at fault: they overflowed
-        raise ConfigError(f"synthetic data with cluster_spread {cluster_spread:g}: {exc}") from exc
+    feats *= cluster_spread
+    feats += means[:, None, :]
+    return Dataset(
+        features=feats.reshape(-1, dim),
+        labels=np.repeat(np.arange(num_classes), per_class),
+        num_classes=num_classes,
+        name=f"synthetic-m{num_classes}-d{dim}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +236,13 @@ def stratified_split_indices(
     fraction: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split positions 0..len(labels) into (train, holdout), per class.
+    """Split positions 0..len(labels) into (train, holdout), per class, for
+    a fraction in (0, 1), as ExperimentConfig.client_holdout_fraction is.
 
     A class of two or more samples gives floor(count * fraction) of them to
     the holdout, never fewer than one and never its last sample; a
     single-sample class stays entirely in train.
     """
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must lie strictly between 0 and 1")
-
     def shares(cls: int, size: int) -> Sequence[int]:
         take = min(max(1, math.floor(size * fraction)), size - 1)
         return [take, size - take]

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from .datasets import Dataset, class_counts
-from .errors import ConfigError, FltbenchError
+from .errors import ConfigError
 from .seeding import rng_from
 
 ARCH_LINEAR = "linear_softmax"
@@ -255,8 +255,8 @@ def loss_and_grad(
     are deterministic for fixed inputs. batch_x must hold finite float64
     (B, input_dim) rows, and for mlp1h (B, input_dim + 1) rows whose last
     column is 1, so the rep gradient, bias row included, is one product (see
-    forward): callers validate them once per dataset or shard, not once per
-    batch. The function calls forward, then softmax on the class-major
+    forward). The rows are validated once per dataset, by Dataset, and not
+    here. The function calls forward, then softmax on the class-major
     logits in place, and the backward pass works in the buffers of the
     products.
 
@@ -330,10 +330,11 @@ def sgd_epochs(
 ) -> ModelParams:
     """Run local_epochs of mini-batch SGD and return the updated copy.
 
-    Each epoch reshuffles the shard by rng.permutation; the final short batch
-    is kept. Every batch gradient gets weight_decay * w, which loss_and_grad
-    adds, and with a non-zero prox_mu FedProx's proximal pull
-    prox_mu * (w - params) toward the params the call started from.
+    The shard's rows are not checked here: they come from a Dataset, which
+    validated them once. Each epoch reshuffles the shard by rng.permutation;
+    the final short batch is kept. Every batch gradient gets weight_decay * w,
+    which loss_and_grad adds, and with a non-zero prox_mu FedProx's proximal
+    pull prox_mu * (w - params) toward the params the call started from.
 
     Training runs in one contiguous float64 buffer that starts as a copy of
     params, so the caller's arrays are never written; the returned blocks
@@ -344,10 +345,6 @@ def sgd_epochs(
     by the learning rate and steps, each once over the whole buffer.
     """
     n = shard_y.shape[0]
-    if n == 0:
-        raise FltbenchError("cannot train on an empty shard")
-    if not np.isfinite(shard_x).all():
-        raise ValueError("shard contains non-finite features")
     split = params.rep_block.shape[0]
     flat = np.concatenate([params.rep_block, params.head_block])
     grad = np.empty_like(flat)
@@ -418,9 +415,7 @@ def evaluate(
     dataset: Dataset,
     class_groups: Mapping[int, str] | None = None,
 ) -> Metrics:
-    """Top-1 accuracy of predict on a dataset, overall, per class and per group."""
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
+    """Top-1 accuracy of predict on a non-empty dataset, overall, per class and per group."""
     preds = predict(params, config, dataset.features)
     hits = preds == dataset.labels
     m = config.num_classes

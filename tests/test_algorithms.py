@@ -64,10 +64,6 @@ class TestAggregateWeighted:
         agg = aggregate_weighted(updates)
         np.testing.assert_allclose(agg.head_block, np.mean(heads, axis=0), atol=1e-15)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_weighted([])
-
     def test_affine_commutation(self, rng):
         # Applying a fixed affine map before aggregation equals applying it
         # after, because the weights sum to one.
@@ -587,12 +583,6 @@ class TestCreffServer:
             assert not np.shares_memory(new_head, prototypes)
             np.testing.assert_array_equal(head, head_before)
             np.testing.assert_array_equal(prototypes, prototypes_before)
-
-    def test_retrain_rejects_non_finite_prototypes(self, rng):
-        prototypes = rng.standard_normal((3, 2, 4))
-        prototypes[1, 0, 2] = np.nan
-        with pytest.raises(FltbenchError, match="^feature prototypes contain non-finite values$"):
-            retrain_head(np.zeros(3 * 4 + 3), prototypes, 0.1, 1)
 
     def test_server_round_changes_only_the_head(self, rng):
         cfg = ModelConfig(arch="mlp1h", input_dim=5, num_classes=3, init_seed=1, hidden_units=6)

@@ -395,7 +395,28 @@ class TestExitCodes:
         code = main(["train", "--config", _write_config(tmp_path, doc),
                      "--out", str(tmp_path / "out"), "--dry-run"])
         assert code == 2
-        assert capsys.readouterr().err.startswith("config error: data: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: data: ") and key in err
+
+    def test_cifar_class_count_other_than_10_exits_2_when_parsed(self, tmp_path, capsys):
+        # A CIFAR-10 run always has 10 classes, whatever the config says.
+        doc = json.loads(json.dumps(QUICK_CONFIG))
+        doc["data"] = {"source": "cifar10", "num_classes": 3}
+        code = main(["train", "--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out"), "--dry-run"])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: data: num_classes must be 10 for cifar10\n"
+
+    @pytest.mark.parametrize("fraction", [1.0, -0.1])
+    def test_client_holdout_fraction_outside_0_1_exits_2_when_parsed(self, tmp_path, capsys,
+                                                                     fraction):
+        doc = json.loads(json.dumps(QUICK_CONFIG))
+        doc["run"]["client_holdout_fraction"] = fraction
+        code = main(["train", "--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out"), "--dry-run"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: client_holdout_fraction must lie in [0, 1)\n")
 
     def test_overflowing_cluster_spread_exits_2(self, tmp_path, capsys):
         doc = json.loads(json.dumps(QUICK_CONFIG))

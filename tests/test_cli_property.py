@@ -1,5 +1,7 @@
 """Property: `fltbench train` and `partition` on any small config document,
-and `sweep --dry-run` on any small grid document, exit 0, 1 or 2.
+and `sweep --dry-run` on any small grid document, exit 0, 1 or 2; and a
+document that passes `train --dry-run` exits 2 in `train` only for the one
+fault the dry run does not look for, a Dirichlet retry budget run out.
 
 Documents are drawn around the valid region, with values on and past each
 bound, and training is kept to at most one round on a few dozen samples so
@@ -67,6 +69,11 @@ def _main(command, text, *flags):
 
 def _train(doc, *flags):
     return _main("train", json.dumps(doc), *flags)
+
+
+# The dry run only parses, and a synthetic config's only fault that parsing
+# cannot see is a Dirichlet partition that no draw within the retry budget fits.
+DIRICHLET_BUDGET = "config error: no Dirichlet draw satisfied min_shard_size="
 
 
 # Values past or on a bound. A drawn document sets at most one of them, so
@@ -154,8 +161,13 @@ def documents(draw):
 @example(PROFILE_DISTORTED_BY_SCALING)
 @example(EMPTY_CLIENTS_ALLOWED)
 def test_train_always_exits_with_a_code(doc):
-    code, _ = _train(doc)
-    assert code in (0, 1, 2)
+    dry, _ = _train(doc, "--dry-run")
+    code, err = _train(doc)
+    assert dry in (0, 2) and code in (0, 1, 2)
+    if dry == 2:
+        assert code == 2
+    elif code == 2:
+        assert err.startswith(DIRICHLET_BUDGET), err
 
 
 @pytest.mark.parametrize("doc,message", [

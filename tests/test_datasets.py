@@ -174,9 +174,11 @@ class TestSynthetic:
         assert ds.labels.tobytes() == labels.tobytes()
 
     def test_overflowing_features_are_a_config_error(self):
+        # check_synthetic refuses the spread before anything is drawn, so
+        # numpy never overflows and warns.
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(ConfigError, match="cluster_spread 1e\\+308: features contain NaN"):
+            with pytest.raises(ValueError, match="^cluster_spread 1e\\+308 overflows the features$"):
                 generate_synthetic(3, 4, 2, 1e308, seed=0)
 
     def test_largest_spread_the_config_accepts_gives_finite_features(self):
@@ -341,9 +343,3 @@ class TestStratifiedHoldout:
         assert 2 in train.tolist() and 2 not in hold.tolist()
         assert np.bincount(labels[train], minlength=2).tolist() == [1, 1]
         assert np.bincount(labels[hold], minlength=2).tolist() == [1, 0]
-
-    def test_fraction_bounds(self):
-        labels = np.repeat([0, 1], 4)
-        for bad in (0.0, 1.0, -0.1):
-            with pytest.raises(ValueError):
-                _split(labels, bad, seed=0)
