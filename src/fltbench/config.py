@@ -43,14 +43,18 @@ def _check_floats(what: str, count: int) -> None:
         raise ValueError(f"{what} would be {count} float64s, more than numpy can hold")
 
 
+# The data keys that only synthetic data reads, and their defaults there.
+SYNTHETIC_DEFAULTS = {"per_class": 500, "test_per_class": 100, "dim": 32, "cluster_spread": 1.0}
+
+
 @dataclass(frozen=True)
 class DataConfig:
     source: str
     num_classes: int = 10
-    per_class: int = 500
-    test_per_class: int = 100
-    dim: int = 32
-    cluster_spread: float = 1.0
+    per_class: int | None = None
+    test_per_class: int | None = None
+    dim: int | None = None
+    cluster_spread: float | None = None
     data_dir: str | None = None
     lt_target_if: float | None = None
 
@@ -59,15 +63,20 @@ class DataConfig:
             raise ValueError(
                 f"source must be one of {SOURCE_SYNTHETIC}, {SOURCE_CIFAR10}, not {self.source!r}"
             )
+        for key, default in SYNTHETIC_DEFAULTS.items():
+            if self.source == SOURCE_SYNTHETIC and getattr(self, key) is None:
+                object.__setattr__(self, key, default)
+            elif self.source == SOURCE_CIFAR10 and getattr(self, key) is not None:
+                raise ValueError(f"{key} is read by synthetic data only, not by cifar10")
         if self.source == SOURCE_CIFAR10 and self.num_classes != CIFAR_CLASSES:
             raise ValueError(f"num_classes must be {CIFAR_CLASSES} for cifar10")
-        check_synthetic(self.num_classes, self.dim, self.cluster_spread,
-                        per_class=self.per_class, test_per_class=self.test_per_class)
-        if self.lt_target_if is not None and not self.lt_target_if >= 1.0:
-            raise ValueError("lt_target_if must be >= 1")
         if self.source == SOURCE_SYNTHETIC:
+            check_synthetic(self.num_classes, self.dim, self.cluster_spread,
+                            per_class=self.per_class, test_per_class=self.test_per_class)
             _check_floats("num_classes * max(per_class, test_per_class) * dim",
                           self.num_classes * max(self.per_class, self.test_per_class) * self.dim)
+        if self.lt_target_if is not None and not self.lt_target_if >= 1.0:
+            raise ValueError("lt_target_if must be >= 1")
         self.synthetic_train_counts()  # rejects an unrealizable long-tail profile
 
     def synthetic_train_counts(self) -> np.ndarray | None:

@@ -351,22 +351,17 @@ GROUP_LO_REFERENCE = 200.0
 GROUP_REFERENCE_MAX = 5000.0
 
 
-def head_tail_groups(train_global_counts: np.ndarray) -> dict[int, str]:
+def head_tail_groups(train_global_counts: np.ndarray) -> dict[str, list[int]]:
     """Bucket classes by train count: > hi is head, < lo is tail, else medium.
 
-    The cutoffs hi/lo are 1000/200 at CIFAR scale (largest class 5000) and
-    scale proportionally with the largest observed class count.
+    Returns each non-empty group's classes, in head, medium, tail order. The
+    cutoffs hi/lo are 1000/200 at CIFAR scale (largest class 5000) and scale
+    proportionally with the largest observed class count.
     """
     counts = np.asarray(train_global_counts, dtype=np.int64)
     scale = counts.max() / GROUP_REFERENCE_MAX
     hi = GROUP_HI_REFERENCE * scale
     lo = GROUP_LO_REFERENCE * scale
-    groups: dict[int, str] = {}
-    for cls, count in enumerate(counts):
-        if count > hi:
-            groups[cls] = "head"
-        elif count < lo:
-            groups[cls] = "tail"
-        else:
-            groups[cls] = "medium"
-    return groups
+    groups = {"head": counts > hi, "medium": (counts >= lo) & (counts <= hi), "tail": counts < lo}
+    return {group: np.flatnonzero(members).tolist()
+            for group, members in groups.items() if members.any()}

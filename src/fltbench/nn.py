@@ -23,7 +23,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -376,13 +376,13 @@ def sgd_epochs(
 
 @dataclass(frozen=True)
 class Metrics:
-    """Top-1 accuracy, per-class accuracies, and optional group accuracies."""
+    """Top-1 accuracy, per-class accuracies, and group accuracies by group name."""
 
     accuracy: float
     per_class_accuracy: np.ndarray
     per_class_counts: np.ndarray
     num_samples: int
-    group_accuracy: dict[str, float] | None = None
+    group_accuracy: dict[str, float]
 
     def to_json_dict(self) -> dict:
         return {
@@ -410,12 +410,12 @@ def predict(params: ModelParams, config: ModelConfig, features: np.ndarray) -> n
 
 
 def evaluate(
-    params: ModelParams,
-    config: ModelConfig,
-    dataset: Dataset,
-    class_groups: Mapping[int, str] | None = None,
+    params: ModelParams, config: ModelConfig, dataset: Dataset,
+    class_groups: Mapping[str, Sequence[int]],
 ) -> Metrics:
-    """Top-1 accuracy of predict on a non-empty dataset, overall, per class and per group."""
+    """Top-1 accuracy of predict on a non-empty dataset, overall, per class and
+    per group of class_groups (datasets.head_tail_groups), in its order; a
+    group with no sample in the dataset has no accuracy."""
     preds = predict(params, config, dataset.features)
     hits = preds == dataset.labels
     m = config.num_classes
@@ -424,14 +424,11 @@ def evaluate(
     per_class = np.divide(
         correct, counts, out=np.zeros(m, dtype=np.float64), where=counts > 0
     )
-    group_acc: dict[str, float] | None = None
-    if class_groups is not None:
-        group_acc = {}
-        for group in ("head", "medium", "tail"):
-            members = [c for c in range(m) if class_groups.get(c) == group]
-            total = int(counts[members].sum()) if members else 0
-            if total > 0:
-                group_acc[group] = float(correct[members].sum()) / total
+    group_acc = {}
+    for group, members in class_groups.items():
+        total = int(counts[members].sum())
+        if total > 0:
+            group_acc[group] = float(correct[members].sum()) / total
     return Metrics(
         accuracy=float(hits.mean()),
         per_class_accuracy=per_class,

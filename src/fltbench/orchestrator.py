@@ -134,7 +134,7 @@ def _client_holdouts(
         taken = np.zeros(shard.size, dtype=bool)
         taken[tr_pos] = True
         if taken[te_pos].any():
-            raise AssertionError(f"client {k} evaluation indices leaked into training")
+            raise FltbenchError(f"internal error: client {k} holdout indices leaked into training")
         if held.size:
             by_rows.setdefault(held.size, []).append((k, held))
     stacks = []
@@ -204,9 +204,8 @@ class ExperimentReport:
             out.write(f"{point.round},global_test,accuracy,,{g.accuracy:.10g}\n")
             for cls, acc in enumerate(g.per_class_accuracy):
                 out.write(f"{point.round},global_test,class_accuracy,{cls},{acc:.10g}\n")
-            if g.group_accuracy:
-                for group, acc in g.group_accuracy.items():
-                    out.write(f"{point.round},global_test,group_accuracy,{group},{acc:.10g}\n")
+            for group, acc in g.group_accuracy.items():
+                out.write(f"{point.round},global_test,group_accuracy,{group},{acc:.10g}\n")
             if point.personalized_mean is not None:
                 out.write(
                     f"{point.round},client_test,personalized_accuracy_mean,,"
@@ -289,45 +288,34 @@ def _algorithm(
     return _Algorithm(local_sgd, average)
 
 
-def _holdout_accuracies(
-    model_config: ModelConfig, rep_block: np.ndarray, head_sets: list[np.ndarray],
-    holdouts: _Holdouts, num_clients: int,
-) -> list[tuple[float | None, list[float | None]]]:
-    """Per head set, the mean accuracy over the clients with a holdout and the
-    per-client list (None for an empty holdout), under the shared rep_block. A
-    set is one (head_size,) head for every client, or FedPer's (num_clients,
-    head_size) heads, row k client k's. Each stack is one predict call under
-    every set, so its hidden layer is computed once."""
-    acc = np.full((len(head_sets), num_clients), np.nan)  # NaN: empty holdout
-    shared = all(h.ndim == 1 for h in head_sets)  # then one row broadcasts to every client
-    for ids, features, labels in holdouts:
-        heads = np.empty((len(head_sets), 1 if shared else len(ids), model_config.head_size))
-        for out, h in zip(heads, head_sets):
-            out[:] = h if h.ndim == 1 else h[ids]
-        preds = predict(ModelParams(rep_block, heads), model_config, features)
-        acc[:, ids] = (preds == labels).mean(axis=-1)
-    held = [row[~np.isnan(row)] for row in acc]
-    return [(float(np.mean(h)) if h.size else None, [None if math.isnan(a) else a for a in row])
-            for h, row in zip(held, acc.tolist())]
-
-
 def _evaluate_point(
     config: ExperimentConfig, model_config: ModelConfig, round_idx: int, params: ModelParams,
-    heads: np.ndarray | None, test: Dataset, groups: dict[int, str],
+    heads: np.ndarray | None, test: Dataset, groups: dict[str, list[int]],
     holdouts: _Holdouts | None,
 ) -> EvalPoint:
-    """Given FedPer's heads, also scores each client's personal model."""
+    """The global model's test metrics and, given client holdouts, each
+    client's holdout accuracy under the global head (set 0) and FedPer's own
+    heads (set 1, None without them): one predict call per stack on a
+    (sets, G, head_size) head block, so a stack's hidden layer is computed
+    once. Each mean is over the clients with a holdout."""
     global_metrics = evaluate(params, model_config, test, groups)
     if holdouts is None:
         return EvalPoint(round_idx, global_metrics)
-    head_sets = [params.head_block] + ([] if heads is None else [heads])
-    (global_mean, global_per), *personal = _holdout_accuracies(
-        model_config, params.rep_block, head_sets, holdouts, config.partition.num_clients
-    )
-    personal_mean, personal_per = personal[0] if personal else (None, None)
+    sets = 1 if heads is None else 2
+    acc = np.full((sets, config.partition.num_clients), np.nan)  # NaN: empty holdout
+    for ids, features, labels in holdouts:
+        block = np.empty((sets, len(ids), model_config.head_size))
+        block[0] = params.head_block
+        if heads is not None:
+            block[1] = heads[ids]
+        preds = predict(ModelParams(params.rep_block, block), model_config, features)
+        acc[:, ids] = (preds == labels).mean(axis=-1)
+    held = ~np.isnan(acc[0])  # the clients with a holdout, the same in every set
+    means = [float(np.mean(row[held])) if held.any() else None for row in acc] + [None]
+    per_client = [[None if math.isnan(a) else a for a in row] for row in acc.tolist()] + [None]
     return EvalPoint(round_idx, global_metrics,
-                     personalized_mean=personal_mean, personalized_per_client=personal_per,
-                     global_on_clients_mean=global_mean, global_on_clients_per_client=global_per)
+                     personalized_mean=means[1], personalized_per_client=per_client[1],
+                     global_on_clients_mean=means[0], global_on_clients_per_client=per_client[0])
 
 
 def _divergence_message(updates: list[ClientUpdate]) -> str:

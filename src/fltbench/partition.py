@@ -28,7 +28,7 @@ import numpy as np
 
 from .datasets import (Dataset, LtProfile, class_counts, deal_by_class, exponential_profile,
                        profile_counts)
-from .errors import ConfigError
+from .errors import ConfigError, FltbenchError
 from .seeding import derive_rng, rng_from
 
 KIND_IID = "iid"
@@ -105,7 +105,7 @@ def _finish(dataset: Dataset, spec: PartitionSpec, index_lists: list[np.ndarray]
         shard.flags.writeable = False
     owned = np.concatenate(shards)
     if np.unique(owned).size != owned.size:
-        raise AssertionError("internal error: overlapping shards")
+        raise FltbenchError("internal error: overlapping shards")
     counts = np.stack([class_counts(dataset.labels[s], dataset.num_classes) for s in shards])
     counts.flags.writeable = False
     return Partition(shards=shards, counts=counts)

@@ -534,7 +534,7 @@ class TestCreffServer:
         prototypes = np.repeat(means[:, None, :], 10, axis=1)
         new_head = retrain_head(params.head_block, prototypes, 0.5, 400)
         tuned = ModelParams(params.rep_block, new_head)
-        assert evaluate(tuned, cfg, toy).accuracy == 1.0
+        assert evaluate(tuned, cfg, toy, {}).accuracy == 1.0
 
     def test_retrain_equals_generic_kernel_loop(self, rng):
         # retrain_head keeps its logits class-major, (M, n), while the

@@ -16,10 +16,12 @@ import pytest
 import fltbench.cli
 from fltbench.cli import main
 from fltbench.config import (
+    SYNTHETIC_DEFAULTS,
     experiment_config_to_dict,
     parse_experiment_config,
     parse_grid_config,
 )
+from fltbench.datasets import head_tail_groups
 from fltbench.errors import ConfigError
 
 QUICK_CONFIG = {
@@ -59,6 +61,12 @@ def _write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def _cifar_data(**keys):
+    """A data override that makes a synthetic base a CIFAR-10 run: a null
+    clears the key, and a cifar10 section sets no synthetic-only key."""
+    return {"source": "cifar10", **dict.fromkeys(SYNTHETIC_DEFAULTS), **keys}
 
 
 def _tiny_cifar_dir(tmp_path):
@@ -407,6 +415,39 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == "config error: data: num_classes must be 10 for cifar10\n"
 
+    @pytest.mark.parametrize("key, value", [
+        ("per_class", 7), ("test_per_class", 7), ("dim", 3), ("cluster_spread", 2.0),
+    ])
+    def test_synthetic_key_in_a_cifar_section_exits_2_when_parsed(self, tmp_path, capsys,
+                                                                  key, value):
+        # A CIFAR-10 run never reads it, so setting it is a fault of the config.
+        doc = json.loads(json.dumps(QUICK_CONFIG))
+        doc["data"] = {"source": "cifar10", key: value}
+        code = main(["train", "--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out"), "--dry-run"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: data: {key} is read by synthetic data only, not by cifar10\n")
+
+    def test_cifar_example_dry_run_echoes_null_for_the_synthetic_keys(self, tmp_path, capsys):
+        example = Path(__file__).resolve().parent.parent / "docs/examples/cifar10_dirichlet.json"
+        code = main(["train", "--config", str(example), "--out", str(tmp_path / "out"),
+                     "--dry-run"])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert {key: data[key] for key in SYNTHETIC_DEFAULTS} == dict.fromkeys(SYNTHETIC_DEFAULTS)
+
+    def test_synthetic_dry_run_echoes_the_defaults_it_fills(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(QUICK_CONFIG))
+        doc["data"] = {"source": "synthetic"}
+        code = main(["train", "--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out"), "--dry-run"])
+        assert code == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert {key: data[key] for key in SYNTHETIC_DEFAULTS} == {
+            "per_class": 500, "test_per_class": 100, "dim": 32, "cluster_spread": 1.0,
+        }
+
     @pytest.mark.parametrize("fraction", [1.0, -0.1])
     def test_client_holdout_fraction_outside_0_1_exits_2_when_parsed(self, tmp_path, capsys,
                                                                      fraction):
@@ -439,6 +480,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: ") and "TiB" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("module, name, overlapping, message", [
+        ("orchestrator", "stratified_split_indices",
+         lambda labels, num_classes, fraction, rng: (np.arange(len(labels)), np.array([0])),
+         "client 0 holdout indices leaked into training"),
+        ("partition", "_draw_iid",
+         lambda n, num_clients, seed: [np.arange(n)] * num_clients, "overlapping shards"),
+    ])
+    def test_internal_check_exits_1_in_one_line(self, tmp_path, monkeypatch, capsys,
+                                                module, name, overlapping, message):
+        # A split or partition that overlaps is a fault of the program, not
+        # of the config, and ends the run without a traceback.
+        monkeypatch.setattr(getattr(fltbench, module), name, overlapping)
+        doc = json.loads(json.dumps(QUICK_CONFIG))
+        doc["run"]["client_holdout_fraction"] = 0.25
+        code = main(["train", "--config", _write_config(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: internal error: {message}\n"
 
     def test_dry_run_validates_and_exits_0(self, tmp_path, capsys):
         code = main(["train", "--config", _write_config(tmp_path, QUICK_CONFIG),
@@ -501,6 +561,28 @@ class TestTrainCommand:
         report_a.pop("wall_clock_sec")
         report_b.pop("wall_clock_sec")
         assert report_a == report_b
+
+    def test_group_accuracy_is_head_medium_tail_and_recomposes_accuracy(self, tmp_path):
+        # Pins the group order where the golden test skips (another numpy,
+        # BLAS or machine). At IF 100 the class counts run 100 down to 1, so
+        # the head (> 20), medium and tail (< 4) groups are all non-empty.
+        doc = json.loads(json.dumps(QUICK_CONFIG))
+        doc["data"].update(per_class=100, lt_target_if=100.0)
+        out = tmp_path / "out"
+        assert main(["train", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        groups = head_tail_groups(np.array(report["partition"]["global_counts"]))
+        assert list(groups) == ["head", "medium", "tail"]
+        rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()]
+        for point in report["eval_points"]:
+            metrics = point["global"]
+            assert list(metrics["group_accuracy"]) == ["head", "medium", "tail"]
+            assert [r[3] for r in rows if r[:3] == [str(point["round"]), "global_test",
+                                                    "group_accuracy"]] == list(groups)
+            counts = np.array(metrics["per_class_counts"])
+            recomposed = sum(metrics["group_accuracy"][g] * counts[c].sum()
+                             for g, c in groups.items())
+            assert recomposed / counts.sum() == pytest.approx(metrics["accuracy"])
 
 
 class TestWriteFaults:
@@ -673,7 +755,7 @@ class TestSweepCommand:
         doc = _grid_doc(rounds=1)
         doc["algorithms"] = ["fedavg"]
         doc["settings"][1] = {"label": "broken", "overrides": {
-            "data": {"source": "cifar10", "data_dir": "/missing"},
+            "data": _cifar_data(data_dir="/missing"),
         }}
         out = tmp_path / "out"
         code = main(["sweep", "--config", _write_config(tmp_path, doc), "--out", str(out),
@@ -767,7 +849,7 @@ class TestSweepCommand:
     def test_partial_failure_marks_error_and_exits_0(self, tmp_path, capsys):
         doc = _grid_doc()
         doc["settings"].append(
-            {"label": "broken", "overrides": {"data": {"source": "cifar10", "data_dir": "/missing"}}}
+            {"label": "broken", "overrides": {"data": _cifar_data(data_dir="/missing")}}
         )
         out = tmp_path / "out"
         code = main(["sweep", "--config", _write_config(tmp_path, doc), "--out", str(out)])
@@ -780,9 +862,9 @@ class TestSweepCommand:
         doc = _grid_doc()
         doc["settings"] = [
             {"label": "iid", "overrides": {}},
-            {"label": "cifar_if50", "overrides": {"data": {
-                "source": "cifar10", "data_dir": _tiny_cifar_dir(tmp_path), "lt_target_if": 50.0,
-            }}},
+            {"label": "cifar_if50", "overrides": {"data": _cifar_data(
+                data_dir=_tiny_cifar_dir(tmp_path), lt_target_if=50.0,
+            )}},
         ]
         out = tmp_path / "out"
         code = main(["sweep", "--config", _write_config(tmp_path, doc), "--out", str(out)])

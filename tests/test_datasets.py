@@ -206,7 +206,7 @@ class TestSynthetic:
         cfg = ModelConfig(arch="linear_softmax", input_dim=32, num_classes=10, init_seed=0)
         tc = TrainConfig(learning_rate=0.5, batch_size=64, local_epochs=30)
         params = sgd_epochs(init_model(cfg), cfg, tc, train.features, train.labels, rng_from(7))
-        assert evaluate(params, cfg, test).accuracy >= 0.95
+        assert evaluate(params, cfg, test, {}).accuracy >= 0.95
 
     @pytest.mark.parametrize(
         "kwargs",

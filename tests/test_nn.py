@@ -583,26 +583,27 @@ class TestEvaluate:
         params = init_model(cfg)
         params.head_block[:] = 0.0  # all logits zero, argmax tie -> class 0
         ds = generate_synthetic(10, 20, 3, 0.5, seed=0)
-        metrics = evaluate(params, cfg, ds)
+        metrics = evaluate(params, cfg, ds, {})
         assert metrics.accuracy == pytest.approx(0.1)
+        assert metrics.group_accuracy == {}
         assert metrics.per_class_accuracy[0] == 1.0
         assert metrics.per_class_accuracy[1:].sum() == 0.0
 
     def test_per_class_recomposes_overall(self):
         ds = generate_synthetic(5, 30, 4, 0.5, seed=2)
         cfg = ModelConfig(arch="mlp1h", input_dim=4, num_classes=5, init_seed=3, hidden_units=8)
-        metrics = evaluate(init_model(cfg), cfg, ds)
+        metrics = evaluate(init_model(cfg), cfg, ds, {})
         weighted = (metrics.per_class_accuracy * metrics.per_class_counts).sum()
         assert weighted / metrics.num_samples == pytest.approx(metrics.accuracy)
 
     def test_group_accuracy_recomposes_overall(self):
         ds = generate_synthetic(6, 25, 4, 0.5, seed=5)
         cfg = ModelConfig(arch="linear_softmax", input_dim=4, num_classes=6, init_seed=1)
-        groups = {0: "head", 1: "head", 2: "medium", 3: "medium", 4: "tail", 5: "tail"}
+        groups = {"head": [0, 1], "medium": [2, 3], "tail": [4, 5]}
         metrics = evaluate(init_model(cfg), cfg, ds, groups)
+        assert list(metrics.group_accuracy) == ["head", "medium", "tail"]
         total = 0.0
-        for name in ("head", "medium", "tail"):
-            members = [c for c, g in groups.items() if g == name]
+        for name, members in groups.items():
             total += metrics.group_accuracy[name] * metrics.per_class_counts[members].sum()
         assert total / metrics.num_samples == pytest.approx(metrics.accuracy)
 
@@ -612,7 +613,7 @@ class TestEvaluate:
         cfg = ModelConfig(arch="linear_softmax", input_dim=32, num_classes=10, init_seed=0)
         tc = TrainConfig(learning_rate=0.5, batch_size=64, local_epochs=20)
         trained = sgd_epochs(init_model(cfg), cfg, tc, train.features, train.labels, rng_from(4))
-        assert evaluate(trained, cfg, test).accuracy >= 0.95
+        assert evaluate(trained, cfg, test, {}).accuracy >= 0.95
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 600, 2000])
     def test_blocked_evaluate_equals_one_forward(self, rng, monkeypatch, n):
@@ -630,7 +631,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(fltbench.nn, "forward", recording)
         # Labelled with the unblocked argmax, every blocked prediction is a hit.
-        metrics = evaluate(params, cfg, Dataset(x, np.argmax(logits, axis=0), num_classes=10))
+        metrics = evaluate(params, cfg, Dataset(x, np.argmax(logits, axis=0), num_classes=10), {})
         assert metrics.accuracy == 1.0
         np.testing.assert_array_equal(np.concatenate(blocks, axis=1), logits)
         assert max(b.shape[1] for b in blocks) <= fltbench.nn.EVAL_BLOCK_ROWS

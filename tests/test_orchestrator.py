@@ -11,7 +11,7 @@ import fltbench.orchestrator
 from fltbench.algorithms import AlgoConfig
 from fltbench.config import DataConfig, ExperimentConfig, ModelSpec, SweepCell
 from fltbench.datasets import Dataset, class_counts, head_tail_groups, subset
-from fltbench.errors import ConfigError
+from fltbench.errors import ConfigError, FltbenchError
 from fltbench.nn import (
     EVAL_BLOCK_ROWS,
     ModelParams,
@@ -224,8 +224,10 @@ class TestClientSampling:
             return np.arange(len(labels)), np.array([len(labels) - 1])
 
         monkeypatch.setattr(fltbench.orchestrator, "stratified_split_indices", overlapping)
-        with pytest.raises(AssertionError, match="client 0 evaluation indices leaked"):
+        with pytest.raises(FltbenchError, match="internal error: client 0 holdout indices "
+                           "leaked") as caught:
             _client_holdouts(train, partition, 0.25, config.master_seed)
+        assert not isinstance(caught.value, ConfigError)  # a fault of the program: exit 1
 
 
 def _indexed(labels, num_classes):
@@ -250,14 +252,14 @@ def _per_client_reference(model_config, params, client_heads, client_tests, fedp
     """The per-client evaluate loop that the stacked holdout passes replaced,
     with None for a client whose holdout is empty (ds None)."""
     global_per = [
-        None if ds is None else evaluate(params, model_config, ds).accuracy
+        None if ds is None else evaluate(params, model_config, ds, {}).accuracy
         for _, ds in client_tests
     ]
     if not fedper:
         return global_per, None
     personal = [
         None if ds is None else
-        evaluate(ModelParams(params.rep_block, client_heads[c]), model_config, ds).accuracy
+        evaluate(ModelParams(params.rep_block, client_heads[c]), model_config, ds, {}).accuracy
         for c, ds in client_tests
     ]
     return global_per, personal
@@ -386,29 +388,30 @@ class TestBlasThreads:
 
 class TestHeadTailGroups:
     def test_flat_profile_is_all_head(self):
-        groups = head_tail_groups(np.array([5000] * 10))
-        assert set(groups.values()) == {"head"}
+        # The empty medium and tail groups are left out.
+        assert head_tail_groups(np.array([5000] * 10)) == {"head": list(range(10))}
 
     def test_if100_profile_split(self):
         counts = np.array([5000, 2997, 1796, 1077, 645, 387, 232, 139, 83, 50])
-        groups = head_tail_groups(counts)
-        assert groups[0] == "head"
-        assert groups[9] == "tail"
-        assert groups[4] == "medium"
+        assert head_tail_groups(counts) == {
+            "head": [0, 1, 2, 3], "medium": [4, 5, 6], "tail": [7, 8, 9],
+        }
 
     def test_thresholds_scale_with_dataset_size(self):
         counts = np.array([1000, 599, 359, 215, 129, 77, 46, 27, 16, 10])
         groups = head_tail_groups(counts)  # hi=200, lo=40 after scaling
-        assert [groups[c] for c in range(10)] == [
-            "head", "head", "head", "head",
-            "medium", "medium", "medium",
-            "tail", "tail", "tail",
-        ]
+        assert groups == {"head": [0, 1, 2, 3], "medium": [4, 5, 6], "tail": [7, 8, 9]}
+        assert list(groups) == ["head", "medium", "tail"]
 
     def test_counts_on_a_cutoff_are_medium(self):
         # Largest class 5000: the cutoffs are exactly 1000 and 200.
         groups = head_tail_groups(np.array([5000, 1001, 1000, 200, 199]))
-        assert [groups[c] for c in range(5)] == ["head", "head", "medium", "medium", "tail"]
+        assert groups == {"head": [0, 1], "medium": [2, 3], "tail": [4]}
+
+    def test_groups_keep_head_medium_tail_order_for_any_class_order(self):
+        # Tail classes first and no medium class: the empty group is left out.
+        groups = head_tail_groups(np.array([10, 5000, 20, 4000]))
+        assert list(groups.items()) == [("head", [1, 3]), ("tail", [0, 2])]
 
 
 def _errors(outcomes):

@@ -11,7 +11,7 @@ from fltbench.datasets import (
     generate_synthetic,
     shape_long_tailed,
 )
-from fltbench.errors import ConfigError
+from fltbench.errors import ConfigError, FltbenchError
 from fltbench.partition import (
     PartitionSpec,
     _finish,
@@ -277,8 +277,9 @@ class TestBuildPartition:
 
     def test_duplicate_shard_indices(self, balanced_ds):
         spec = PartitionSpec(kind="iid", num_clients=2, min_shard_size=1)
-        with pytest.raises(AssertionError, match="overlapping"):
+        with pytest.raises(FltbenchError, match="internal error: overlapping") as caught:
             _finish(balanced_ds, spec, [np.array([1, 1, 2]), np.array([3])])
+        assert not isinstance(caught.value, ConfigError)  # a fault of the program: exit 1
 
 
 class TestReport:
