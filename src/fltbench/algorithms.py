@@ -9,14 +9,17 @@
 * creff   - clients also report an (M, head_size) array whose row c is
             the mean head gradient of their class-c samples at the frozen
             global model, read where their class count is positive. The
-            server maintains learnable per-class feature prototypes whose
-            induced head gradients are optimized to match the averaged real
-            ones, then re-trains the head on the balanced union of
-            prototypes. A client's gradients come from forward passes
-            over blocks of whole classes of its class-sorted shard. All
-            reported classes are matched together as one (C, P, F) batch,
-            bit-identical to matching them one at a time; a matching step
-            returns the feature step and computes no loss.
+            server folds each report into per-class sums and report counts
+            as its client finishes, so it holds no report; a class's target,
+            sum / count, is bit-equal to the unweighted mean of its reported
+            rows. It maintains learnable per-class feature prototypes whose
+            induced head gradients are optimized to match those targets,
+            then re-trains the head on the balanced union of prototypes. A
+            client's gradients come from forward passes over blocks of
+            whole classes of its class-sorted shard. All reported classes
+            are matched together as one (C, P, F) batch, bit-identical to
+            matching them one at a time; a matching step returns the
+            feature step and computes no loss.
 
 Unverified deviations of creff from the CReFF paper (Shang et al., IJCAI
 2022, arXiv:2204.13399), kept until they are checked against its text:
@@ -90,7 +93,6 @@ class ClientUpdate:
     client_id: int
     params: ModelParams
     class_counts: np.ndarray  # (M,): the client's samples of each class
-    head_class_grads: np.ndarray | None = None  # CReFF: see creff_client_head_grads
 
     @property
     def n_k(self) -> int:
@@ -353,7 +355,8 @@ def retrain_head(
 
 
 class CreffServer:
-    """Server-side state: persistent per-class feature prototypes.
+    """Server-side state: persistent per-class feature prototypes, and the
+    round's per-class sums and counts of the clients' head-gradient reports.
 
     Prototypes start from a seeded Gaussian and are refined every round so
     the head gradient they induce matches the averaged real head gradients
@@ -366,27 +369,33 @@ class CreffServer:
         self.features = rng_from(seed).standard_normal(
             (model_config.num_classes, algo_config.ff_per_class, model_config.feature_dim)
         )
+        self._grad_sums = np.zeros((model_config.num_classes, model_config.head_size))
+        self._report_counts = np.zeros(model_config.num_classes, dtype=np.int64)
 
-    def server_round(
-        self, global_params: ModelParams, updates: list[ClientUpdate]
-    ) -> np.ndarray:
+    def add_report(self, head_class_grads: np.ndarray, class_counts: np.ndarray) -> None:
+        """Fold one client's creff_client_head_grads into the round's sums:
+        row c is added, and class c's report count raised by one, where
+        class_counts[c] > 0. Other rows (NaN) are never read."""
+        reported = class_counts > 0
+        np.add(self._grad_sums, head_class_grads, out=self._grad_sums, where=reported[:, None])
+        self._report_counts += reported
+
+    def server_round(self, global_params: ModelParams) -> np.ndarray:
         """One aggregation step: match prototypes, then return a re-trained head.
 
-        Class c's target is the mean of row c of head_class_grads over the
-        updates with class-c samples. All reported classes are matched
+        Class c's target is its folded sum over its report count: summed from
+        +0.0 in fold order, bit-equal to np.mean of the reported rows. The sums
+        are zeroed for the next round. All reported classes are matched
         together as one (C, P, F) batch; the others keep their prototypes.
         """
         m = self.model_config.num_classes
         w, b = head_views(global_params.head_block, m)
-        classes, targets = [], []
-        for cls in range(m):
-            reported = [u.head_class_grads[cls] for u in updates if u.class_counts[cls] > 0]
-            if reported:
-                classes.append(cls)
-                targets.append(np.mean(reported, axis=0))
-        if classes:
-            labels = np.array(classes, dtype=np.int64)
-            target_w, target_b = head_views(np.stack(targets), m)
+        labels = np.flatnonzero(self._report_counts)
+        targets = self._grad_sums[labels] / self._report_counts[labels, None]
+        self._grad_sums.fill(0.0)
+        self._report_counts.fill(0)
+        if labels.size:
+            target_w, target_b = head_views(targets, m)
             feats = self.features[labels]  # a copy: fancy indexing
             lr = self.algo_config.ff_lr
             for step in range(self.algo_config.ff_steps):
@@ -396,7 +405,7 @@ class CreffServer:
                 if not finite.all():
                     raise FltbenchError(
                         f"feature optimization diverged for class "
-                        f"{classes[int(np.argmin(finite))]} at step {step}"
+                        f"{labels[int(np.argmin(finite))]} at step {step}"
                     )
             self.features[labels] = feats
         return retrain_head(

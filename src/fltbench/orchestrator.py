@@ -275,12 +275,12 @@ def _algorithm(
 
         def local_sgd_and_head_grads(w, x, y, rng, k):
             update = local_sgd(w, x, y, rng, k)
-            update.head_class_grads = creff_client_head_grads(w, model_config, x, y)
+            creff.add_report(creff_client_head_grads(w, model_config, x, y), update.class_counts)
             return update
 
         def average_and_retrain_head(w, updates):
             rep = aggregate_weighted(updates).rep_block
-            return ModelParams(rep, creff.server_round(w, updates))
+            return ModelParams(rep, creff.server_round(w))
 
         return _Algorithm(
             local_sgd_and_head_grads, average_and_retrain_head, features=creff.features

@@ -520,10 +520,34 @@ def _separable_toy(rng, m=4, dim=6, per_class=25, noise=0.02):
     return Dataset(feats, labels, num_classes=m), means
 
 
-def _creff_update(params, cfg, x, y, client_id=0):
-    """A CReFF client's report: its class counts and per-class head gradients."""
-    return ClientUpdate(client_id, params, np.bincount(y, minlength=cfg.num_classes),
-                        creff_client_head_grads(params, cfg, x, y))
+def _creff_report(params, cfg, x, y):
+    """A CReFF client's report: its per-class head gradients and class counts."""
+    return creff_client_head_grads(params, cfg, x, y), np.bincount(y, minlength=cfg.num_classes)
+
+
+@pytest.fixture
+def matching_calls(monkeypatch):
+    """The labels and (C, head_size) targets of every matching step the
+    server takes, so a round whose reports never reached it cannot pass as
+    one that matched."""
+    calls = []
+    matching = fltbench.algorithms.matching_loss_and_grad
+
+    def recording_matching(features, labels, w, b, target_w, target_b, lr):
+        targets = np.concatenate([target_w.reshape(len(labels), -1), target_b], axis=1)
+        calls.append((labels.tolist(), targets))
+        return matching(features, labels, w, b, target_w, target_b, lr)
+
+    monkeypatch.setattr(fltbench.algorithms, "matching_loss_and_grad", recording_matching)
+    return calls
+
+
+def _mean_targets(reports, m):
+    """Per-class np.mean over the reports with class-c samples: the
+    reference that folded targets must equal bit for bit."""
+    classes = [c for c in range(m) if any(counts[c] > 0 for _, counts in reports)]
+    means = [np.mean([g[c] for g, counts in reports if counts[c] > 0], axis=0) for c in classes]
+    return classes, np.stack(means)
 
 
 class TestCreffServer:
@@ -584,7 +608,7 @@ class TestCreffServer:
             np.testing.assert_array_equal(head, head_before)
             np.testing.assert_array_equal(prototypes, prototypes_before)
 
-    def test_server_round_changes_only_the_head(self, rng):
+    def test_server_round_changes_only_the_head(self, rng, matching_calls):
         cfg = ModelConfig(arch="mlp1h", input_dim=5, num_classes=3, init_seed=1, hidden_units=6)
         algo = AlgoConfig(
             algorithm="creff", rounds=1, ff_per_class=4, ff_steps=5,
@@ -594,11 +618,13 @@ class TestCreffServer:
         server = CreffServer(cfg, algo, seed=2)
         x = rng.standard_normal((20, 5))
         y = rng.integers(0, 3, 20)
-        new_head = server.server_round(params, [_creff_update(params, cfg, x, y)])
+        server.add_report(*_creff_report(params, cfg, x, y))
+        new_head = server.server_round(params)
+        assert len(matching_calls) == algo.ff_steps
         assert new_head.shape == params.head_block.shape
         assert not np.array_equal(new_head, params.head_block)
 
-    def test_unreported_class_keeps_its_prototypes(self, rng):
+    def test_unreported_class_keeps_its_prototypes(self, rng, matching_calls):
         cfg = ModelConfig(arch="linear_softmax", input_dim=4, num_classes=3, init_seed=5)
         algo = AlgoConfig(
             algorithm="creff", rounds=1, ff_per_class=3, ff_steps=5,
@@ -606,14 +632,17 @@ class TestCreffServer:
         )
         params = init_model(cfg)
         server = CreffServer(cfg, algo, seed=7)
-        before = server.features[2].copy()
+        before = server.features.copy()
         x = rng.standard_normal((10, 4))
         y = np.array([0, 0, 0, 0, 0, 1, 1, 1, 1, 1])  # class 2 never reported
-        server.server_round(params, [_creff_update(params, cfg, x, y)])
-        np.testing.assert_array_equal(server.features[2], before)
-        assert not np.array_equal(server.features[0], before)
+        server.add_report(*_creff_report(params, cfg, x, y))
+        server.server_round(params)
+        assert [labels for labels, _ in matching_calls] == [[0, 1]] * algo.ff_steps
+        np.testing.assert_array_equal(server.features[2], before[2])
+        for cls in (0, 1):
+            assert not np.array_equal(server.features[cls], before[cls])
 
-    def test_divergent_feature_optimization_raises(self, rng):
+    def test_divergent_feature_optimization_raises(self, rng, matching_calls):
         cfg = ModelConfig(arch="linear_softmax", input_dim=4, num_classes=3, init_seed=5)
         algo = AlgoConfig(
             algorithm="creff", rounds=1, ff_per_class=3, ff_steps=200,
@@ -623,12 +652,14 @@ class TestCreffServer:
         server = CreffServer(cfg, algo, seed=7)
         x = rng.standard_normal((12, 4))
         y = rng.integers(0, 3, 12)
+        server.add_report(*_creff_report(params, cfg, x, y))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             FltbenchError, match="^feature optimization diverged for class [0-2] at step "
         ):
-            server.server_round(params, [_creff_update(params, cfg, x, y)])
+            server.server_round(params)
+        assert matching_calls
 
-    def test_diverging_class_is_named(self, rng):
+    def test_diverging_class_is_named(self, rng, matching_calls):
         cfg = ModelConfig(arch="linear_softmax", input_dim=4, num_classes=3, init_seed=5)
         algo = AlgoConfig(
             algorithm="creff", rounds=1, ff_per_class=3, ff_steps=5,
@@ -638,14 +669,16 @@ class TestCreffServer:
         server = CreffServer(cfg, algo, seed=7)
         x = rng.standard_normal((12, 4))
         y = np.repeat(np.arange(3), 4)
-        update = _creff_update(params, cfg, x, y)
-        update.head_class_grads[2] = 1e300  # only class 2 can blow up
+        grads, counts = _creff_report(params, cfg, x, y)
+        grads[2] = 1e300  # only class 2 can blow up
+        server.add_report(grads, counts)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             FltbenchError, match="^feature optimization diverged for class 2 at step "
         ):
-            server.server_round(params, [update])
+            server.server_round(params)
+        assert matching_calls[0][0] == [0, 1, 2]
 
-    def test_absent_class_row_is_never_read(self, rng):
+    def test_absent_class_row_is_never_read(self, rng, matching_calls):
         # Client 0 holds no class-1 samples, so its row 1 holds NaN; the round
         # must equal one in which that row is zero.
         cfg = ModelConfig(arch="mlp1h", input_dim=4, num_classes=3, init_seed=5, hidden_units=6)
@@ -656,16 +689,71 @@ class TestCreffServer:
         params = init_model(cfg)
         x = rng.standard_normal((16, 4))
         y = np.repeat([0, 2, 0, 1], 4)
-        updates = [_creff_update(params, cfg, x[:8], y[:8], 0),
-                   _creff_update(params, cfg, x[8:], y[8:], 1)]
-        assert np.isnan(updates[0].head_class_grads[1]).all()
+        reports = [_creff_report(params, cfg, x[:8], y[:8]),
+                   _creff_report(params, cfg, x[8:], y[8:])]
+        assert np.isnan(reports[0][0][1]).all()
+        zeroed = reports[0][0].copy()
+        zeroed[1] = 0.0
         nan_server, zero_server = CreffServer(cfg, algo, seed=7), CreffServer(cfg, algo, seed=7)
-        nan_head = nan_server.server_round(params, updates)
-        updates[0].head_class_grads[1] = 0.0
-        zero_head = zero_server.server_round(params, updates)
+        for grads, counts in reports:
+            nan_server.add_report(grads, counts)
+        nan_head = nan_server.server_round(params)
+        zero_server.add_report(zeroed, reports[0][1])
+        zero_server.add_report(*reports[1])
+        zero_head = zero_server.server_round(params)
+        assert len(matching_calls) == 2 * algo.ff_steps
+        assert matching_calls[0][0] == [0, 1, 2]
         np.testing.assert_array_equal(nan_head, zero_head)
         np.testing.assert_array_equal(nan_server.features, zero_server.features)
         assert np.isfinite(nan_head).all()
+
+    @pytest.mark.parametrize("num_reports", [1, 2, 10, 100])
+    def test_folded_targets_equal_the_per_class_mean_bit_for_bit(
+        self, rng, matching_calls, num_reports
+    ):
+        # Class 0 is reported by every client and class 3 by none. Planted
+        # -0.0 entries catch a fold that starts from the first report rather
+        # than from +0.0: the mean of -0.0 alone is +0.0.
+        cfg = ModelConfig(arch="linear_softmax", input_dim=3, num_classes=5, init_seed=1)
+        algo = AlgoConfig(algorithm="creff", rounds=1, ff_per_class=2, ff_steps=1,
+                          retrain_steps=0)
+        server = CreffServer(cfg, algo, seed=3)
+        reports = []
+        for _ in range(num_reports):
+            counts = rng.integers(0, 3, cfg.num_classes)
+            counts[0], counts[3] = 1, 0
+            grads = rng.standard_normal((cfg.num_classes, cfg.head_size))
+            grads[counts == 0] = np.nan
+            grads[0, :4] = -0.0
+            grads[rng.random(grads.shape) < 0.1] = -0.0
+            reports.append((grads, counts))
+            server.add_report(grads, counts)
+        server.server_round(init_model(cfg))
+        classes, means = _mean_targets(reports, cfg.num_classes)
+        [(labels, targets)] = matching_calls
+        assert labels == classes
+        assert targets.tobytes() == means.tobytes()
+
+    def test_a_round_sees_only_the_reports_folded_after_the_last(self, rng, matching_calls):
+        cfg = ModelConfig(arch="linear_softmax", input_dim=3, num_classes=4, init_seed=1)
+        algo = AlgoConfig(algorithm="creff", rounds=2, ff_per_class=2, ff_steps=1,
+                          retrain_steps=0)
+        params = init_model(cfg)
+        server = CreffServer(cfg, algo, seed=3)
+        x = rng.standard_normal((12, 3))
+        first = _creff_report(params, cfg, x[:6], np.repeat([0, 1], 3))
+        second = [_creff_report(params, cfg, x[6:], np.repeat([1, 2], 3)),
+                  _creff_report(params, cfg, x[:6], np.repeat([2, 1], 3))]
+        server.add_report(*first)
+        server.server_round(params)
+        for report in second:
+            server.add_report(*report)
+        server.server_round(params)
+        classes, means = _mean_targets(second, cfg.num_classes)
+        assert classes == [1, 2]
+        labels, targets = matching_calls[1]
+        assert labels == classes
+        assert targets.tobytes() == means.tobytes()
 
 
 class TestAlgoConfig:

@@ -1,5 +1,6 @@
 """Round loop, evaluation schedule, grouping, determinism, and sweeps."""
 import concurrent.futures
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
 
@@ -126,6 +127,34 @@ class TestRunExperiment:
         report = run_experiment(_quick_config(algorithm="creff", rounds=2))
         assert report.federated_features is not None
         assert report.federated_features.shape == (10, 4, 8)
+
+    def test_creff_report_memory_does_not_grow_with_the_rounds_clients(self):
+        # A CReFF client's report is an (M, head_size) array, ten times its
+        # linear_softmax params at M = 10. Held until the round ends, the
+        # reports of 28 more clients would raise the traced peak by 28 of
+        # them; folded into per-class sums as they arrive, they leave only
+        # the clients' params (about 0.13 of that here).
+        def config(num_clients):
+            return _quick_config(
+                algorithm="creff", rounds=1,
+                data=DataConfig(source="synthetic", num_classes=10, per_class=60,
+                                test_per_class=20, dim=32, cluster_spread=1.0),
+                partition=PartitionSpec(kind="iid", num_clients=num_clients,
+                                        min_shard_size=10),
+            )
+
+        def traced_peak(num_clients):
+            tracemalloc.start()
+            try:
+                run_experiment(config(num_clients))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_experiment(config(4))  # first-call allocations stay out of the peaks
+        few, many = traced_peak(4), traced_peak(32)
+        report_bytes = 10 * (10 * 32 + 10) * 8
+        assert many - few < 0.25 * (32 - 4) * report_bytes
 
     def test_creff_modifies_only_the_head(self):
         # Within one round and under the same master seed, classifier
