@@ -19,7 +19,15 @@
             whole classes of its class-sorted shard. All reported classes
             are matched together as one (C, P, F) batch, bit-identical to
             matching them one at a time; a matching step returns the
-            feature step and computes no loss.
+            feature step and computes no loss. The server averages only the
+            rep block; the head it broadcasts is the re-trained one.
+
+Aggregation is a fold. A client's weight, its sample count over the summed
+counts of the round's sampled clients, is known before any client trains. So
+each client's trained params, times that weight, are added to the round's
+running sums as soon as it finishes, in client-id order, starting from +0.0;
+the server holds those sums and one client's params, never the round's
+updates. FedPer and CReFF fold the rep block alone.
 
 Unverified deviations of creff from the CReFF paper (Shang et al., IJCAI
 2022, arXiv:2204.13399), kept until they are checked against its text:
@@ -88,17 +96,6 @@ class AlgoConfig:
             raise ValueError("ff_steps and retrain_steps must be >= 0")
 
 
-@dataclass
-class ClientUpdate:
-    client_id: int
-    params: ModelParams
-    class_counts: np.ndarray  # (M,): the client's samples of each class
-
-    @property
-    def n_k(self) -> int:
-        return int(self.class_counts.sum())
-
-
 def local_update_fedavg(
     global_params: ModelParams,
     model_config: ModelConfig,
@@ -106,11 +103,9 @@ def local_update_fedavg(
     shard_y: np.ndarray,
     train_config: TrainConfig,
     rng: np.random.Generator,
-    client_id: int = 0,
-) -> ClientUpdate:
+) -> ModelParams:
     """Local epochs of SGD from the global model; returns full parameters."""
-    trained = sgd_epochs(global_params, model_config, train_config, shard_x, shard_y, rng)
-    return ClientUpdate(client_id, trained, class_counts(shard_y, model_config.num_classes))
+    return sgd_epochs(global_params, model_config, train_config, shard_x, shard_y, rng)
 
 
 def local_update_fedprox(
@@ -121,13 +116,11 @@ def local_update_fedprox(
     train_config: TrainConfig,
     rng: np.random.Generator,
     mu: float,
-    client_id: int = 0,
-) -> ClientUpdate:
+) -> ModelParams:
     """FedAvg update with mu*(w - w_global) added to every batch gradient."""
-    trained = sgd_epochs(
+    return sgd_epochs(
         global_params, model_config, train_config, shard_x, shard_y, rng, prox_mu=mu
     )
-    return ClientUpdate(client_id, trained, class_counts(shard_y, model_config.num_classes))
 
 
 def local_update_fedper(
@@ -138,41 +131,33 @@ def local_update_fedper(
     shard_y: np.ndarray,
     train_config: TrainConfig,
     rng: np.random.Generator,
-    client_id: int = 0,
-) -> ClientUpdate:
+) -> ModelParams:
     """Train the shared representation together with the client's own head.
 
-    The returned update carries the trained head only so the caller can
+    The returned params carry the trained head only so the caller can
     persist it client-side; aggregation must use aggregate_rep_only.
     """
     start = ModelParams(global_params.rep_block, local_head)
-    trained = sgd_epochs(start, model_config, train_config, shard_x, shard_y, rng)
-    return ClientUpdate(client_id, trained, class_counts(shard_y, model_config.num_classes))
+    return sgd_epochs(start, model_config, train_config, shard_x, shard_y, rng)
 
 
-def _weighted_means(updates: list[ClientUpdate], blocks: tuple[str, ...]) -> list[np.ndarray]:
-    """Sample-count-weighted mean of each named block of the params of one or
-    more clients with samples, accumulated in client-id order. The package's one weighted mean."""
-    ordered = sorted(updates, key=lambda u: u.client_id)
-    sizes = [u.n_k for u in ordered]
-    total = sum(sizes)
-    means = [np.zeros_like(getattr(ordered[0].params, block)) for block in blocks]
-    # One scratch buffer a block, not a new weight * block array a client:
-    # bit-equal, 122 against 124 us a 20-client call (5-200-10, 2-vCPU VM).
-    for block, mean, term in zip(blocks, means, map(np.empty_like, means)):
-        for u, size in zip(ordered, sizes):
-            mean += np.multiply(size / total, getattr(u.params, block), out=term)
-    return means
+def aggregate_weighted(sums: ModelParams, params: ModelParams, weight: float) -> None:
+    """Fold one client's trained params into the round's running weighted
+    sums, block by block: sums += weight * params. The sums start at +0.0 and
+    take the clients in client-id order, weight being the client's sample
+    count over the round's total. params is scaled in place, as the fold is
+    its last use: that saves a block-sized temporary, with the same products
+    bit for bit."""
+    aggregate_rep_only(sums, params, weight)
+    params.head_block *= weight
+    sums.head_block += params.head_block
 
 
-def aggregate_weighted(updates: list[ClientUpdate]) -> ModelParams:
-    """Sample-count-weighted mean of client parameters, block by block."""
-    return ModelParams(*_weighted_means(updates, ("rep_block", "head_block")))
-
-
-def aggregate_rep_only(updates: list[ClientUpdate], server_params: ModelParams) -> ModelParams:
-    """The clients' weighted mean rep block next to a copy of the server head."""
-    return ModelParams(*_weighted_means(updates, ("rep_block",)), server_params.head_block.copy())
+def aggregate_rep_only(sums: ModelParams, params: ModelParams, weight: float) -> None:
+    """aggregate_weighted of the rep block alone; the head of sums and of
+    params is neither read nor written."""
+    params.rep_block *= weight
+    sums.rep_block += params.rep_block
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ many workers execute the sweep cells.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import ctypes
 import io
 import math
@@ -25,7 +24,6 @@ from .algorithms import (
     ALGO_CREFF,
     ALGO_FEDPER,
     ALGO_FEDPROX,
-    ClientUpdate,
     CreffServer,
     aggregate_rep_only,
     aggregate_weighted,
@@ -108,17 +106,18 @@ _Holdouts = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _client_holdouts(
-    train: Dataset, partition: Partition, fraction: float, master_seed: int
+    train: Dataset, partition: Partition, fraction: float, master_seed: int, head_sets: int
 ) -> tuple[list[np.ndarray], _Holdouts | None]:
     """Hold out a stratified slice of every client shard for evaluation.
 
     Returns the train index arrays, position k for client k, and the
     non-empty holdouts stacked by row count, at most EVAL_BLOCK_ROWS rows a
     stack (a holdout longer than that forms a stack of its own) and at most
-    EVAL_BLOCK_ROWS // (2M + 1) clients, M classes, so that two sets of their
-    heads are no larger than a block's hidden features of width F >= 2M. A
-    single-sample class stays on the train side; every class with two or
-    more samples contributes a holdout sample.
+    EVAL_BLOCK_ROWS // (S*M + 1) clients, M classes, so that the S sets of
+    their heads that evaluation scores (1, or 2 for FedPer) are no larger
+    than a block's hidden features of width F >= S*M. A single-sample class
+    stays on the train side; every class with two or more samples
+    contributes a holdout sample.
     """
     if fraction == 0.0:
         return list(partition.shards), None
@@ -139,7 +138,7 @@ def _client_holdouts(
             by_rows.setdefault(held.size, []).append((k, held))
     stacks = []
     for n, clients in sorted(by_rows.items()):
-        per_stack = max(1, EVAL_BLOCK_ROWS // max(n, 2 * train.num_classes + 1))
+        per_stack = max(1, EVAL_BLOCK_ROWS // max(n, head_sets * train.num_classes + 1))
         for lo in range(0, len(clients), per_stack):
             ids, indices = zip(*clients[lo : lo + per_stack])
             idx = np.stack(indices)
@@ -221,14 +220,16 @@ class ExperimentReport:
 
 @dataclass(frozen=True)
 class _Algorithm:
-    """One algorithm's client and server steps, and the state they update in
-    place from round to round."""
+    """One algorithm's client, fold and server steps, and the state they
+    update in place from round to round."""
 
-    # (global params, shard x, shard y, shuffle generator, client id) -> update
+    # (global params, shard x, shard y, shuffle generator, client id) -> trained params
     client_step: Callable[[ModelParams, np.ndarray, np.ndarray, np.random.Generator, int],
-                          ClientUpdate]
-    # (global params, updates) -> the next global params
-    server_step: Callable[[ModelParams, list[ClientUpdate]], ModelParams]
+                          ModelParams]
+    # (the round's running sums, trained params, weight): adds the client in
+    fold: Callable[[ModelParams, ModelParams, float], None]
+    # (global params, the round's sums) -> the next global params
+    server_step: Callable[[ModelParams, ModelParams], ModelParams]
     heads: np.ndarray | None = None  # FedPer: (num_clients, head_size), row k client k's head
     features: np.ndarray | None = None  # CReFF: the prototypes that model.ckpt stores
 
@@ -243,29 +244,35 @@ def _algorithm(
     algo, tc = config.algo, config.train
 
     def local_sgd(w, x, y, rng, k):
-        return local_update_fedavg(w, model_config, x, y, tc, rng, k)
+        return local_update_fedavg(w, model_config, x, y, tc, rng)
 
-    def average(w, updates):
-        return aggregate_weighted(updates)
+    def fold_all(sums, trained, weight):
+        aggregate_weighted(sums, trained, weight)
+
+    def fold_rep(sums, trained, weight):
+        aggregate_rep_only(sums, trained, weight)
+
+    def average(w, sums):
+        return sums
 
     if algo.algorithm == ALGO_FEDPROX:
         return _Algorithm(
-            lambda w, x, y, rng, k: local_update_fedprox(
-                w, model_config, x, y, tc, rng, algo.mu, k),
+            lambda w, x, y, rng, k: local_update_fedprox(w, model_config, x, y, tc, rng, algo.mu),
+            fold_all,
             average,
         )
     if algo.algorithm == ALGO_FEDPER:
         heads = np.tile(params.head_block, (config.partition.num_clients, 1))
 
-        def keep_heads_average_rep(w, updates):
-            for u in updates:
-                heads[u.client_id] = u.params.head_block
-            return aggregate_rep_only(updates, w)
+        def local_sgd_keep_head(w, x, y, rng, k):
+            trained = local_update_fedper(w, heads[k], model_config, x, y, tc, rng)
+            heads[k] = trained.head_block
+            return trained
 
         return _Algorithm(
-            lambda w, x, y, rng, k: local_update_fedper(
-                w, heads[k], model_config, x, y, tc, rng, k),
-            keep_heads_average_rep,
+            local_sgd_keep_head,
+            fold_rep,
+            lambda w, sums: ModelParams(sums.rep_block, w.head_block),
             heads=heads,
         )
     if algo.algorithm == ALGO_CREFF:
@@ -274,18 +281,18 @@ def _algorithm(
         )
 
         def local_sgd_and_head_grads(w, x, y, rng, k):
-            update = local_sgd(w, x, y, rng, k)
-            creff.add_report(creff_client_head_grads(w, model_config, x, y), update.class_counts)
-            return update
-
-        def average_and_retrain_head(w, updates):
-            rep = aggregate_weighted(updates).rep_block
-            return ModelParams(rep, creff.server_round(w))
+            trained = local_sgd(w, x, y, rng, k)
+            creff.add_report(creff_client_head_grads(w, model_config, x, y),
+                             class_counts(y, model_config.num_classes))
+            return trained
 
         return _Algorithm(
-            local_sgd_and_head_grads, average_and_retrain_head, features=creff.features
+            local_sgd_and_head_grads,
+            fold_rep,
+            lambda w, sums: ModelParams(sums.rep_block, creff.server_round(w)),
+            features=creff.features,
         )
-    return _Algorithm(local_sgd, average)
+    return _Algorithm(local_sgd, fold_all, average)
 
 
 def _evaluate_point(
@@ -318,9 +325,9 @@ def _evaluate_point(
                      global_on_clients_mean=means[0], global_on_clients_per_client=per_client[0])
 
 
-def _divergence_message(updates: list[ClientUpdate]) -> str:
-    """Names the first client, by id, whose update is already non-finite."""
-    first = min((u.client_id for u in updates if not u.params.is_finite()), default=None)
+def _divergence_message(first: int | None) -> str:
+    """Names client first, the lowest id among the round's clients whose
+    trained params were non-finite; None says every one was finite."""
     if first is None:
         source = "every client update is finite"
     else:
@@ -333,7 +340,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run one federated experiment end to end, on one BLAS thread.
 
     The round loop samples ceil(C*N) clients per round, runs the algorithm's
-    local update for each in client-id order, aggregates, and evaluates the
+    local update for each in client-id order, folding each client's trained
+    params into the round's weighted sums as it finishes, and evaluates the
     global model every eval_every rounds plus at round 0 and the final round.
     A round whose aggregated model holds NaN or infinity ends the run with an
     FltbenchError naming the round; numpy's overflow and invalid-value
@@ -341,10 +349,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     start = time.perf_counter()
     train, test, data_info, partition = prepare_partition(config)
-    train_shards, holdouts = _client_holdouts(
-        train, partition, config.client_holdout_fraction, config.master_seed
-    )
-
     model_config = ModelConfig(
         arch=config.model.arch,
         input_dim=train.dim,
@@ -355,6 +359,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     params = init_model(model_config)
     algorithm = _algorithm(config, model_config, params)
     algo = config.algo
+    train_shards, holdouts = _client_holdouts(
+        train, partition, config.client_holdout_fraction, config.master_seed,
+        head_sets=1 if algorithm.heads is None else 2,
+    )
 
     groups = head_tail_groups(partition.counts.sum(axis=0))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -371,14 +379,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 # Derived before any client trains: between SGD steps each took ~1.4x as long.
                 rngs = [derive_rng(config.master_seed, "local-train", round_idx, k)
                         for k in sampled]
-                updates = []
+                total = sum(train_shards[k].size for k in sampled)
+                sums = ModelParams(np.zeros_like(params.rep_block),
+                                   np.zeros_like(params.head_block))
+                first_non_finite = None
                 for k, rng in zip(sampled, rngs):
                     shard = train_shards[k]
-                    shard_x, shard_y = train.features[shard], train.labels[shard]
-                    updates.append(algorithm.client_step(params, shard_x, shard_y, rng, k))
-                params = algorithm.server_step(params, updates)
+                    trained = algorithm.client_step(
+                        params, train.features[shard], train.labels[shard], rng, k
+                    )
+                    if first_non_finite is None and not trained.is_finite():
+                        first_non_finite = k
+                    algorithm.fold(sums, trained, shard.size / total)
+                    del trained  # before the next client trains: one client's params at a time
+                params = algorithm.server_step(params, sums)
                 if not params.is_finite():
-                    raise FltbenchError(_divergence_message(updates))
+                    raise FltbenchError(_divergence_message(first_non_finite))
             except FltbenchError as exc:
                 raise FltbenchError(f"round {round_idx}: {exc}") from exc
 
@@ -473,6 +489,8 @@ def _pool_outcomes(
     one-worker pool, and only a cell whose own pool breaks keeps that error
     (a fresh pool takes its first cell: it has no worker yet to die).
     """
+    import concurrent.futures  # only a pooled sweep pays for loading it
+
     outcomes: list[SweepOutcome | None] = [None] * len(cells)
     with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers, initializer=_die_with_parent,

@@ -104,7 +104,7 @@ def _finish(dataset: Dataset, spec: PartitionSpec, index_lists: list[np.ndarray]
             )
         shard.flags.writeable = False
     owned = np.concatenate(shards)
-    if np.unique(owned).size != owned.size:
+    if np.bincount(owned, minlength=len(dataset)).max() > 1:
         raise FltbenchError("internal error: overlapping shards")
     counts = np.stack([class_counts(dataset.labels[s], dataset.num_classes) for s in shards])
     counts.flags.writeable = False

@@ -16,6 +16,7 @@ from fltbench.config import DataConfig, ExperimentConfig, ModelSpec
 from fltbench.datasets import exponential_profile, generate_synthetic, shape_long_tailed
 from fltbench.nn import (
     ModelConfig,
+    ModelParams,
     TrainConfig,
     init_model,
     loss_and_grad,
@@ -117,12 +118,11 @@ def test_criterion_04_fedavg_centralized_equivalence():
     x = rng.standard_normal((48, 6))
     y = rng.integers(0, 3, 48)
     lr = 0.1
-    updates = []
+    agg = ModelParams(np.zeros_like(params.rep_block), np.zeros_like(params.head_block))
     for k in range(4):
         sx, sy = x[k * 12 : (k + 1) * 12], y[k * 12 : (k + 1) * 12]
         tc = TrainConfig(learning_rate=lr, batch_size=12, local_epochs=1)
-        updates.append(local_update_fedavg(params, cfg, sx, sy, tc, rng_from(k), client_id=k))
-    agg = aggregate_weighted(updates)
+        aggregate_weighted(agg, local_update_fedavg(params, cfg, sx, sy, tc, rng_from(k)), 12 / 48)
     _, grad = loss_and_grad(params, cfg, with_ones(cfg, x), y)
     expected = np.concatenate(
         [params.rep_block - lr * grad.rep_block, params.head_block - lr * grad.head_block]

@@ -6,7 +6,6 @@ import pytest
 import fltbench.algorithms
 from fltbench.algorithms import (
     AlgoConfig,
-    ClientUpdate,
     CreffServer,
     aggregate_rep_only,
     aggregate_weighted,
@@ -37,31 +36,36 @@ from fltbench.seeding import rng_from
 from conftest import as_vector, split_vector, with_ones
 
 
-def _update(client_id, rep, head, n_k):
-    return ClientUpdate(
-        client_id=client_id,
-        params=ModelParams(np.asarray(rep, dtype=float), np.asarray(head, dtype=float)),
-        class_counts=np.array([n_k]),
-    )
+def _params(rep, head):
+    return ModelParams(np.asarray(rep, dtype=float), np.asarray(head, dtype=float))
+
+
+def _folded(clients, fold=aggregate_weighted, sums=None):
+    """The round loop's aggregation of (params, n_k) pairs, listed in
+    client-id order: each client's params times n_k over the summed n_k,
+    folded in list order into sums that start at +0.0."""
+    total = sum(n for _, n in clients)
+    if sums is None:
+        like = clients[0][0]
+        sums = ModelParams(np.zeros_like(like.rep_block), np.zeros_like(like.head_block))
+    for params, n in clients:
+        fold(sums, params, n / total)
+    return sums
 
 
 class TestAggregateWeighted:
     def test_two_updates(self):
-        agg = aggregate_weighted(
-            [_update(0, [], [1.0, 1.0], 1), _update(1, [], [3.0, 3.0], 3)]
-        )
+        agg = _folded([(_params([], [1.0, 1.0]), 1), (_params([], [3.0, 3.0]), 3)])
         np.testing.assert_allclose(agg.head_block, [2.5, 2.5])
 
     def test_identical_updates_are_fixed_point(self):
-        updates = [_update(k, [0.5], [1.0, -2.0], k + 1) for k in range(4)]
-        agg = aggregate_weighted(updates)
+        agg = _folded([(_params([0.5], [1.0, -2.0]), k + 1) for k in range(4)])
         np.testing.assert_allclose(agg.head_block, [1.0, -2.0])
         np.testing.assert_allclose(agg.rep_block, [0.5])
 
     def test_equal_counts_give_plain_mean(self, rng):
         heads = [rng.standard_normal(4) for _ in range(3)]
-        updates = [_update(k, [], h, 7) for k, h in enumerate(heads)]
-        agg = aggregate_weighted(updates)
+        agg = _folded([(_params([], h.copy()), 7) for h in heads])
         np.testing.assert_allclose(agg.head_block, np.mean(heads, axis=0), atol=1e-15)
 
     def test_affine_commutation(self, rng):
@@ -70,30 +74,64 @@ class TestAggregateWeighted:
         heads = [rng.standard_normal(3) for _ in range(4)]
         counts = [1, 2, 3, 4]
         scale, shift = 1.7, rng.standard_normal(3)
-        mapped = [_update(k, [], scale * h + shift, n) for k, (h, n) in enumerate(zip(heads, counts))]
-        plain = [_update(k, [], h, n) for k, (h, n) in enumerate(zip(heads, counts))]
-        after = scale * aggregate_weighted(plain).head_block + shift
-        np.testing.assert_allclose(aggregate_weighted(mapped).head_block, after, atol=1e-12)
+        mapped = [(_params([], scale * h + shift), n) for h, n in zip(heads, counts)]
+        plain = [(_params([], h.copy()), n) for h, n in zip(heads, counts)]
+        after = scale * _folded(plain).head_block + shift
+        np.testing.assert_allclose(_folded(mapped).head_block, after, atol=1e-12)
 
-    def test_order_independence_of_input_list(self, rng):
-        updates = [_update(k, [], rng.standard_normal(3), k + 1) for k in range(5)]
-        a = aggregate_weighted(updates)
-        b = aggregate_weighted(updates[::-1])
-        np.testing.assert_array_equal(a.head_block, b.head_block)
+    def test_order_independence_of_input_list(self, monkeypatch):
+        # The round loop folds its sampled clients in client-id order, each
+        # weighted by its train shard's size over the sampled shards' total,
+        # whatever order the clients are drawn in. Dirichlet shards differ
+        # in size, so the weights name the clients.
+        import fltbench.orchestrator
+        from fltbench.config import DataConfig, ExperimentConfig, ModelSpec
+        from fltbench.partition import PartitionSpec
+        from fltbench.seeding import derive_seed
+
+        config = ExperimentConfig(
+            data=DataConfig(source="synthetic", num_classes=3, per_class=30,
+                            test_per_class=4, dim=2),
+            partition=PartitionSpec(kind="dirichlet", num_clients=8, alpha=0.5,
+                                    min_shard_size=1),
+            model=ModelSpec(arch="linear_softmax"),
+            train=TrainConfig(learning_rate=0.1, batch_size=8),
+            algo=AlgoConfig(algorithm="fedavg", rounds=2, participation_fraction=0.5),
+            master_seed=1,
+        )
+        weights = []
+        original = fltbench.orchestrator.aggregate_weighted
+
+        def recording(sums, params, weight):
+            weights.append(weight)
+            original(sums, params, weight)
+
+        monkeypatch.setattr(fltbench.orchestrator, "aggregate_weighted", recording)
+        report = fltbench.orchestrator.run_experiment(config)
+        sizes = report.partition.client_sizes.tolist()
+        assert len(set(sizes)) == len(sizes)
+        expected = []
+        for r in (1, 2):
+            seed = derive_seed(config.master_seed, "client-sampling", r)
+            drawn = rng_from(seed).choice(8, size=4, replace=False)
+            assert drawn.tolist() != sorted(drawn.tolist())
+            total = sum(sizes[k] for k in drawn)
+            expected += [sizes[k] / total for k in sorted(drawn)]
+        assert weights == expected
 
     def test_bit_equal_to_a_fresh_temporary_per_client(self, rng):
         # The weighted sum as written before its scratch buffers: a new
         # weight * block array for each client and block.
         sizes = rng.integers(1, 200, 20)
-        updates = [_update(k, rng.standard_normal(50), rng.standard_normal(33), int(n))
-                   for k, n in enumerate(sizes)]
+        clients = [(_params(rng.standard_normal(50), rng.standard_normal(33)), int(n))
+                   for n in sizes]
         total = int(sizes.sum())
         rep, head = np.zeros(50), np.zeros(33)
-        for u in updates:
-            weight = u.n_k / total
-            rep += weight * u.params.rep_block
-            head += weight * u.params.head_block
-        agg = aggregate_weighted(updates[::-1])
+        for params, n in clients:
+            weight = n / total
+            rep += weight * params.rep_block
+            head += weight * params.head_block
+        agg = _folded(clients)
         assert agg.rep_block.tobytes() == rep.tobytes()
         assert agg.head_block.tobytes() == head.tobytes()
 
@@ -112,16 +150,17 @@ class TestFedAvg:
         cfg, params, x, y = small_problem
         tc = TrainConfig(learning_rate=0.0, batch_size=8, local_epochs=2)
         update = local_update_fedavg(params, cfg, x, y, tc, rng_from(1))
-        np.testing.assert_array_equal(update.params.rep_block, params.rep_block)
-        np.testing.assert_array_equal(update.params.head_block, params.head_block)
-        assert update.n_k == 40
-        np.testing.assert_array_equal(update.class_counts, np.bincount(y, minlength=3))
+        np.testing.assert_array_equal(update.rep_block, params.rep_block)
+        np.testing.assert_array_equal(update.head_block, params.head_block)
+        # A fresh copy: the fold scales a client's params in place.
+        assert not np.shares_memory(update.rep_block, params.rep_block)
+        assert not np.shares_memory(update.head_block, params.head_block)
 
     def test_single_client_round_is_centralized_training(self, small_problem):
         cfg, params, x, y = small_problem
         tc = TrainConfig(learning_rate=0.1, batch_size=8, local_epochs=2)
-        update = local_update_fedavg(params, cfg, x, y, tc, rng_from(6), client_id=0)
-        agg = aggregate_weighted([update])
+        update = local_update_fedavg(params, cfg, x, y, tc, rng_from(6))
+        agg = _folded([(update, len(y))])
         central = sgd_epochs(params, cfg, tc, x, y, rng_from(6))
         assert agg.rep_block.tobytes() == central.rep_block.tobytes()
         assert agg.head_block.tobytes() == central.head_block.tobytes()
@@ -133,8 +172,8 @@ class TestFedAvg:
         for k in range(4):
             sx, sy = x[k * 10 : (k + 1) * 10], y[k * 10 : (k + 1) * 10]
             tc = TrainConfig(learning_rate=lr, batch_size=10, local_epochs=1)
-            updates.append(local_update_fedavg(params, cfg, sx, sy, tc, rng_from(k), client_id=k))
-        agg = aggregate_weighted(updates)
+            updates.append((local_update_fedavg(params, cfg, sx, sy, tc, rng_from(k)), len(sy)))
+        agg = _folded(updates)
         _, grad = loss_and_grad(params, cfg, with_ones(cfg, x), y)
         expect_rep = params.rep_block - lr * grad.rep_block
         expect_head = params.head_block - lr * grad.head_block
@@ -148,8 +187,8 @@ class TestFedProx:
         tc = TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=3)
         a = local_update_fedavg(params, cfg, x, y, tc, rng_from(7))
         p = local_update_fedprox(params, cfg, x, y, tc, rng_from(7), mu=0.0)
-        assert a.params.rep_block.tobytes() == p.params.rep_block.tobytes()
-        assert a.params.head_block.tobytes() == p.params.head_block.tobytes()
+        assert a.rep_block.tobytes() == p.rep_block.tobytes()
+        assert a.head_block.tobytes() == p.head_block.tobytes()
 
     def test_huge_mu_single_step_displacement_bounded(self, small_problem):
         cfg, params, x, y = small_problem
@@ -157,8 +196,8 @@ class TestFedProx:
         a = local_update_fedavg(params, cfg, x, y, tc, rng_from(3))
         p = local_update_fedprox(params, cfg, x, y, tc, rng_from(3), mu=1e6)
         base = as_vector(params)
-        assert np.linalg.norm(as_vector(p.params) - base) <= np.linalg.norm(
-            as_vector(a.params) - base
+        assert np.linalg.norm(as_vector(p) - base) <= np.linalg.norm(
+            as_vector(a) - base
         ) + 1e-12
 
     def test_moderate_mu_shrinks_multi_step_displacement(self, small_problem):
@@ -167,8 +206,8 @@ class TestFedProx:
         a = local_update_fedavg(params, cfg, x, y, tc, rng_from(3))
         p = local_update_fedprox(params, cfg, x, y, tc, rng_from(3), mu=5.0)
         base = as_vector(params)
-        assert np.linalg.norm(as_vector(p.params) - base) < np.linalg.norm(
-            as_vector(a.params) - base
+        assert np.linalg.norm(as_vector(p) - base) < np.linalg.norm(
+            as_vector(a) - base
         )
 
     def test_hooked_gradient_matches_augmented_objective(self, small_problem, rng):
@@ -215,9 +254,10 @@ class TestFedPer:
         for k in range(3):
             local_head = params.head_block + k  # distinct per-client heads
             updates.append(
-                local_update_fedper(params, local_head, cfg, x, y, tc, rng_from(2), client_id=k)
+                (local_update_fedper(params, local_head, cfg, x, y, tc, rng_from(2)), len(y))
             )
-        agg = aggregate_rep_only(updates, params)
+        server = ModelParams(np.zeros_like(params.rep_block), params.head_block)
+        agg = _folded(updates, aggregate_rep_only, server)
         assert agg.head_block.tobytes() == head_before
         assert not np.array_equal(agg.rep_block, params.rep_block)
 
@@ -226,15 +266,15 @@ class TestFedPer:
         tc = TrainConfig(learning_rate=0.1, batch_size=8, local_epochs=2)
         update = local_update_fedper(params, params.head_block, cfg, x, y, tc, rng_from(5))
         central = sgd_epochs(params, cfg, tc, x, y, rng_from(5))
-        assert update.params.rep_block.tobytes() == central.rep_block.tobytes()
-        assert update.params.head_block.tobytes() == central.head_block.tobytes()
+        assert update.rep_block.tobytes() == central.rep_block.tobytes()
+        assert update.head_block.tobytes() == central.head_block.tobytes()
 
     def test_update_carries_trained_head_for_client_persistence(self, small_problem):
         cfg, params, x, y = small_problem
         tc = TrainConfig(learning_rate=0.1, batch_size=8, local_epochs=1)
         own_head = params.head_block * 0.5
         update = local_update_fedper(params, own_head, cfg, x, y, tc, rng_from(5))
-        assert not np.array_equal(update.params.head_block, own_head)
+        assert not np.array_equal(update.head_block, own_head)
 
 
 class TestCreffClientGrads:

@@ -584,6 +584,22 @@ class TestTrainCommand:
                              for g, c in groups.items())
             assert recomposed / counts.sum() == pytest.approx(metrics["accuracy"])
 
+    def test_train_never_loads_the_process_pool_module(self, tmp_path):
+        # Only a pooled sweep needs concurrent.futures; a train process in a
+        # fresh interpreter must not pay for loading it.
+        code = (
+            "import json, sys\n"
+            "from fltbench.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(json.dumps([code, 'concurrent.futures' in sys.modules]))\n"
+        )
+        src = str(Path(fltbench.cli.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", code, "train", "--config",
+             _write_config(tmp_path, QUICK_CONFIG), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, cwd=src, timeout=60, check=True)
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, False]
+
 
 class TestWriteFaults:
     """A write that fails after the run, such as into an output directory

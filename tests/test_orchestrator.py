@@ -156,6 +156,59 @@ class TestRunExperiment:
         report_bytes = 10 * (10 * 32 + 10) * 8
         assert many - few < 0.25 * (32 - 4) * report_bytes
 
+    @pytest.mark.parametrize("algorithm", ["fedavg", "fedper"])
+    def test_round_memory_does_not_grow_with_the_rounds_clients(self, algorithm):
+        # Each client's trained params are folded into the round's weighted
+        # sums as it finishes. Held until the round ends, the params of 28
+        # more clients would raise the traced peak by 28 copies; FedPer's
+        # per-client heads, kept by design, grow by 28 heads, about 0.04
+        # copies each here.
+        def config(num_clients):
+            return _quick_config(
+                algorithm=algorithm, rounds=1,
+                data=DataConfig(source="synthetic", num_classes=3, per_class=100,
+                                test_per_class=10, dim=64, cluster_spread=1.0),
+                partition=PartitionSpec(kind="iid", num_clients=num_clients,
+                                        min_shard_size=5),
+                model=ModelSpec(arch="mlp1h", hidden_units=128),
+            )
+
+        def traced_peak(num_clients):
+            tracemalloc.start()
+            try:
+                run_experiment(config(num_clients))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_experiment(config(4))  # first-call allocations stay out of the peaks
+        few, many = traced_peak(4), traced_peak(32)
+        params_bytes = ((64 + 1) * 128 + 3 * (128 + 1)) * 8
+        assert many - few < 0.25 * (32 - 4) * params_bytes
+
+    def test_divergence_names_the_first_non_finite_client(self, monkeypatch):
+        # Clients 2 and 4 of 5 return NaN params in round 1; the error names
+        # client 2, the lowest id among them, though client 0 trains first.
+        original = fltbench.orchestrator.local_update_fedavg
+        calls = []
+
+        def diverging(*args):
+            trained = original(*args)
+            if len(calls) in (2, 4):
+                trained.head_block[:] = np.nan
+            calls.append(len(calls))
+            return trained
+
+        monkeypatch.setattr(fltbench.orchestrator, "local_update_fedavg", diverging)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(FltbenchError) as caught:
+                run_experiment(_quick_config(rounds=2))
+        assert str(caught.value) == (
+            "round 1: global model parameters are non-finite after aggregation "
+            "(first non-finite client update: client 2)"
+        )
+        assert len(calls) == 5
+
     def test_creff_modifies_only_the_head(self):
         # Within one round and under the same master seed, classifier
         # re-training must leave the aggregated representation untouched
@@ -255,7 +308,7 @@ class TestClientSampling:
         monkeypatch.setattr(fltbench.orchestrator, "stratified_split_indices", overlapping)
         with pytest.raises(FltbenchError, match="internal error: client 0 holdout indices "
                            "leaked") as caught:
-            _client_holdouts(train, partition, 0.25, config.master_seed)
+            _client_holdouts(train, partition, 0.25, config.master_seed, head_sets=1)
         assert not isinstance(caught.value, ConfigError)  # a fault of the program: exit 1
 
 
@@ -269,7 +322,7 @@ def _holdout_indices(train, partition, fraction, master_seed):
     """_client_holdouts' train shards, and each client's holdout indices read
     off its stacks, position k for client k (empty for an empty holdout)."""
     indexed = _indexed(train.labels, train.num_classes)
-    train_shards, stacks = _client_holdouts(indexed, partition, fraction, master_seed)
+    train_shards, stacks = _client_holdouts(indexed, partition, fraction, master_seed, 1)
     holdouts = [np.empty(0, dtype=np.int64)] * len(partition.shards)
     for ids, features, _ in stacks:
         for k, rows in zip(ids, features[:, :, 0].astype(np.int64)):
@@ -301,7 +354,8 @@ def _mean_of_held(per_client):
 class TestClientHoldoutEvaluation:
     @pytest.mark.parametrize("arch,hidden_units", [("mlp1h", 16), ("linear_softmax", None)])
     @pytest.mark.parametrize("algorithm", ["fedper", "fedavg"])
-    @pytest.mark.parametrize("alpha,min_shard_size,empty", [(0.5, 5, []), (0.1, 1, [16, 23])])
+    @pytest.mark.parametrize("alpha,min_shard_size,empty",
+                             [(0.5, 5, []), (0.1, 1, [16, 23]), (10.0, 5, [])])
     def test_stacked_accuracies_equal_the_per_client_loop(
         self, monkeypatch, algorithm, alpha, min_shard_size, empty, arch, hidden_units
     ):
@@ -310,6 +364,8 @@ class TestClientHoldoutEvaluation:
         # hold at most one sample of each class, so their holdouts are empty.
         # Each stack is scored under the global head and, for FedPer, the
         # clients' own heads in one forward pass, on either branch of forward.
+        # At alpha 10, 13 holdouts have 10 rows: one stack under one head
+        # set, two under FedPer's two, whose stacks hold at most 12 clients.
         config = _quick_config(
             algorithm=algorithm, rounds=3, eval_every=1, client_holdout_fraction=0.2,
             partition=PartitionSpec(kind="dirichlet", num_clients=24, alpha=alpha,
@@ -322,12 +378,12 @@ class TestClientHoldoutEvaluation:
             (k, subset(train, s) if len(s) else None) for k, s in enumerate(holdouts)
         ]
         assert [c for c, ds in client_tests if ds is None] == empty
-        _, stacks = _client_holdouts(train, partition, 0.2, config.master_seed)
+        _, stacks = _client_holdouts(train, partition, 0.2, config.master_seed, head_sets=2)
         assert any(len(ids) == 1 for ids, _, _ in stacks)
         assert any(len(ids) > 1 for ids, _, _ in stacks)
         assert len({features.shape[1] for _, features, _ in stacks}) > 2
 
-        seen = []
+        seen, run_stacks = [], []
         original = fltbench.orchestrator._evaluate_point
 
         def recording(config, model_config, round_idx, params, heads, *args):
@@ -335,11 +391,19 @@ class TestClientHoldoutEvaluation:
             heads = None if heads is None else heads.copy()
             params = ModelParams(params.rep_block.copy(), params.head_block.copy())
             seen.append((point, model_config, params, heads))
+            run_stacks.append([ids.tolist() for ids, _, _ in args[-1]])
             return point
 
         monkeypatch.setattr(fltbench.orchestrator, "_evaluate_point", recording)
         run_experiment(config)
         assert [point.round for point, *_ in seen] == [0, 1, 2, 3]
+        # The run stacks its holdouts for the head sets it scores.
+        sets = 2 if algorithm == "fedper" else 1
+        _, own = _client_holdouts(train, partition, 0.2, config.master_seed, head_sets=sets)
+        assert run_stacks == [[ids.tolist() for ids, _, _ in own]] * 4
+        if algorithm == "fedavg" and alpha == 10.0:
+            per_two_sets = EVAL_BLOCK_ROWS // (2 * train.num_classes + 1)
+            assert max(len(ids) for ids, _, _ in own) > per_two_sets
         for point, model_config, params, heads in seen:
             global_per, personal = _per_client_reference(
                 model_config, params, heads, client_tests, algorithm == "fedper"
@@ -364,7 +428,8 @@ class TestClientHoldoutEvaluation:
         partition = Partition(
             shards, np.stack([class_counts(train.labels[s], 3) for s in shards])
         )
-        train_shards, stacks = _client_holdouts(train, partition, 0.5, master_seed=0)
+        train_shards, stacks = _client_holdouts(train, partition, 0.5, master_seed=0,
+                                                head_sets=2)
         positions = np.concatenate([ids for ids, _, _ in stacks])
         assert sorted(positions.tolist()) == [k for k, h in enumerate(held) if h]
         for ids, features, labels in stacks:
@@ -540,7 +605,7 @@ class TestSweep:
                 return future
 
         monkeypatch.setattr(
-            fltbench.orchestrator.concurrent.futures, "ProcessPoolExecutor", SerialPool
+            concurrent.futures, "ProcessPoolExecutor", SerialPool
         )
         monkeypatch.setattr(
             fltbench.orchestrator, "_run_cell", lambda cell: (cell, None, "not run")
@@ -577,7 +642,7 @@ class TestSweep:
                 return future
 
         monkeypatch.setattr(
-            fltbench.orchestrator.concurrent.futures, "ProcessPoolExecutor", BreakingPool
+            concurrent.futures, "ProcessPoolExecutor", BreakingPool
         )
         cells = [SweepCell(row="fedavg", col=f"s{i}", seed_index=0, config=_quick_config())
                  for i in range(3)]
