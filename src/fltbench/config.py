@@ -90,7 +90,7 @@ class DataConfig:
             return None
         if self.lt_target_if is None:
             return np.full(self.num_classes, self.per_class, dtype=np.int64)
-        return exponential_profile(self.per_class, self.num_classes, self.lt_target_if).counts
+        return exponential_profile(self.per_class, self.num_classes, self.lt_target_if)
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,10 @@ index array into one (see partition.Partition), never a copy.
 
 A long-tail profile assigns a target count to each class, head first (class
 0 is the head), decaying geometrically so that head/tail equals the
-requested imbalance factor. Shaping subsamples a dataset to those counts;
-the rotated_lt partition rotates the same counts to give each client another
-head class. head_tail_groups buckets classes into the head, medium and tail
-groups that evaluation reports.
+requested imbalance factor. Shaping subsamples a dataset to the profile
+that starts at its smallest class count; the rotated_lt partition rotates a
+profile to give each client another head class. head_tail_groups buckets
+classes into the head, medium and tail groups that evaluation reports.
 """
 from __future__ import annotations
 
@@ -259,41 +259,6 @@ def stratified_split_indices(
 PROFILE_IF_TOLERANCE = 0.02
 
 
-@dataclass(frozen=True)
-class LtProfile:
-    """Per-class sample counts, non-increasing from the head class 0.
-
-    Counts that do not realize target_if raise a ConfigError that names the
-    long-tail target (lt_target_if) and the head class's count.
-    """
-
-    target_if: float
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if counts.shape[0] < 2:
-            raise ValueError("a profile needs at least two classes")
-        steep = (f"lt_target_if {self.target_if:g} cannot be realized from "
-                 f"{counts[0]} samples per class")
-        if counts.min() < 1:
-            raise ConfigError(f"{steep}: profile tail count fell to zero")
-        if np.any(np.diff(counts) > 0):
-            raise ConfigError(f"{steep}: profile counts must be non-increasing by class")
-        realized = counts[0] / counts[-1]
-        if abs(realized - self.target_if) > PROFILE_IF_TOLERANCE * self.target_if:
-            raise ConfigError(
-                f"{steep}: integer rounding realizes IF {realized:.3f}, "
-                f"outside {PROFILE_IF_TOLERANCE:.0%} of target {self.target_if}"
-            )
-        counts.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
-
-
 def profile_counts(n_max: int, num_classes: int, target_if: float) -> np.ndarray:
     """Raw geometric-decay counts: floor(n_max * IF^(-j/(M-1))), exact tail.
 
@@ -307,11 +272,13 @@ def profile_counts(n_max: int, num_classes: int, target_if: float) -> np.ndarray
     return counts
 
 
-def exponential_profile(n_max: int, num_classes: int, target_if: float) -> LtProfile:
-    """Build a head-first profile.
+def exponential_profile(n_max: int, num_classes: int, target_if: float) -> np.ndarray:
+    """Head-first per-class counts from n_max down to the tail, as a read-only
+    int64 (num_classes,) array, non-increasing from the head class 0.
 
-    Raises ConfigError when the tail class would get less than one sample,
-    or integer rounding cannot realize the target ratio.
+    Raises ConfigError, naming the long-tail target (lt_target_if) and
+    n_max, when the tail class would get less than one sample or integer
+    rounding cannot realize the target ratio.
     """
     if num_classes < 2:
         raise ValueError("num_classes must be >= 2")
@@ -320,28 +287,34 @@ def exponential_profile(n_max: int, num_classes: int, target_if: float) -> LtPro
     if n_max < target_if:
         raise ConfigError(f"the smallest class has {n_max} samples, below lt_target_if "
                           f"{target_if:g}: the tail class would get less than one sample")
-    return LtProfile(
-        target_if=float(target_if),
-        counts=profile_counts(n_max, num_classes, target_if),
-    )
+    counts = profile_counts(n_max, num_classes, target_if)
+    steep = f"lt_target_if {target_if:g} cannot be realized from {n_max} samples per class"
+    if counts.min() < 1:
+        raise ConfigError(f"{steep}: profile tail count fell to zero")
+    if np.any(np.diff(counts) > 0):
+        raise ConfigError(f"{steep}: profile counts must be non-increasing by class")
+    realized = counts[0] / counts[-1]
+    if abs(realized - target_if) > PROFILE_IF_TOLERANCE * target_if:
+        raise ConfigError(
+            f"{steep}: integer rounding realizes IF {realized:.3f}, "
+            f"outside {PROFILE_IF_TOLERANCE:.0%} of target {float(target_if)}"
+        )
+    counts.flags.writeable = False
+    return counts
 
 
-def shape_long_tailed(dataset: Dataset, profile: LtProfile, seed: int) -> Dataset:
-    """Subsample a dataset so its class counts match the profile exactly.
+def shape_long_tailed(dataset: Dataset, target_if: float, seed: int) -> Dataset:
+    """Subsample a dataset to the exponential profile of target_if that
+    starts at its smallest class count, so every class can supply its share.
 
     Selection within each class is uniform without replacement under the
     seed (deal_by_class); unselected samples are simply discarded.
     """
-    if profile.num_classes != dataset.num_classes:
-        raise ValueError("profile and dataset class counts differ")
-    have, need = class_counts(dataset.labels, dataset.num_classes), profile.counts.tolist()
-    short = np.flatnonzero(have < profile.counts)
-    if short.size:
-        cls = short[0]
-        raise ConfigError(f"class {cls} has {have[cls]} samples, the profile needs {need[cls]}")
-    (picks,) = deal_by_class(dataset.labels, profile.num_classes, 1, rng_from(seed),
+    n_max = int(class_counts(dataset.labels, dataset.num_classes).min())
+    need = exponential_profile(n_max, dataset.num_classes, target_if).tolist()
+    (picks,) = deal_by_class(dataset.labels, dataset.num_classes, 1, rng_from(seed),
                              lambda cls, _: [need[cls]])
-    return subset(dataset, np.sort(picks), name=f"{dataset.name}-lt{profile.target_if:g}")
+    return subset(dataset, np.sort(picks), name=f"{dataset.name}-lt{target_if:g}")
 
 
 # Head/medium/tail cutoffs at the reference scale of 5000 train samples for

@@ -36,7 +36,6 @@ from .config import SOURCE_SYNTHETIC, ExperimentConfig, SweepCell, experiment_co
 from .datasets import (
     Dataset,
     class_counts,
-    exponential_profile,
     generate_synthetic,
     head_tail_groups,
     load_cifar10,
@@ -77,10 +76,8 @@ def build_data(config: ExperimentConfig) -> tuple[Dataset, Dataset, dict]:
 
     info = {"train_size_before_shaping": len(train), "train_size": len(train)}
     if data.lt_target_if is not None:
-        n_max = int(class_counts(train.labels, train.num_classes).min())
-        profile = exponential_profile(n_max, train.num_classes, data.lt_target_if)
         train = shape_long_tailed(
-            train, profile, seed=derive_seed(config.master_seed, "lt-shaping")
+            train, data.lt_target_if, seed=derive_seed(config.master_seed, "lt-shaping")
         )
         info["train_size"] = len(train)
     info["discarded_by_shaping"] = info["train_size_before_shaping"] - info["train_size"]

@@ -26,8 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datasets import (Dataset, LtProfile, class_counts, deal_by_class, exponential_profile,
-                       profile_counts)
+from .datasets import Dataset, class_counts, deal_by_class, exponential_profile, profile_counts
 from .errors import ConfigError, FltbenchError
 from .seeding import derive_rng, rng_from
 
@@ -116,7 +115,8 @@ def check_supply(spec: PartitionSpec, counts: np.ndarray) -> np.ndarray | None:
 
     Every client needs min_shard_size samples. rotated_lt needs a
     balanced source and a local_if profile that fits each client's share and
-    that every client still realizes, within LOCAL_IF_TOLERANCE, once
+    that every client still realizes, within LOCAL_IF_TOLERANCE and with at
+    least min_shard_size samples, once integer rounding has shaped it and
     oversubscribed classes are scaled down to their supply. For rotated_lt
     this returns the (num_clients, M) demand matrix, client k's per-class
     sample counts in row k; None for the other kinds. Raises ConfigError;
@@ -139,8 +139,8 @@ def check_supply(spec: PartitionSpec, counts: np.ndarray) -> np.ndarray | None:
             f"min_shard_size {spec.min_shard_size}"
         )
     base = _solve_profile_budget(m, local_if, n // num_clients)
-    # Client k's head class is k mod M: it holds base.counts[(c - k) mod M] of class c.
-    demand = base.counts[(np.arange(m) - np.arange(num_clients)[:, None]) % m]
+    # Client k's head class is k mod M: it holds base[(c - k) mod M] of class c.
+    demand = base[(np.arange(m) - np.arange(num_clients)[:, None]) % m]
 
     # Scale any oversubscribed class down to its supply, preserving totals.
     for cls in range(m):
@@ -159,6 +159,11 @@ def check_supply(spec: PartitionSpec, counts: np.ndarray) -> np.ndarray | None:
             f"too small for this profile or too few clients share the "
             f"{m} head rotations (supply scaling distorted the shape)"
         )
+    rows = demand.sum(axis=1)
+    short = np.flatnonzero(rows < need)
+    if short.size:
+        k = short[0]
+        raise ConfigError(f"client {k} gets {rows[k]} samples, below min_shard_size {need}")
     return demand
 
 
@@ -177,9 +182,9 @@ def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
     return base
 
 
-def _solve_profile_budget(num_classes: int, local_if: float, budget: int) -> LtProfile:
-    """The profile of the largest n_max that fits the per-client budget and
-    is valid.
+def _solve_profile_budget(num_classes: int, local_if: float, budget: int) -> np.ndarray:
+    """The profile counts of the largest n_max that fits the per-client
+    budget and is valid.
 
     The raw count sum is monotone in n_max, so binary search finds the
     budget boundary; from there we walk down (bounded) to the nearest n_max

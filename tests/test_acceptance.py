@@ -13,7 +13,7 @@ import pytest
 from fltbench.algorithms import AlgoConfig
 from fltbench.cli import main as cli_main
 from fltbench.config import DataConfig, ExperimentConfig, ModelSpec
-from fltbench.datasets import exponential_profile, generate_synthetic, shape_long_tailed
+from fltbench.datasets import generate_synthetic, shape_long_tailed
 from fltbench.nn import (
     ModelConfig,
     ModelParams,
@@ -68,8 +68,7 @@ def test_criterion_02_imbalance_factor_exactness(cifar_scale_ds):
     """Shaping to target IF in {10, 50, 100} realizes the measured global
     imbalance factor within 2%."""
     for target in (10.0, 50.0, 100.0):
-        profile = exponential_profile(5000, 10, target)
-        shaped = shape_long_tailed(cifar_scale_ds, profile, seed=0)
+        shaped = shape_long_tailed(cifar_scale_ds, target, seed=0)
         one_client = build_partition(shaped, PartitionSpec(kind="iid", num_clients=1), 0)
         measured = partition_report(one_client).global_if
         assert abs(measured - target) <= 0.02 * target

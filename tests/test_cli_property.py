@@ -49,6 +49,11 @@ BUDGET_BELOW_PROFILE = _doc({**ROTATED, "local_if": 100.0})
 PROFILE_DISTORTED_BY_SCALING = _doc(
     {**ROTATED, "local_if": 10.0}, num_classes=10, per_class=100
 )
+# The per-client budget of 5 fits min_shard_size 5, but the largest flat
+# profile it holds gives each client 2 + 2 samples.
+PROFILE_BELOW_MIN_SHARD = _doc(
+    {**ROTATED, "num_clients": 3, "min_shard_size": 5}, num_classes=2, per_class=8
+)
 # min_shard_size 0 let a Dirichlet draw leave client 2 without a sample.
 EMPTY_CLIENTS_ALLOWED = _doc(
     {"kind": "dirichlet", "num_clients": 20, "alpha": 0.05, "min_shard_size": 0}
@@ -159,6 +164,7 @@ def documents(draw):
 # Passed --dry-run, then exited 1 when the partition was built.
 @example(BUDGET_BELOW_PROFILE)
 @example(PROFILE_DISTORTED_BY_SCALING)
+@example(PROFILE_BELOW_MIN_SHARD)
 @example(EMPTY_CLIENTS_ALLOWED)
 def test_train_always_exits_with_a_code(doc):
     dry, _ = _train(doc, "--dry-run")
@@ -176,6 +182,7 @@ def test_train_always_exits_with_a_code(doc):
     (BUDGET_BELOW_PROFILE, "partition: per-client budget 30 cannot hold a profile with IF 100.0"),
     (PROFILE_DISTORTED_BY_SCALING, "partition: client 0 realizes IF 7.58, outside 10% of target"),
     (EMPTY_CLIENTS_ALLOWED, "partition: min_shard_size must be >= 1"),
+    (PROFILE_BELOW_MIN_SHARD, "partition: client 0 gets 4 samples, below min_shard_size 5"),
 ])
 def test_partition_conflicts_exit_2_at_parse_time(doc, message):
     code, err = _train(doc, "--dry-run")

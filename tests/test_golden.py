@@ -7,14 +7,16 @@ and compares the sha256 digest of every output file with tests/golden.json.
 ``--workers`` 1 and 2 against the same digests. The ``partition`` command's
 outputs for the three single-run workloads are pinned the same way.
 
-The digests hold for one numpy version, one BLAS build and one machine type,
-which golden.json records; anywhere else the test skips and names the
-difference. A change that keeps outputs byte-identical must pass without
-regenerating. A change that alters outputs by design regenerates them with
+The digests hold for one numpy version, one BLAS build, one machine type
+and the kernel family that BLAS picks for the CPU, which golden.json records;
+anywhere else the test skips and names the difference. A change that keeps
+outputs byte-identical must pass without regenerating. A change that alters
+outputs by design regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 import contextlib
+import ctypes
 import functools
 import hashlib
 import importlib.util
@@ -52,14 +54,38 @@ def _load_workloads():
     return module
 
 
+# The core-name function of each OpenBLAS build numpy's wheel has shipped.
+_OPENBLAS_CORENAME_SYMBOLS = (
+    "scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename",
+)
+
+
+def _blas_core() -> str | None:
+    """The kernel family numpy's OpenBLAS picked for this CPU when it loaded
+    (such as SkylakeX, or Haswell under OPENBLAS_CORETYPE=Haswell), or None
+    for a BLAS that does not name one. Kernels block and order their sums
+    differently, so output bits depend on it."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for symbol in _OPENBLAS_CORENAME_SYMBOLS:
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
 def environment() -> dict:
     """What the digests depend on beyond the source: the numpy version, the
-    name and version of the BLAS numpy was built with and the machine type."""
+    name and version of the BLAS numpy was built with, the machine type and
+    the BLAS kernel family."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "machine": platform.machine(),
+        "blas_core": _blas_core(),
     }
 
 

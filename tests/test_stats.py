@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fltbench.datasets import Dataset, exponential_profile, generate_synthetic, shape_long_tailed
+from fltbench.datasets import Dataset, generate_synthetic, shape_long_tailed
 from fltbench.errors import ConfigError
 from fltbench.partition import (
     PartitionSpec,
@@ -57,7 +57,7 @@ class TestLocalDistribution:
         # Deviation band frozen from the seed-0 simulation at this scale:
         # observed max per-class deviation 0.068 with 40 clients of ~310
         # samples each, so 0.08 is asserted.
-        lt = shape_long_tailed(cifar_scale_ds, exponential_profile(5000, 10, 100), seed=0)
+        lt = shape_long_tailed(cifar_scale_ds, 100, seed=0)
         report = partition_report(
             build_partition(lt, PartitionSpec(kind="iid", num_clients=40), 0)
         )
@@ -124,7 +124,7 @@ class TestImbalanceFactor:
         assert imbalance_factor(counts).tolist() == [10.0, 1.0, 4.0]
 
     def test_global_if_of_shaped_dataset(self, cifar_scale_ds):
-        lt = shape_long_tailed(cifar_scale_ds, exponential_profile(5000, 10, 50), seed=1)
+        lt = shape_long_tailed(cifar_scale_ds, 50, seed=1)
         measured = _one_client_report(lt).global_if
         assert abs(measured - 50.0) <= 0.02 * 50.0
 
